@@ -1,33 +1,29 @@
 """Spectra and Priestley-style dualities for finite ordered algebras.
 
-Every spectrum here is concrete: points are filters of the appropriate sort
-(all filters, prime filters, disjunctive filters), the basic set of an
-element a is the set of points containing a, the topology is the patch
-topology of the basic sets, and the order is inclusion of filters.
+Every spectrum here is built by ordua.spectra: points are filters of the
+appropriate sort (all filters, prime filters, disjunctive filters), the basic
+set of an element a is the set of points containing a, the topology is the
+patch topology of the basic sets, and the order is inclusion of filters.
 """
 
 from __future__ import annotations
 
-from ordua.errors import (
-    CarrierMismatch,
-    InputFormatError,
-    KindMismatch,
-    NotAFilterImage,
-    NotPriestley,
-    NotT0,
-)
+from ordua.errors import InputFormatError, KindMismatch, NotPriestley, NotT0
 from ordua.free import free_boolean
 from ordua.spaces import (
     FiniteSpace,
     Preorder,
     PreorderedSpace,
     generate_topology,
+    is_continuous,
+    is_monotone_map,
     patch_space,
     priestley_check,
     specialization_preorder,
     upper_open_reduct,
     weakly_indecomposable_clopen_uppers,
 )
+from ordua.spectra import inverse_image_map, spectrum
 from ordua.structures import (
     Poset,
     SetFamily,
@@ -37,10 +33,7 @@ from ordua.structures import (
     _satisfies_kind,
     bits,
     classify,
-    disjunctive_filters,
-    filter_point_label,
-    filters,
-    prime_filters,
+    inclusion_rows,
     structure_from_closed_masks,
 )
 
@@ -56,12 +49,12 @@ class DualityResult:
     __slots__ = ("space", "point_filters", "point_labels", "embedding", "auxiliary")
 
     def __init__(self, space: PreorderedSpace, point_filters: SetFamily,
-                 point_labels, embedding, auxiliary: dict | None = None):
+                 point_labels, embedding):
         self.space = space
         self.point_filters = point_filters
         self.point_labels = tuple(point_labels)
         self.embedding = tuple(embedding)
-        self.auxiliary = auxiliary or {}
+        self.auxiliary: dict[str, FiniteSpace] = {}
 
     @property
     def n_points(self) -> int:
@@ -80,26 +73,8 @@ class SpaceMap:
         self.source = source
         self.target = target
         self.map = tuple(map)
-        masks = set(source.space.opens.masks)
-        cont = True
-        for o in target.space.opens.masks:
-            pre = 0
-            for p in range(source.n):
-                if o >> self.map[p] & 1:
-                    pre |= 1 << p
-            if pre not in masks:
-                cont = False
-                break
-        self.continuous = cont
-        mono = True
-        for i in range(source.n):
-            for j in bits(source.preorder.up[i]):
-                if not target.preorder.leq(self.map[i], self.map[j]):
-                    mono = False
-                    break
-            if not mono:
-                break
-        self.monotone = mono
+        self.continuous = is_continuous(self.map, source.space, target.space)
+        self.monotone = is_monotone_map(self.map, source.preorder, target.preorder)
 
     def __repr__(self) -> str:
         return f"SpaceMap({self.source.n}->{self.target.n})"
@@ -120,69 +95,27 @@ class OrderedBoolean:
         return f"OrderedBoolean(n={self.algebra.n}, {self.spec_order.n} primes)"
 
 
-def _basic_masks(c: Structure, pts) -> list[int]:
-    out = []
-    for i in range(c.n):
-        s = 0
-        for k, m in enumerate(pts):
-            if m >> i & 1:
-                s |= 1 << k
-        out.append(s)
-    return out
-
-
-def _inclusion_preorder(labels, pts) -> Preorder:
-    rows = []
-    for m in pts:
-        row = 0
-        for k2, m2 in enumerate(pts):
-            if not m & ~m2:
-                row |= 1 << k2
-        rows.append(row)
-    return Preorder(labels, rows)
-
-
-def _points_for(c: Structure, duality: str, bound: int | None) -> list[int]:
-    if duality == "poset":
-        return list(filters(c, bound).masks)
-    if duality == "msl":
-        c.require("meet-semilattice", "msl spectrum")
-        return list(filters(c, bound).masks)
-    if duality == "dlat":
-        c.require("distributive-lattice", "prime spectrum")
-        return list(prime_filters(c).masks)
-    if duality == "ddlat":
-        c.require("dd-lattice", "disjunctive spectrum")
-        return list(disjunctive_filters(c).masks)
-    raise InputFormatError(f"unknown duality kind {duality!r}")
-
-
-def _patch_spectrum(c: Structure, duality: str, bound: int | None,
-                    auxiliary: dict | None = None) -> DualityResult:
-    pts = _points_for(c, duality, bound)
-    labels = [filter_point_label(c, m) for m in pts]
-    basics = _basic_masks(c, pts)
-    space = patch_space(labels, SetFamily(len(pts), basics), bound)
-    order = _inclusion_preorder(labels, pts)
-    return DualityResult(PreorderedSpace(space, order), SetFamily(c.n, pts),
-                         labels, basics, auxiliary)
+def _patch_spectrum(c: Structure, duality: str, bound: int | None
+                    ) -> DualityResult:
+    sp = spectrum(c, "poset-flat" if duality == "poset" else duality, bound)
+    space = patch_space(sp.labels, SetFamily(len(sp.labels), sp.basics), bound)
+    return DualityResult(PreorderedSpace(space, Preorder(sp.labels, sp.order)),
+                         sp.points, sp.labels, sp.basics)
 
 
 def stone_spectrum(d: Structure, bound: int | None = None) -> FiniteSpace:
     """The coherent (non-patch) topology on the prime filters, generated by
     the basic sets alone."""
-    d.require("distributive-lattice", "stone_spectrum")
-    pts = list(prime_filters(d).masks)
-    labels = [filter_point_label(d, m) for m in pts]
-    basics = _basic_masks(d, pts)
-    return generate_topology(labels, SetFamily(len(pts), basics), bound)
+    sp = spectrum(d, "dlat")
+    return generate_topology(sp.labels, SetFamily(len(sp.labels), sp.basics), bound)
 
 
 def priestley_of_dlat(d: Structure, bound: int | None = None) -> DualityResult:
-    """Prime filter spectrum with patch topology and inclusion order."""
-    d.require("distributive-lattice", "priestley_of_dlat")
+    """Prime filter spectrum with patch topology and inclusion order; the
+    Stone topology generated by the basic sets is auxiliary 'stone'."""
     res = _patch_spectrum(d, "dlat", bound)
-    res.auxiliary["stone"] = stone_spectrum(d, bound)
+    res.auxiliary["stone"] = generate_topology(
+        res.point_labels, SetFamily(res.n_points, res.embedding), bound)
     return res
 
 
@@ -214,27 +147,22 @@ def priestley_of_coherent(space: FiniteSpace, bound: int | None = None
 def poset_spectrum(p: Poset, bound: int | None = None) -> DualityResult:
     """Filter spectrum of a poset: the open-set space on lower-set witnesses
     (auxiliary 'A') and the patch-plus-inclusion ordered space."""
-    c = classify(p)
-    res = _patch_spectrum(c, "poset", bound)
-    pts = res.point_filters.masks
+    res = _patch_spectrum(classify(p), "poset", bound)
     a_opens = set()
     for u in p.lower_set_masks(bound):
         f_u = 0
-        for k, m in enumerate(pts):
-            if m & u:
-                f_u |= 1 << k
+        for i in bits(u):
+            f_u |= res.embedding[i]
         a_opens.add(f_u)
     res.auxiliary["A"] = FiniteSpace(res.point_labels, sorted(a_opens))
     return res
 
 
 def msl_spectrum(m: Structure, bound: int | None = None) -> DualityResult:
-    m.require("meet-semilattice", "msl_spectrum")
     return _patch_spectrum(m, "msl", bound)
 
 
 def ddlat_spectrum(d: Structure, bound: int | None = None) -> DualityResult:
-    d.require("dd-lattice", "ddlat_spectrum")
     return _patch_spectrum(d, "ddlat", bound)
 
 
@@ -262,17 +190,8 @@ def dual_morphism(f: StructureMorphism, duality: str, bound: int | None = None
         raise KindMismatch(f"map is not a {hom_kind}")
     res_src = spectrum_for(f.source, duality, bound)
     res_tgt = spectrum_for(f.target, duality, bound)
-    src_index = {m: k for k, m in enumerate(res_src.point_filters.masks)}
-    mapping = []
-    for m in res_tgt.point_filters.masks:
-        pre = 0
-        for i in range(f.source.n):
-            if m >> f.map[i] & 1:
-                pre |= 1 << i
-        if pre not in src_index:
-            raise NotAFilterImage(
-                "inverse image of a spectrum point is not a spectrum point")
-        mapping.append(src_index[pre])
+    mapping = inverse_image_map(f, res_src.point_filters.masks,
+                                res_tgt.point_filters.masks)
     return SpaceMap(res_tgt.space, res_src.space, mapping)
 
 
@@ -320,14 +239,7 @@ def ordered_boolean_of(c: Structure, kind: str, bound: int | None = None
     fr = free_boolean(c, kind, bound)
     algebra = fr.structure
     pts = fr.points.masks
-    rows = []
-    for m in pts:
-        row = 0
-        for k2, m2 in enumerate(pts):
-            if not m & ~m2:
-                row |= 1 << k2
-        rows.append(row)
-    spec_order = Poset(fr.point_labels, rows)
+    spec_order = Poset(fr.point_labels, inclusion_rows(pts))
     return OrderedBoolean(algebra, spec_order, pts, fr)
 
 

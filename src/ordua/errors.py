@@ -41,10 +41,6 @@ class CarrierMismatch(OrduaError):
     """Two objects that must share a carrier do not."""
 
 
-class NotMonotone(OrduaError):
-    """A map expected to be monotone is not."""
-
-
 class NotAFilterImage(OrduaError):
     """The inverse image of a spectrum point is not a point of the source spectrum."""
 

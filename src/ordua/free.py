@@ -17,10 +17,10 @@ from ordua.errors import (
     CarrierTooLarge,
     InputFormatError,
     KindMismatch,
-    NotAFilterImage,
     NotInjective,
     OracleBoundExceeded,
 )
+from ordua.spectra import inverse_image_map, spectrum
 from ordua.structures import (
     Poset,
     SetFamily,
@@ -30,10 +30,8 @@ from ordua.structures import (
     _satisfies_kind,
     bits,
     classify,
-    disjunctive_filters,
     disjunctively_compact_elements,
-    filter_point_label,
-    filters,
+    inclusion_rows,
     indecomposable_elements,
     popcount,
     powerset_structure,
@@ -109,23 +107,6 @@ class FreeResult:
         return f"FreeResult({self.kind}, {len(self.points)} points, size {self.size})"
 
 
-def _spectrum_points(c: Structure, kind: str, bound: int | None) -> list[int]:
-    if kind == "poset-monotone":
-        return c.base.upper_set_masks(bound)
-    if kind == "poset-flat":
-        return list(filters(c, bound).masks)
-    if kind == "msl":
-        c.require("meet-semilattice", "free_boolean(msl)")
-        return list(filters(c, bound).masks)
-    if kind == "dlat":
-        c.require("distributive-lattice", "free_boolean(dlat)")
-        return list(prime_filters(c).masks)
-    if kind == "ddlat":
-        c.require("dd-lattice", "free_boolean(ddlat)")
-        return list(disjunctive_filters(c).masks)
-    raise InputFormatError(f"unknown free kind {kind!r}")
-
-
 def free_boolean(c: Structure, kind: str, bound: int | None = None) -> FreeResult:
     """The free Boolean algebra on c for the given model class.
 
@@ -133,19 +114,8 @@ def free_boolean(c: Structure, kind: str, bound: int | None = None) -> FreeResul
     to 2), filters (flat models and meet-homs), prime filters (lattice homs),
     or disjunctive filters (disjunctive homs).
     """
-    pts = _spectrum_points(c, kind, bound)
-    if kind == "poset-monotone":
-        labels = ["{" + ",".join(c.labels[i] for i in bits(m)) + "}" for m in pts]
-    else:
-        labels = [filter_point_label(c, m) for m in pts]
-    unit_masks = []
-    for i in range(c.n):
-        s = 0
-        for k, m in enumerate(pts):
-            if m >> i & 1:
-                s |= 1 << k
-        unit_masks.append(s)
-    return FreeResult(c, kind, SetFamily(c.n, pts), labels, unit_masks)
+    sp = spectrum(c, kind, bound)
+    return FreeResult(c, kind, sp.points, sp.labels, sp.basics)
 
 
 def _is_flat_model(mapping, src: Structure, b: Structure) -> bool:
@@ -219,18 +189,7 @@ def free_point_map(f: StructureMorphism, kind: str,
                    fr_src: FreeResult, fr_tgt: FreeResult) -> tuple[int, ...]:
     """The spectrum map induced by f: points of the target free structure map
     to points of the source one by inverse image."""
-    out = []
-    src_index = {m: i for i, m in enumerate(fr_src.points.masks)}
-    for m in fr_tgt.points.masks:
-        pre = 0
-        for i in range(f.source.n):
-            if m >> f.map[i] & 1:
-                pre |= 1 << i
-        if pre not in src_index:
-            raise NotAFilterImage(
-                f"inverse image of a point is not a point for kind {kind}")
-        out.append(src_index[pre])
-    return tuple(out)
+    return inverse_image_map(f, fr_src.points.masks, fr_tgt.points.masks)
 
 
 def induced_boolean_hom(f: StructureMorphism, kind: str, fr_src: FreeResult,
@@ -324,11 +283,7 @@ def recognize_free_boolean(i: StructureMorphism, duality_kind: str
         # genuine unit the primes biject with the spectrum points via their
         # traces, so a repeat means b has primes the source cannot separate
         return False, {"duplicate-trace": True}
-    trace_rows = [0] * len(primes)
-    for k, t1 in enumerate(traces):
-        for k2, t2 in enumerate(traces):
-            if not t1 & ~t2:
-                trace_rows[k] |= 1 << k2
+    trace_rows = inclusion_rows(traces)
     sub, sub_masks, back, uppers = _uppers_substructure(b, trace_rows, primes)
     if duality_kind == "dlat":
         target = set(uppers)
@@ -452,11 +407,7 @@ def thm22_oracle(d: Structure, bound: int | None = None) -> OracleResult:
     members = sorted(members)
     index = {v: k for k, v in enumerate(members)}
     n = len(members)
-    up = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if not members[a] & ~members[b]:
-                up[a] |= 1 << b
+    up = inclusion_rows(members)
     meet = [[None] * n for _ in range(n)]
     join = [[None] * n for _ in range(n)]
     for a in range(n):
@@ -487,44 +438,26 @@ def _lattice_closure(npoints: int, seed_masks) -> list[int]:
     return sorted(members)
 
 
-def _basic_masks(c: Structure, pts: list[int]) -> list[int]:
-    out = []
-    for i in range(c.n):
-        s = 0
-        for k, mask in enumerate(pts):
-            if mask >> i & 1:
-                s |= 1 << k
-        out.append(s)
-    return out
+def _free_dlat(s: Structure, kind: str, bound: int | None) -> FreeResult:
+    sp = spectrum(s, kind, bound)
+    element_masks = _lattice_closure(len(sp.points), sp.basics)
+    if len(element_masks) > MATERIALIZE_CAP:
+        raise CarrierTooLarge("free distributive lattice exceeds the size cap")
+    return FreeResult(s, f"dlat-on-{kind}", sp.points, sp.labels, sp.basics,
+                      element_masks)
 
 
 def free_dlat_on_msl(m: Structure, bound: int | None = None) -> FreeResult:
     """Free bounded distributive lattice on a meet-semilattice: the 0,1-
     sublattice of the powerset of the filter spectrum generated by the basic
     sets."""
-    m.require("meet-semilattice", "free_dlat_on_msl")
-    pts = list(filters(m, bound).masks)
-    basic = _basic_masks(m, pts)
-    element_masks = _lattice_closure(len(pts), basic)
-    if len(element_masks) > MATERIALIZE_CAP:
-        raise CarrierTooLarge("free distributive lattice exceeds the size cap")
-    labels = [filter_point_label(m, p) for p in pts]
-    return FreeResult(m, "dlat-on-msl", SetFamily(m.n, pts), labels, basic,
-                      element_masks)
+    return _free_dlat(m, "msl", bound)
 
 
 def free_dlat_on_ddlat(d: Structure, bound: int | None = None) -> FreeResult:
     """Free bounded distributive lattice on a dd-lattice, on the disjunctive
     filter spectrum."""
-    d.require("dd-lattice", "free_dlat_on_ddlat")
-    pts = list(disjunctive_filters(d).masks)
-    basic = _basic_masks(d, pts)
-    element_masks = _lattice_closure(len(pts), basic)
-    if len(element_masks) > MATERIALIZE_CAP:
-        raise CarrierTooLarge("free distributive lattice exceeds the size cap")
-    labels = [filter_point_label(d, p) for p in pts]
-    return FreeResult(d, "dlat-on-ddlat", SetFamily(d.n, pts), labels, basic,
-                      element_masks)
+    return _free_dlat(d, "ddlat", bound)
 
 
 def free_frame_on_poset(p: Poset, bound: int | None = None) -> FreeResult:

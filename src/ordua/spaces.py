@@ -124,11 +124,10 @@ class FiniteSpace:
                 u |= minimal[p]
             if u != o:
                 raise InputFormatError("family is not closed under unions")
-        if n <= 16:
-            count = sum(1 for m in range(1 << n)
-                        if all(not (minimal[p] & ~m) for p in bits(m)))
-            if count != len(family):
-                raise InputFormatError("family is not closed under unions")
+        # every open is a union of minimal opens, so closure under adding one
+        # minimal open at a time is closure under all unions
+        if not all(o | m in masks for o in family.masks for m in minimal):
+            raise InputFormatError("family is not closed under unions")
         self.labels = labels
         self.opens = family
         self.minimal = tuple(minimal)

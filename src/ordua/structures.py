@@ -472,6 +472,18 @@ def _set_label(point_labels, mask: int) -> str:
     return "{" + ",".join(point_labels[i] for i in bits(mask)) + "}"
 
 
+def inclusion_rows(masks) -> list[int]:
+    """Inclusion order of a list of sets: row k has bit k2 iff masks[k] <= masks[k2]."""
+    rows = []
+    for m in masks:
+        row = 0
+        for k, m2 in enumerate(masks):
+            if not m & ~m2:
+                row |= 1 << k
+        rows.append(row)
+    return rows
+
+
 def structure_from_closed_masks(point_labels, masks, element_labels=None) -> Structure:
     """Structure on a family of subsets closed under union and intersection.
 
@@ -486,11 +498,7 @@ def structure_from_closed_masks(point_labels, masks, element_labels=None) -> Str
     if 0 not in idx or full not in idx:
         raise InputFormatError("closed family must contain the empty and full sets")
     n = len(masks)
-    up = [0] * n
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            if not mi & ~mj:
-                up[i] |= 1 << j
+    up = inclusion_rows(masks)
     meet: list[list[int | None]] = [[None] * n for _ in range(n)]
     join: list[list[int | None]] = [[None] * n for _ in range(n)]
     for i, mi in enumerate(masks):
@@ -532,28 +540,17 @@ def filter_point_label(s: Structure, mask: int) -> str:
 
 
 def filters(s: Structure, bound: int | None = None) -> SetFamily:
-    """All filters of s: nonempty, upward closed, down-directed subsets."""
+    """All filters of s: nonempty, upward closed, down-directed subsets.
+
+    A finite down-directed set holds a lower bound of all its members, which
+    is its least element, so every filter is the principal up-set of that
+    element; each principal up-set is a filter. bound still limits the
+    carrier, as it does for the other enumerations.
+    """
     b = DEFAULT_ENUMERATION_BOUND if bound is None else bound
-    n = s.n
-    if n > b:
-        raise CarrierTooLarge(f"filter enumeration needs carrier <= {b}, got {n}")
-    up, dn = s.base.up, s.base.dn
-    out = []
-    for m in range(1, 1 << n):
-        members = list(bits(m))
-        if any(up[i] & ~m for i in members):
-            continue
-        ok = True
-        for a in range(len(members)):
-            for bb in range(a + 1, len(members)):
-                if not dn[members[a]] & dn[members[bb]] & m:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(m)
-    return SetFamily(n, out)
+    if s.n > b:
+        raise CarrierTooLarge(f"filter enumeration needs carrier <= {b}, got {s.n}")
+    return SetFamily(s.n, s.base.up)
 
 
 def prime_filters(s: Structure) -> SetFamily:
@@ -568,55 +565,23 @@ def prime_filters(s: Structure) -> SetFamily:
     return SetFamily(s.n, [s.base.up[x] for x in bits(ji)])
 
 
-def _disjoint_antichain_families(s: Structure) -> list[tuple[tuple[int, ...], int]]:
-    """All pairwise-disjoint antichain families of size >= 2, with their joins."""
-    bot = s.bottom
-    n = s.n
-    elems = [i for i in range(n) if i != bot]
-    out: list[tuple[tuple[int, ...], int]] = []
-
-    def extend(start: int, current: list[int], joined: int | None) -> None:
-        for e in elems[start:]:
-            ok = True
-            for c in current:
-                if s.leq(e, c) or s.leq(c, e) or s.meet[e][c] != bot:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nj = e if joined is None else s.join[joined][e]
-            if nj is None:
-                continue
-            current.append(e)
-            if len(current) >= 2:
-                out.append((tuple(current), nj))
-            extend(elems.index(e) + 1, current, nj)
-            current.pop()
-
-    extend(0, [], None)
-    return out
-
-
 def disjunctive_filters(s: Structure) -> SetFamily:
     """Filters F such that any pairwise-disjoint family with join in F meets F.
 
-    The empty family has join 0, so filters containing 0 are never disjunctive;
-    singleton families are trivial, and families with comparable or
-    non-disjoint members reduce to antichain ones, so only pairwise-disjoint
-    antichains of size >= 2 need checking.
+    Filters are principal, F = ^x. The empty family has join 0, so x != 0.
+    In a dd-lattice meets distribute over disjoint binary joins, so the join
+    of the first k members of a disjoint family is disjoint from the next
+    member; by induction on k, x is below a member of every disjoint family
+    joining above it as soon as this holds for every disjoint pair.
     """
     s.require("dd-lattice", "disjunctive_filters")
-    fams = _disjoint_antichain_families(s)
+    bot = s.bottom
+    pairs = [(a, b, s.join[a][b]) for a in range(s.n) for b in range(a + 1, s.n)
+             if bot not in (a, b) and s.meet[a][b] == bot]
     out = []
     for x in range(s.n):
-        if x == s.bottom:
-            continue
-        good = True
-        for members, j in fams:
-            if s.leq(x, j) and not any(s.leq(x, a) for a in members):
-                good = False
-                break
-        if good:
+        if x != bot and all(not s.leq(x, j) or s.leq(x, a) or s.leq(x, b)
+                            for a, b, j in pairs):
             out.append(s.base.up[x])
     return SetFamily(s.n, out)
 

@@ -48,6 +48,9 @@ def test_finite_space_requires_topology():
         FiniteSpace(["a", "b"], [0b00, 0b01, 0b10])  # missing full set
     with pytest.raises(InputFormatError):
         FiniteSpace(["a", "b", "c"], [0b000, 0b011, 0b110, 0b111])  # no meet
+    with pytest.raises(InputFormatError):
+        # {x0} and {x1} are open but {x0, x1} is not, on more than 16 points
+        FiniteSpace([f"x{i}" for i in range(17)], [0, (1 << 17) - 1, 1, 2])
 
 
 def test_empty_space_is_allowed():

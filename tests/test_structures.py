@@ -215,6 +215,22 @@ def test_disjunctive_filters_match_definition(p):
         brute_disjunctive_filters(s))
 
 
+def _seeded_lower_set_lattice(seed):
+    import random
+    return lower_set_lattice(random_poset(random.Random(seed), 4))
+
+
+# No dd-lattice of 5 or fewer elements has a disjoint family of 3 or more, so
+# these larger inputs are the ones where checking only disjoint pairs could
+# differ from checking every disjoint family.
+@pytest.mark.parametrize("s", [powerset_structure(3), powerset_structure(4)]
+                         + [_seeded_lower_set_lattice(seed) for seed in range(8)])
+def test_disjunctive_filters_match_definition_beyond_pairs(s):
+    s = s.with_kind("dd-lattice")
+    assert sorted(disjunctive_filters(s).masks) == sorted(
+        brute_disjunctive_filters(s))
+
+
 def test_filters_respect_bound():
     with pytest.raises(CarrierTooLarge):
         filters(mk("C3"), bound=2)
