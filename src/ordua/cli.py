@@ -287,7 +287,7 @@ def _discrete_priestley(s: Structure, bound: int) -> PreorderedSpace:
     n = s.n
     if n > bound:
         raise CarrierTooLarge(f"carrier {n} exceeds bound {bound}")
-    space = FiniteSpace(s.labels, range(1 << n))
+    space = FiniteSpace.from_rows(s.labels, [1 << i for i in range(n)])
     return PreorderedSpace(space, Preorder.from_poset(s.base))
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from ordua.structures import Poset, bits, canonical_form
+from ordua.structures import Poset, bits, canonical_form, transitive_closure, upper_sets
 
 _POSET_CACHE: dict[int, list[Poset]] = {}
 _PREORDER_CACHE: dict[int, list[tuple[int, ...]]] = {}
@@ -18,9 +18,7 @@ def _labelled_down_rows(n: int) -> list[tuple[int, ...]]:
         nxt = []
         for rows in out:
             # choose a down-closed set of predecessors for the new element
-            closed = [m for m in range(1 << k)
-                      if all(not (rows[i] & ~m) for i in bits(m))]
-            for m in closed:
+            for m in upper_sets(rows):
                 nxt.append(rows + (m | 1 << k,))
         out = nxt
     return out
@@ -83,9 +81,4 @@ def random_poset(rng: random.Random, n: int, density: float = 0.35) -> Poset:
         for j in range(i + 1, n):
             if rng.random() < density:
                 up[i] |= 1 << j
-    for k in range(n):
-        bit = 1 << k
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= up[k]
-    return Poset([f"x{i}" for i in range(n)], up)
+    return Poset([f"x{i}" for i in range(n)], transitive_closure(up))

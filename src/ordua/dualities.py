@@ -35,6 +35,7 @@ from ordua.structures import (
     classify,
     inclusion_rows,
     structure_from_closed_masks,
+    upper_sets,
 )
 
 DUALITY_KINDS = ("poset", "msl", "dlat", "ddlat")
@@ -141,20 +142,19 @@ def priestley_of_coherent(space: FiniteSpace, bound: int | None = None
     spec = specialization_preorder(space)
     if not spec.is_antisymmetric():
         raise NotT0(f"specialization has cycle {spec.antisymmetry_failure()}")
-    return PreorderedSpace(patch_space(space.labels, space.opens, bound), spec)
+    # the minimal opens generate the same patch topology as all the opens
+    minimal = SetFamily(space.n, space.minimal)
+    return PreorderedSpace(patch_space(space.labels, minimal, bound), spec)
 
 
 def poset_spectrum(p: Poset, bound: int | None = None) -> DualityResult:
     """Filter spectrum of a poset: the open-set space on lower-set witnesses
-    (auxiliary 'A') and the patch-plus-inclusion ordered space."""
+    (auxiliary 'A') and the patch-plus-inclusion ordered space.
+
+    A filter ^x meets a lower set u iff x is in u, so the opens of A (the
+    filters meeting u, for each u) are the up-sets of the inclusion order."""
     res = _patch_spectrum(classify(p), "poset", bound)
-    a_opens = set()
-    for u in p.lower_set_masks(bound):
-        f_u = 0
-        for i in bits(u):
-            f_u |= res.embedding[i]
-        a_opens.add(f_u)
-    res.auxiliary["A"] = FiniteSpace(res.point_labels, sorted(a_opens))
+    res.auxiliary["A"] = FiniteSpace.from_rows(res.point_labels, res.space.preorder.up)
     return res
 
 
@@ -247,19 +247,10 @@ def upper_elements(ob: OrderedBoolean) -> Subset:
     """Elements b with: b in P and P <= P' imply b in P'.
 
     Membership of b in the prime at point k is bit k of b's powerset mask,
-    which equals its element index in the materialized free algebra.
+    which equals its element index in the materialized free algebra, so these
+    are the up-sets of the trace order.
     """
-    n = ob.algebra.n
-    out = 0
-    for x in range(n):
-        good = True
-        for k in bits(x):
-            if ob.spec_order.up[k] & ~x:
-                good = False
-                break
-        if good:
-            out |= 1 << x
-    return Subset(n, out)
+    return Subset(ob.algebra.n, sum(1 << x for x in upper_sets(ob.spec_order.up)))
 
 
 def roundtrip_check(d: Structure, bound: int | None = None

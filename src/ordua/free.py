@@ -37,6 +37,7 @@ from ordua.structures import (
     powerset_structure,
     prime_filters,
     structure_from_closed_masks,
+    upper_sets,
 )
 
 MATERIALIZE_CAP = 1024
@@ -73,10 +74,6 @@ class FreeResult:
         if self.element_masks is not None:
             return len(self.element_masks)
         return 1 << len(self.points)
-
-    @property
-    def point_basis(self) -> SetFamily:
-        return SetFamily(len(self.points), self.unit_masks)
 
     @property
     def structure(self) -> Structure:
@@ -185,20 +182,20 @@ def universal_property_check(fr: FreeResult, atom_bound: int = 3
     return True, None
 
 
-def free_point_map(f: StructureMorphism, kind: str,
-                   fr_src: FreeResult, fr_tgt: FreeResult) -> tuple[int, ...]:
+def free_point_map(f: StructureMorphism, fr_src: FreeResult,
+                   fr_tgt: FreeResult) -> tuple[int, ...]:
     """The spectrum map induced by f: points of the target free structure map
     to points of the source one by inverse image."""
     return inverse_image_map(f, fr_src.points.masks, fr_tgt.points.masks)
 
 
-def induced_boolean_hom(f: StructureMorphism, kind: str, fr_src: FreeResult,
+def induced_boolean_hom(f: StructureMorphism, fr_src: FreeResult,
                         fr_tgt: FreeResult) -> tuple[int, ...]:
     """The Boolean hom Free(source) -> Free(target) induced by f, as a map of
     powerset masks (valid whenever both frees stay un-materialized too)."""
     if len(fr_src.points) > 12:
         raise CarrierTooLarge("induced hom table would exceed 2^12 entries")
-    pm = free_point_map(f, kind, fr_src, fr_tgt)
+    pm = free_point_map(f, fr_src, fr_tgt)
     npts_t = len(fr_tgt.points)
     out = []
     for s in range(1 << len(fr_src.points)):
@@ -231,20 +228,10 @@ def _uppers_substructure(b: Structure, trace_rows: list[int], primes: list[int]
             if b.leq(a, x):
                 m |= 1 << t
         am.append(m)
-    uppers = []
-    for x in range(b.n):
-        ok = True
-        for k in range(len(primes)):
-            if not b.leq(atom_of_prime[k], x):
-                continue
-            for k2 in bits(trace_rows[k]):
-                if not b.leq(atom_of_prime[k2], x):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            uppers.append(x)
+    # x is upper iff the primes containing it (those of the atoms below it)
+    # form a trace-upper set, and x is the join of those atoms
+    uppers = sorted(b.join_of(atom_of_prime[k] for k in bits(u))
+                    for u in upper_sets(trace_rows))
     sub_masks = sorted(am[x] for x in uppers)
     sub = structure_from_closed_masks([f"t{t}" for t in range(len(atoms))], sub_masks)
     back = {am[x]: x for x in uppers}

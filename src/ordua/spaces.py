@@ -1,9 +1,10 @@
 """Finite topological spaces, preorders, and Priestley-style checks.
 
-A finite family of sets containing the empty and full sets is a topology iff
-it equals the family of all unions of its minimal opens, which is what the
-FiniteSpace constructor verifies. Finite spaces are therefore interchangeable
-with preorders (Alexandrov correspondence); both directions are provided.
+A finite topology is its minimal opens, the least open around each point:
+these rows are its specialization preorder and the opens are its up-sets
+(Alexandrov correspondence). A FiniteSpace stores the rows; ``opens`` is a
+view built on first read, bounded by the carrier check each builder makes, and
+openness, clopens, continuity and equality are decided on the rows.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from ordua.structures import (
     SetFamily,
     Structure,
     bits,
+    check_carrier,
     structure_from_closed_masks,
+    transitive_closure,
+    upper_sets,
 )
 
 
@@ -75,11 +79,8 @@ class Preorder:
         return all(not (self.up[i] & ~mask) for i in bits(mask))
 
     def upper_masks(self, bound: int | None = None) -> list[int]:
-        b = DEFAULT_ENUMERATION_BOUND if bound is None else bound
-        if self.n > b:
-            raise CarrierTooLarge(
-                f"upper-set enumeration needs carrier <= {b}, got {self.n}")
-        return [m for m in range(1 << self.n) if self.is_upper(m)]
+        check_carrier(self.n, bound, "upper-set enumeration")
+        return upper_sets(self.up)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Preorder)
@@ -92,10 +93,30 @@ class Preorder:
         return f"Preorder(n={self.n})"
 
 
-class FiniteSpace:
-    """A finite topological space: labelled points plus the family of opens."""
+def minimal_opens(n: int, masks) -> tuple[int, ...]:
+    """Row p: the intersection of the masks containing p (all n points if
+    none does), the least open around p in the topology they generate."""
+    rows = [(1 << n) - 1] * n
+    for m in masks:
+        for p in bits(m):
+            rows[p] &= m
+    return tuple(rows)
 
-    __slots__ = ("labels", "opens", "minimal")
+
+def _components(rows) -> list[int]:
+    """Row p: the connected component of p in the graph of the rows."""
+    link = list(rows)
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            link[j] |= 1 << i
+    return transitive_closure(link)
+
+
+class FiniteSpace:
+    """A finite space: labelled points and their minimal opens (minimal[p] is
+    the least open containing p); opens lists their up-sets on first read."""
+
+    __slots__ = ("labels", "minimal", "_opens")
 
     def __init__(self, labels, opens) -> None:
         labels = tuple(str(x) for x in labels)
@@ -109,28 +130,30 @@ class FiniteSpace:
         masks = set(family.masks)
         if 0 not in masks or full not in masks:
             raise InputFormatError("a topology contains the empty and full sets")
-        minimal = []
-        for p in range(n):
-            m = full
-            for o in family.masks:
-                if o >> p & 1:
-                    m &= o
-            minimal.append(m)
-        for o in family.masks:
-            u = 0
-            for p in bits(o):
-                if minimal[p] not in masks:
-                    raise InputFormatError("family is not closed under intersections")
-                u |= minimal[p]
-            if u != o:
-                raise InputFormatError("family is not closed under unions")
-        # every open is a union of minimal opens, so closure under adding one
-        # minimal open at a time is closure under all unions
+        # each member is the union of the minimal opens of its points, so the
+        # family is a topology iff it holds them and is closed under adding one
+        minimal = minimal_opens(n, family.masks)
+        if not all(m in masks for m in minimal):
+            raise InputFormatError("family is not closed under intersections")
         if not all(o | m in masks for o in family.masks for m in minimal):
             raise InputFormatError("family is not closed under unions")
         self.labels = labels
-        self.opens = family
-        self.minimal = tuple(minimal)
+        self.minimal = minimal
+        self._opens = family
+
+    @classmethod
+    def from_rows(cls, labels, rows) -> "FiniteSpace":
+        """The space whose minimal opens are rows, which must be a preorder."""
+        pre = Preorder(labels, rows)
+        space = cls.__new__(cls)
+        space.labels, space.minimal, space._opens = pre.labels, pre.up, None
+        return space
+
+    @property
+    def opens(self) -> SetFamily:
+        if self._opens is None:
+            self._opens = SetFamily(self.n, upper_sets(self.minimal))
+        return self._opens
 
     @property
     def n(self) -> int:
@@ -141,21 +164,22 @@ class FiniteSpace:
         return (1 << self.n) - 1
 
     def is_open(self, mask: int) -> bool:
-        return mask in set(self.opens.masks)
+        return (0 <= mask <= self.full
+                and all(not (self.minimal[p] & ~mask) for p in bits(mask)))
 
     def clopen_masks(self) -> list[int]:
-        masks = set(self.opens.masks)
-        return [m for m in self.opens.masks if self.full ^ m in masks]
+        """Clopen sets: the unions of connected components, ascending."""
+        return upper_sets(_components(self.minimal))
 
     def is_t0(self) -> bool:
         return len(set(self.minimal)) == self.n
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteSpace)
-                and self.labels == other.labels and self.opens == other.opens)
+                and self.labels == other.labels and self.minimal == other.minimal)
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.opens))
+        return hash((self.labels, self.minimal))
 
     def __repr__(self) -> str:
         return f"FiniteSpace(n={self.n}, {len(self.opens)} opens)"
@@ -181,7 +205,9 @@ class PreorderedSpace:
         return self.space.n
 
     def clopen_upper_masks(self) -> list[int]:
-        return [m for m in self.space.clopen_masks() if self.preorder.is_upper(m)]
+        """Unions of components that are upper: up-sets of both relations."""
+        rows = zip(_components(self.space.minimal), self.preorder.up)
+        return upper_sets(transitive_closure(c | u for c, u in rows))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PreorderedSpace)
@@ -230,27 +256,18 @@ def generate_topology(labels, subbasis: SetFamily, bound: int | None = None
     n = len(labels)
     if subbasis.n != n:
         raise CarrierMismatch("subbasis does not live on the point carrier")
-    b = DEFAULT_ENUMERATION_BOUND if bound is None else bound
-    if n > b:
-        raise CarrierTooLarge(f"topology generation needs carrier <= {b}, got {n}")
-    full = (1 << n) - 1
-    minimal = []
-    for p in range(n):
-        m = full
-        for s in subbasis.masks:
-            if s >> p & 1:
-                m &= s
-        minimal.append(m)
-    opens = [m for m in range(1 << n)
-             if all(not (minimal[p] & ~m) for p in bits(m))]
-    return FiniteSpace(labels, opens)
+    check_carrier(n, bound, "topology generation")
+    return FiniteSpace.from_rows(labels, minimal_opens(n, subbasis.masks))
 
 
 def patch_space(labels, family: SetFamily, bound: int | None = None) -> FiniteSpace:
     """The patch topology: generated by the family together with its complements."""
+    return generate_topology(labels, _with_complements(family), bound)
+
+
+def _with_complements(family: SetFamily) -> SetFamily:
     full = (1 << family.n) - 1
-    enriched = SetFamily(family.n, list(family.masks) + [full ^ m for m in family.masks])
-    return generate_topology(labels, enriched, bound)
+    return SetFamily(family.n, list(family.masks) + [full ^ m for m in family.masks])
 
 
 def specialization_preorder(space: FiniteSpace) -> Preorder:
@@ -260,13 +277,15 @@ def specialization_preorder(space: FiniteSpace) -> Preorder:
 
 def alexandrov_space(pre: Preorder, bound: int | None = None) -> FiniteSpace:
     """The Alexandrov topology: all upper sets of the preorder."""
-    return FiniteSpace(pre.labels, pre.upper_masks(bound))
+    check_carrier(pre.n, bound, "upper-set enumeration")
+    return FiniteSpace.from_rows(pre.labels, pre.up)
 
 
 def upper_open_reduct(ps: PreorderedSpace) -> FiniteSpace:
-    """Keep only the opens that are upper for the order."""
-    opens = [m for m in ps.space.opens.masks if ps.preorder.is_upper(m)]
-    return FiniteSpace(ps.labels, opens)
+    """Keep only the opens that are upper for the order: the up-sets of the
+    specialization preorder and the order together."""
+    rows = zip(ps.space.minimal, ps.preorder.up)
+    return FiniteSpace.from_rows(ps.labels, transitive_closure(m | u for m, u in rows))
 
 
 def preorder_coreflection(ps: PreorderedSpace) -> Preorder:
@@ -288,21 +307,12 @@ def priestley_boolean_algebra(labels, family: SetFamily,
     if family.n != n:
         raise CarrierMismatch("family does not live on the point carrier")
     b = DEFAULT_ENUMERATION_BOUND if bound is None else bound
-    cells: dict[tuple, int] = {}
-    for p in range(n):
-        pattern = tuple(m >> p & 1 for m in family.masks)
-        cells[pattern] = cells.get(pattern, 0) | 1 << p
-    cell_masks = sorted(cells.values())
-    if len(cell_masks) > b:
+    # row p is the cell of p: the patch minimal open around p
+    cells = minimal_opens(n, _with_complements(family).masks)
+    if len(set(cells)) > b:
         raise CarrierTooLarge(
-            f"pattern algebra would have 2^{len(cell_masks)} elements")
-    masks = []
-    for combo in range(1 << len(cell_masks)):
-        m = 0
-        for i in bits(combo):
-            m |= cell_masks[i]
-        masks.append(m)
-    return structure_from_closed_masks(labels, masks)
+            f"pattern algebra would have 2^{len(set(cells))} elements")
+    return structure_from_closed_masks(labels, upper_sets(cells))
 
 
 def priestley_check(ps: PreorderedSpace) -> PriestleyReport:
@@ -346,18 +356,6 @@ def weakly_indecomposable_clopen_uppers(ps: PreorderedSpace) -> SetFamily:
     return SetFamily(ps.n, out)
 
 
-def _family_order_rows(n: int, family: SetFamily) -> tuple[int, ...]:
-    full = (1 << n) - 1
-    rows = []
-    for x in range(n):
-        row = full
-        for s in family.masks:
-            if s >> x & 1:
-                row &= s
-        rows.append(row)
-    return tuple(rows)
-
-
 def check_patch_characterization(ps: PreorderedSpace, family: SetFamily,
                                  bound: int | None = None
                                  ) -> tuple[bool, bool, dict | None]:
@@ -370,9 +368,9 @@ def check_patch_characterization(ps: PreorderedSpace, family: SetFamily,
     """
     if family.n != ps.n:
         raise CarrierMismatch("family does not live on the space carrier")
-    rows_a = _family_order_rows(ps.n, family)
+    rows_a = minimal_opens(ps.n, family.masks)
     patch = patch_space(ps.labels, family, bound)
-    lhs = ps.space.opens == patch.opens and tuple(ps.preorder.up) == rows_a
+    lhs = ps.space.minimal == patch.minimal and tuple(ps.preorder.up) == rows_a
     witness: dict | None = None
     rhs = True
     for s in family.masks:
@@ -382,9 +380,9 @@ def check_patch_characterization(ps: PreorderedSpace, family: SetFamily,
                        "set": [ps.labels[i] for i in bits(s)]}
             break
     if rhs:
-        clopens = set(ps.space.clopen_masks())
-        good = [s for s in family.masks
-                if s in clopens and ps.preorder.is_upper(s)]
+        sp = ps.space
+        good = [s for s in family.masks if sp.is_open(s)
+                and sp.is_open(sp.full ^ s) and ps.preorder.is_upper(s)]
         for x in range(ps.n):
             for y in range(ps.n):
                 if x == y or rows_a[x] >> y & 1:
@@ -405,27 +403,23 @@ def check_frame_pullback(space: FiniteSpace, bound: int | None = None) -> bool:
     if not spec.is_antisymmetric():
         bad = spec.antisymmetry_failure()
         raise NotT0(f"specialization preorder has the cycle {bad}")
-    patch = patch_space(space.labels, space.opens, bound)
-    uppers = [m for m in patch.opens.masks if spec.is_upper(m)]
-    return tuple(uppers) == space.opens.masks
+    # the minimal opens generate the same patch topology as all the opens,
+    # and the patch opens that are upper are the up-sets of both preorders
+    patch = patch_space(space.labels, SetFamily(space.n, space.minimal), bound)
+    rows = transitive_closure(m | u for m, u in zip(patch.minimal, spec.up))
+    return tuple(rows) == space.minimal
+
+
+def _is_monotone_rows(mapping, src_up, tgt_up) -> bool:
+    return all(tgt_up[mapping[i]] >> mapping[j] & 1
+               for i, row in enumerate(src_up) for j in bits(row))
 
 
 def is_continuous(mapping, source: FiniteSpace, target: FiniteSpace) -> bool:
-    """Preimages of opens are open."""
-    masks = set(source.opens.masks)
-    for o in target.opens.masks:
-        pre = 0
-        for p in range(source.n):
-            if o >> mapping[p] & 1:
-                pre |= 1 << p
-        if pre not in masks:
-            return False
-    return True
+    """Preimages of opens are open: for finite spaces, exactly when the map is
+    monotone for the specialization preorders."""
+    return _is_monotone_rows(mapping, source.minimal, target.minimal)
 
 
 def is_monotone_map(mapping, source: Preorder, target: Preorder) -> bool:
-    for i in range(source.n):
-        for j in bits(source.up[i]):
-            if not target.leq(mapping[i], mapping[j]):
-                return False
-    return True
+    return _is_monotone_rows(mapping, source.up, target.up)

@@ -43,6 +43,51 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+def check_carrier(n: int, bound: int | None, what: str) -> None:
+    """Raise CarrierTooLarge before an enumeration over a carrier above bound."""
+    b = DEFAULT_ENUMERATION_BOUND if bound is None else bound
+    if n > b:
+        raise CarrierTooLarge(f"{what} needs carrier <= {b}, got {n}")
+
+
+def transitive_closure(rows) -> list[int]:
+    """The transitive closure of a relation given as bitmask rows (Warshall)."""
+    rows = list(rows)
+    for k in range(len(rows)):
+        bit = 1 << k
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | rows[k]
+    return rows
+
+
+def upper_sets(up) -> list[int]:
+    """All up-sets of the preorder with up-rows up, in ascending mask order.
+
+    Branch on the highest undecided point: out with its down-row (first, so
+    the output ascends) or in with its up-row. Every branch ends in a distinct
+    up-set, so the work is O(n) per up-set; the explicit stack makes no cycles.
+    """
+    n = len(up)
+    dn = [0] * n
+    for i, row in enumerate(up):
+        for j in bits(row):
+            dn[j] |= 1 << i
+    full = (1 << n) - 1
+    out = []
+    stack = [(0, 0)]
+    while stack:
+        inside, outside = stack.pop()
+        rest = full & ~(inside | outside)
+        if not rest:
+            out.append(inside)
+            continue
+        p = rest.bit_length() - 1
+        stack.append((inside | up[p], outside))
+        stack.append((inside, outside | dn[p]))
+    return out
+
+
 class Subset:
     """A subset of an n-element carrier, stored as a bitmask."""
 
@@ -88,10 +133,10 @@ class SetFamily:
     __slots__ = ("n", "masks")
 
     def __init__(self, n: int, masks) -> None:
-        seen = sorted(set(int(m) for m in masks))
-        for m in seen:
-            if not 0 <= m < (1 << n):
-                raise InputFormatError(f"mask {m} out of range for carrier of size {n}")
+        seen = sorted(set(map(int, masks)))
+        if seen and not (0 <= seen[0] and seen[-1] < 1 << n):
+            m = next(m for m in seen if not 0 <= m < 1 << n)
+            raise InputFormatError(f"mask {m} out of range for carrier of size {n}")
         self.n = n
         self.masks = tuple(seen)
 
@@ -193,25 +238,13 @@ class Poset:
                 out |= 1 << i
         return out
 
-    def is_upper(self, mask: int) -> bool:
-        return all(not (self.up[i] & ~mask) for i in bits(mask))
-
-    def is_lower(self, mask: int) -> bool:
-        return all(not (self.dn[i] & ~mask) for i in bits(mask))
-
     def upper_set_masks(self, bound: int | None = None) -> list[int]:
-        b = DEFAULT_ENUMERATION_BOUND if bound is None else bound
-        if self.n > b:
-            raise CarrierTooLarge(
-                f"upper-set enumeration needs carrier <= {b}, got {self.n}")
-        return [m for m in range(1 << self.n) if self.is_upper(m)]
+        check_carrier(self.n, bound, "upper-set enumeration")
+        return upper_sets(self.up)
 
     def lower_set_masks(self, bound: int | None = None) -> list[int]:
-        b = DEFAULT_ENUMERATION_BOUND if bound is None else bound
-        if self.n > b:
-            raise CarrierTooLarge(
-                f"lower-set enumeration needs carrier <= {b}, got {self.n}")
-        return [m for m in range(1 << self.n) if self.is_lower(m)]
+        check_carrier(self.n, bound, "lower-set enumeration")
+        return upper_sets(self.dn)
 
     def hasse_pairs(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j) with i < j and nothing strictly between."""
@@ -257,11 +290,7 @@ def validate_poset(labels, pairs) -> Poset:
         if b not in index:
             raise UnknownLabel(f"unknown label {b!r} in order pair")
         up[index[a]] |= 1 << index[b]
-    for k in range(n):
-        bit = 1 << k
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= up[k]
+    up = transitive_closure(up)
     for i in range(n):
         for j in bits(up[i]):
             if j != i and up[j] >> i & 1:
@@ -547,9 +576,7 @@ def filters(s: Structure, bound: int | None = None) -> SetFamily:
     element; each principal up-set is a filter. bound still limits the
     carrier, as it does for the other enumerations.
     """
-    b = DEFAULT_ENUMERATION_BOUND if bound is None else bound
-    if s.n > b:
-        raise CarrierTooLarge(f"filter enumeration needs carrier <= {b}, got {s.n}")
+    check_carrier(s.n, bound, "filter enumeration")
     return SetFamily(s.n, s.base.up)
 
 

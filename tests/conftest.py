@@ -38,6 +38,14 @@ def brute_filters(s: Structure) -> list[int]:
     return out
 
 
+def brute_upper_sets(up) -> list[int]:
+    """Subsets m with: i in m and i <= j imply j in m, by scanning all 2^n."""
+    n = len(up)
+    return [m for m in range(1 << n)
+            if all(m >> j & 1 for i in range(n) if m >> i & 1
+                   for j in range(n) if up[i] >> j & 1)]
+
+
 def brute_join(s: Structure, a: int, b: int) -> int | None:
     uppers = [x for x in range(s.n) if s.leq(a, x) and s.leq(b, x)]
     least = [x for x in uppers if all(s.leq(x, y) for y in uppers)]

@@ -317,7 +317,7 @@ def test_09_functoriality():
                 for f in hs:
                     duals[a, b, f.map] = dual_morphism(f, duality)
                     induced[a, b, f.map] = induced_boolean_hom(
-                        f, free_kind, frees[a], frees[b])
+                        f, frees[a], frees[b])
         # identities
         for a, ca in enumerate(structures):
             ident = tuple(range(ca.n))

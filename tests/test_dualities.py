@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lower_set_lattice
+from conftest import brute_upper_sets, lower_set_lattice
 from ordua.corpus import all_posets, all_posets_up_to
 from ordua.errors import KindMismatch, NotPriestley
 from ordua.dualities import (
@@ -245,3 +245,15 @@ def test_poset_spectrum_auxiliary_open_space():
     res = poset_spectrum(a2)
     # lower-set witnesses: {}, {p}, {q}, {p,q} give opens {}, {F_p}, {F_q}, all
     assert sorted(res.auxiliary["A"].opens) == [0b00, 0b01, 0b10, 0b11]
+
+
+def test_poset_spectrum_open_space_is_the_lower_set_witnesses():
+    for p in all_posets_up_to(5):
+        res = poset_spectrum(p)
+        witnesses = set()
+        for u in brute_upper_sets(p.dn):  # the lower sets of p
+            f_u = 0
+            for i in bits(u):
+                f_u |= res.embedding[i]
+            witnesses.add(f_u)
+        assert res.auxiliary["A"].opens.masks == tuple(sorted(witnesses))

@@ -143,7 +143,7 @@ def test_induced_hom_is_natural_in_the_unit():
     f = StructureMorphism(chain(2), chain(3), (0, 2), "lattice-hom")
     fr_src = free_boolean(f.source, "dlat")
     fr_tgt = free_boolean(f.target, "dlat")
-    tab = induced_boolean_hom(f, "dlat", fr_src, fr_tgt)
+    tab = induced_boolean_hom(f, fr_src, fr_tgt)
     for i in range(f.source.n):
         assert tab[fr_src.unit_masks[i]] == fr_tgt.unit_masks[f.map[i]]
 
@@ -152,7 +152,7 @@ def test_induced_hom_is_a_boolean_hom():
     f = StructureMorphism(chain(2), chain(3), (0, 2), "lattice-hom")
     fr_src = free_boolean(f.source, "dlat")
     fr_tgt = free_boolean(f.target, "dlat")
-    tab = induced_boolean_hom(f, "dlat", fr_src, fr_tgt)
+    tab = induced_boolean_hom(f, fr_src, fr_tgt)
     h = StructureMorphism(fr_src.structure, fr_tgt.structure, tab, "boolean-hom")
     assert is_homomorphism(h)
 
@@ -162,9 +162,9 @@ def test_induced_hom_is_functorial():
     g = StructureMorphism(chain(3), chain(4), (0, 1, 3), "lattice-hom")
     gf = StructureMorphism(chain(2), chain(4), (0, 3), "lattice-hom")
     frs = {n: free_boolean(chain(n), "dlat") for n in (2, 3, 4)}
-    tf = induced_boolean_hom(f, "dlat", frs[2], frs[3])
-    tg = induced_boolean_hom(g, "dlat", frs[3], frs[4])
-    tgf = induced_boolean_hom(gf, "dlat", frs[2], frs[4])
+    tf = induced_boolean_hom(f, frs[2], frs[3])
+    tg = induced_boolean_hom(g, frs[3], frs[4])
+    tgf = induced_boolean_hom(gf, frs[2], frs[4])
     assert all(tgf[s] == tg[tf[s]] for s in range(len(tgf)))
 
 
@@ -172,7 +172,7 @@ def test_induced_hom_point_cap():
     f = StructureMorphism(antichain(4), antichain(4), (0, 1, 2, 3), "monotone")
     fr = free_boolean(antichain(4), "poset-monotone")  # 16 points
     with pytest.raises(CarrierTooLarge):
-        induced_boolean_hom(f, "poset-monotone", fr, fr)
+        induced_boolean_hom(f, fr, fr)
 
 
 # ------------------------------------------------------------- recognition

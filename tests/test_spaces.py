@@ -1,7 +1,12 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import brute_upper_sets
+from ordua import spaces
 from ordua.corpus import all_preorders, all_posets_up_to
 from ordua.errors import CarrierTooLarge, InputFormatError, NotPriestley, NotT0
 from ordua.spaces import (
@@ -12,6 +17,7 @@ from ordua.spaces import (
     check_frame_pullback,
     check_patch_characterization,
     generate_topology,
+    is_continuous,
     patch_space,
     preorder_coreflection,
     priestley_boolean_algebra,
@@ -263,3 +269,55 @@ def test_priestley_boolean_algebra_matches_patch_opens():
         assert alg.kind == "boolean-algebra"
         assert alg.n == len(patch.opens)
         assert all(full ^ m in set(patch.opens) for m in patch.opens)
+
+
+# ---------------------------------------------------- row representation
+
+def alexandrov_spaces(max_n: int) -> list[FiniteSpace]:
+    """Every finite space on at most max_n labelled points, from its rows."""
+    return [FiniteSpace.from_rows([f"x{i}" for i in range(n)], rows)
+            for n in range(max_n + 1) for rows in all_preorders(n)]
+
+
+def test_space_from_rows_equals_space_from_its_opens():
+    for sp in alexandrov_spaces(4):
+        explicit = FiniteSpace(sp.labels, brute_upper_sets(sp.minimal))
+        assert sp.minimal == explicit.minimal
+        assert sp.opens == explicit.opens
+        assert sp == explicit and hash(sp) == hash(explicit)
+
+
+def _preimages_open(f, src_opens: set, tgt_opens: set, n: int) -> bool:
+    return all(sum(1 << p for p in range(n) if o >> f[p] & 1) in src_opens
+               for o in tgt_opens)
+
+
+def test_row_predicates_match_open_set_definitions():
+    rng = random.Random(0)
+    sps = alexandrov_spaces(4)
+    opens = [set(brute_upper_sets(sp.minimal)) for sp in sps]
+    for k, sp in enumerate(sps):
+        # masks past the carrier are scanned too: none of them is open
+        assert [m for m in range(2 << sp.n) if sp.is_open(m)] == sorted(opens[k])
+        assert sp.clopen_masks() == sorted(m for m in opens[k] if sp.full ^ m in opens[k])
+        # continuity with random partners, as source and as target
+        for j in rng.sample(range(len(sps)), 3):
+            for a, b in ((k, j), (j, k)):
+                maps = list(itertools.product(range(sps[b].n), repeat=sps[a].n))
+                for f in rng.sample(maps, min(8, len(maps))):
+                    assert (is_continuous(f, sps[a], sps[b])
+                            == _preimages_open(f, opens[a], opens[b], sps[a].n))
+
+
+def test_patch_space_of_separating_family_needs_no_opens(monkeypatch):
+    def no_enumeration(up):
+        raise AssertionError("opens enumerated")
+
+    monkeypatch.setattr(spaces, "upper_sets", no_enumeration)
+    n = 16
+    chain_ups = SetFamily(n, [((1 << n) - 1) ^ ((1 << i) - 1) for i in range(n)])
+    sp = patch_space([f"x{i}" for i in range(n)], chain_ups, bound=16)
+    assert sp.minimal == tuple(1 << i for i in range(n))
+    assert sp.is_open(0b1010_0110_0001_1000) and sp.is_t0()
+    with pytest.raises(AssertionError):
+        sp.opens

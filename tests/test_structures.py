@@ -1,7 +1,9 @@
+import gc
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -9,6 +11,7 @@ from conftest import (
     brute_filters,
     brute_join,
     brute_prime_filters,
+    brute_upper_sets,
     lower_set_lattice,
 )
 from ordua.corpus import all_posets, all_posets_up_to, random_poset
@@ -41,6 +44,7 @@ from ordua.structures import (
     powerset_structure,
     prime_filters,
     structure_from_closed_masks,
+    upper_sets,
     validate_poset,
 )
 
@@ -364,3 +368,60 @@ def test_subset_helpers():
     assert s.members() == (1, 3)
     assert 1 in s and 0 not in s
     assert Subset.from_indices(4, [1, 3]).mask == 0b1010
+
+
+# --------------------------------------------------------- up-set enumeration
+
+def _reflexive_transitive(rows: list[int]) -> list[int]:
+    """Close a relation by adding the rows of successors until nothing changes."""
+    rows = [r | 1 << i for i, r in enumerate(rows)]
+    changed = True
+    while changed:
+        changed = False
+        for i, row in enumerate(rows):
+            grown = row
+            for j in bits(row):
+                grown |= rows[j]
+            if grown != row:
+                rows[i], changed = grown, True
+    return rows
+
+
+# random relations on 0-7 points, closed to preorders; most are not antisymmetric
+preorders = st.integers(min_value=0, max_value=7).flatmap(
+    lambda n: st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                       min_size=n, max_size=n)).map(_reflexive_transitive)
+
+
+@given(preorders)
+@example([])
+@example([0b011, 0b011, 0b111])  # x0 and x1 below each other
+@example([1 << i for i in range(7)])
+@settings(max_examples=200)
+def test_upper_sets_match_definition(up):
+    assert upper_sets(up) == brute_upper_sets(up)
+
+
+@given(seeds)
+@settings(max_examples=60)
+def test_poset_upper_and_lower_sets_match_definition(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng, rng.randint(1, 7), rng.random())
+    assert p.upper_set_masks() == brute_upper_sets(p.up)
+    assert p.lower_set_masks() == brute_upper_sets(p.dn)
+
+
+def test_upper_sets_leave_no_reference_cycles():
+    # garbage cycles made by the enumerator would survive with collection
+    # off and be found by the next collect
+    rows = [[((1 << n) - 1) ^ ((1 << i) - 1) for i in range(n)] for n in range(9)]
+    rows += [[1 << i for i in range(8)], [0b011, 0b011, 0b111]]
+    gc.collect()
+    gc.disable()
+    try:
+        for up in rows:
+            upper_sets(up)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
