@@ -125,7 +125,7 @@ def dlat_of_priestley(ps: PreorderedSpace) -> Structure:
     report = priestley_check(ps)
     if not report.ok:
         raise NotPriestley(f"not a Priestley space (pair {report.failing_pair})")
-    return structure_from_closed_masks(ps.labels, ps.clopen_upper_masks())
+    return structure_from_closed_masks(ps.labels, report.clopen_uppers.masks)
 
 
 def coherent_of_priestley(ps: PreorderedSpace) -> FiniteSpace:
@@ -272,8 +272,9 @@ def roundtrip_check(d: Structure, bound: int | None = None
         iso.append(index[m])
     if len(set(iso)) != d.n:
         return False, result, None
-    for i in range(d.n):
-        for j in range(d.n):
-            if d.leq(i, j) != (res.embedding[i] & ~res.embedding[j] == 0):
-                return False, result, None
+    # iso is a bijection, so it is an order isomorphism iff it maps each
+    # up-row of d onto the up-row of its image
+    for i, row in enumerate(d.base.up):
+        if sum(1 << iso[j] for j in bits(row)) != result.base.up[iso[i]]:
+            return False, result, None
     return True, result, tuple(iso)

@@ -345,8 +345,7 @@ class Structure:
 
     def is_lattice(self) -> bool:
         return (self.top is not None and self.bottom is not None
-                and all(v is not None for row in self.meet for v in row)
-                and all(v is not None for row in self.join for v in row))
+                and _total(self.meet) and _total(self.join))
 
     def join_of(self, indices) -> int | None:
         """Join of a finite family; the empty join is the bottom (None if absent)."""
@@ -399,20 +398,16 @@ def _bounds(p: Poset) -> tuple[int | None, int | None]:
     return top, bottom
 
 
-def _glb_table(p: Poset, rows) -> list[list[int | None]]:
-    # rows = p.dn gives meets; rows = p.up gives joins.
-    n = p.n
-    table: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            cands = rows[i] & rows[j]
-            best = None
-            for m in bits(cands):
-                if not cands & ~rows[m]:
-                    best = m
-                    break
-            table[i][j] = table[j][i] = best
-    return table
+def _glb_table(rows) -> list[list[int | None]]:
+    # rows = p.dn gives meets; rows = p.up gives joins. The meet of i and j is
+    # the element whose down-row is dn[i] & dn[j]; rows are distinct by
+    # antisymmetry, and a missing row means no meet.
+    index = {r: i for i, r in enumerate(rows)}
+    return [[index.get(r & r2) for r2 in rows] for r in rows]
+
+
+def _total(table) -> bool:
+    return all(None not in row for row in table)
 
 
 def join_irreducible_mask(s: Structure) -> int:
@@ -425,55 +420,43 @@ def join_irreducible_mask(s: Structure) -> int:
     return out
 
 
-def _is_distributive(s_base: Poset, meet, join, bottom) -> bool:
-    # Birkhoff: x -> {join-irreducibles <= x} always preserves meets and is
-    # injective; it preserves joins iff the lattice is distributive.
-    n = s_base.n
-    ji = [0] * n
-    for x in range(n):
-        strict = s_base.dn[x] ^ (1 << x)
-        acc = None
-        for i in bits(strict):
-            acc = i if acc is None else join[acc][i]
-        folded = bottom if acc is None else acc
-        if folded != x:
-            for y in range(n):
-                if s_base.leq(x, y):
-                    ji[y] |= 1 << x
-    for a in range(n):
-        for b in range(a + 1, n):
-            if ji[join[a][b]] != ji[a] | ji[b]:
-                return False
-    return True
+def _is_distributive(p: Poset) -> list[int] | None:
+    """Birkhoff rows ji[x] = join-irreducibles below x of the lattice p, or
+    None if p is not distributive.
+
+    x is join-irreducible iff its strict down-set is principal (one lower
+    cover). x -> ji[x] is injective, preserves meets and reflects order, so it
+    preserves joins, i.e. p is distributive, iff its image is closed under
+    union; by induction it suffices to add one irreducible's row at a time.
+    """
+    principal = set(p.dn)
+    irreducible = [x for x, r in enumerate(p.dn) if r ^ (1 << x) in principal]
+    mask = sum(1 << x for x in irreducible)
+    ji = [r & mask for r in p.dn]
+    image = set(ji)
+    if all(r | ji[x] in image for r in ji for x in irreducible):
+        return ji
+    return None
 
 
 def classify(p: Poset) -> Structure:
     """Compute the operation tables of p and the strongest kind they support."""
     top, bottom = _bounds(p)
-    meet = _glb_table(p, p.dn)
-    join = _glb_table(p, p.up)
-    n = p.n
-    meets_total = all(v is not None for row in meet for v in row)
-    joins_total = all(v is not None for row in join for v in row)
-    is_msl = top is not None and meets_total
-    is_lat = is_msl and bottom is not None and joins_total
-    kind = "poset"
+    meet = _glb_table(p.dn)
+    join = _glb_table(p.up)
+    is_msl = top is not None and _total(meet)
+    is_lat = is_msl and bottom is not None and _total(join)
+    ji = _is_distributive(p) if is_lat else None
+    kind = "meet-semilattice" if is_msl else "poset"
     complement = None
-    if is_msl:
-        kind = "meet-semilattice"
-    if is_lat and _is_distributive(p, meet, join, bottom):
+    if ji is not None:
         kind = "distributive-lattice"
-        comp = []
-        for i in range(n):
-            found = None
-            for c in range(n):
-                if meet[i][c] == bottom and join[i][c] == top:
-                    found = c
-                    break
-            comp.append(found)
-        if all(c is not None for c in comp):
+        # distributive lattices are the down-sets of their join-irreducibles;
+        # Boolean iff those form an antichain, i.e. every subset is a down-set
+        if p.n == 1 << popcount(ji[top]):
             kind = "boolean-algebra"
-            complement = tuple(comp)
+            element = {r: x for x, r in enumerate(ji)}
+            complement = tuple(element[ji[top] ^ r] for r in ji)
     elif is_msl and bottom is not None and _is_dd(p, meet, join, bottom):
         kind = "dd-lattice"
     return Structure(p, kind, meet, join, top, bottom, complement)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import ordua
 from ordua.corpus import random_poset
-from ordua.structures import Structure, bits, structure_from_closed_masks
+from ordua.structures import Poset, Structure, bits, structure_from_closed_masks
 
 
 def brute_filters(s: Structure) -> list[int]:
@@ -50,6 +50,35 @@ def brute_join(s: Structure, a: int, b: int) -> int | None:
     uppers = [x for x in range(s.n) if s.leq(a, x) and s.leq(b, x)]
     least = [x for x in uppers if all(s.leq(x, y) for y in uppers)]
     return least[0] if least else None
+
+
+def brute_meet(s: Structure, a: int, b: int) -> int | None:
+    lowers = [x for x in range(s.n) if s.leq(x, a) and s.leq(x, b)]
+    greatest = [x for x in lowers if all(s.leq(y, x) for y in lowers)]
+    return greatest[0] if greatest else None
+
+
+def brute_complement(s: Structure, a: int) -> int | None:
+    """An element c whose only common lower bound with a is the least element
+    and whose only common upper bound with a is the greatest (None if none)."""
+    least = [x for x in range(s.n) if all(s.leq(x, y) for y in range(s.n))]
+    greatest = [x for x in range(s.n) if all(s.leq(y, x) for y in range(s.n))]
+    for c in range(s.n):
+        lows = [x for x in range(s.n) if s.leq(x, a) and s.leq(x, c)]
+        highs = [x for x in range(s.n) if s.leq(a, x) and s.leq(c, x)]
+        if lows == least and highs == greatest:
+            return c
+    return None
+
+
+def shuffled(p: Poset, rng) -> Poset:
+    """p with its carrier indices permuted at random, so that index order
+    need not be a linear extension."""
+    old = list(range(p.n))
+    rng.shuffle(old)
+    new = {o: k for k, o in enumerate(old)}
+    up = [sum(1 << new[j] for j in range(p.n) if p.leq(o, j)) for o in old]
+    return Poset([p.labels[o] for o in old], up)
 
 
 def brute_prime_filters(s: Structure) -> list[int]:

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_upper_sets, lower_set_lattice
-from ordua.corpus import all_posets, all_posets_up_to
+from conftest import brute_upper_sets, lower_set_lattice, shuffled
+from ordua import dualities
+from ordua.corpus import all_posets, all_posets_up_to, random_poset
 from ordua.errors import KindMismatch, NotPriestley
 from ordua.dualities import (
+    DualityResult,
     coherent_of_priestley,
     dlat_of_priestley,
     dual_morphism,
@@ -112,6 +116,36 @@ def test_roundtrip_recovers_the_lattice(p):
     for i in range(d.n):
         for j in range(d.n):
             assert d.leq(i, j) == result.leq(iso[i], iso[j])
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=40)
+def test_roundtrip_iso_is_an_order_isomorphism_on_shuffled_lattices(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng, rng.randint(1, 5), rng.random())
+    d = classify(shuffled(lower_set_lattice(p).base, rng))
+    ok, result, iso = roundtrip_check(d)
+    assert ok and sorted(iso) == list(range(d.n))
+    for i in range(d.n):
+        for j in range(d.n):
+            assert d.leq(i, j) == result.leq(iso[i], iso[j])
+
+
+def test_roundtrip_rejects_an_embedding_that_breaks_order(monkeypatch):
+    d = chain(3)
+    assert roundtrip_check(d)[0]
+    real = dualities.priestley_of_dlat
+
+    def swapped(s, bound=None):
+        # still a bijection onto the clopen uppers, but bottom and top trade places
+        res = real(s, bound)
+        emb = list(res.embedding)
+        emb[0], emb[-1] = emb[-1], emb[0]
+        return DualityResult(res.space, res.point_filters, res.point_labels, emb)
+
+    monkeypatch.setattr(dualities, "priestley_of_dlat", swapped)
+    ok, result, iso = roundtrip_check(d)
+    assert not ok and iso is None and result.n == d.n
 
 
 def test_coherent_reduct_recovers_stone_topology():

@@ -7,12 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_complement,
     brute_disjunctive_filters,
     brute_filters,
     brute_join,
+    brute_meet,
     brute_prime_filters,
     brute_upper_sets,
     lower_set_lattice,
+    shuffled,
 )
 from ordua.corpus import all_posets, all_posets_up_to, random_poset
 from ordua.errors import (
@@ -143,6 +146,66 @@ def test_distributivity_matches_cubic_law(p):
         s.meet[a][s.join[b][c]] == s.join[s.meet[a][b]][s.meet[a][c]]
         for a in range(s.n) for b in range(s.n) for c in range(s.n))
     assert (s.rank() >= 3) == law
+
+
+def _shuffled_tables_case(seed):
+    rng = random.Random(seed)
+    if seed % 3 == 0:
+        p = lower_set_lattice(random_poset(rng, rng.randint(1, 4))).base
+    else:
+        p = random_poset(rng, rng.randint(1, 7), rng.random())
+    return shuffled(p, rng)
+
+
+@given(seeds)
+@example(0)  # a lower-set lattice
+@example(1)  # a poset with undefined meets and joins
+@settings(max_examples=80)
+def test_classify_tables_match_definition(seed):
+    p = _shuffled_tables_case(seed)
+    s = classify(p)
+    for a in range(s.n):
+        for b in range(s.n):
+            assert s.meet[a][b] == brute_meet(s, a, b)
+            assert s.join[a][b] == brute_join(s, a, b)
+
+
+def test_table_cases_include_undefined_cells():
+    a2 = mk("A2")
+    assert a2.meet == [[0, None], [None, 1]]
+    assert a2.join == [[0, None], [None, 1]]
+    assert not a2.is_lattice()
+    assert any(None in row for seed in range(1, 20, 3)
+               for row in classify(_shuffled_tables_case(seed)).meet)
+
+
+def _product_2x3():
+    pairs = [(f"{i}{j}", f"{k}{m}") for i in range(2) for j in range(3)
+             for k in range(2) for m in range(3) if i <= k and j <= m]
+    return validate_poset([f"{i}{j}" for i in range(2) for j in range(3)], pairs)
+
+
+def _boolean_cases():
+    rng = random.Random(5)
+    cases = [powerset_structure(k).base for k in range(6)]
+    cases += [chain_structure(n).base for n in range(1, 6)] + [_product_2x3()]
+    cases += [lower_set_lattice(random_poset(rng, rng.randint(1, 4), rng.random())).base
+              for _ in range(30)]
+    return [shuffled(p, rng) for p in cases]
+
+
+@pytest.mark.parametrize("p", _boolean_cases())
+def test_boolean_kind_and_complements_match_definition(p):
+    s = classify(p)
+    comps = [brute_complement(s, a) for a in range(s.n)]
+    assert (s.kind == "boolean-algebra") == (None not in comps)
+    assert s.complement == (tuple(comps) if None not in comps else None)
+
+
+def test_boolean_cases_include_non_boolean_distributive_lattices():
+    kinds = [classify(p).kind for p in _boolean_cases()]
+    assert "boolean-algebra" in kinds and "distributive-lattice" in kinds
+    assert classify(_product_2x3()).kind == "distributive-lattice"
 
 
 def test_kind_gating():
