@@ -25,7 +25,8 @@ def _labelled_down_rows(n: int) -> list[tuple[int, ...]]:
 
 
 def all_posets(n: int) -> list[Poset]:
-    """All posets with exactly n elements, one per isomorphism class."""
+    """All posets with exactly n elements, one per isomorphism class: the
+    first labelled poset of each class, in generation order."""
     if n not in _POSET_CACHE:
         labels = [f"x{i}" for i in range(n)]
         seen = {}
@@ -38,7 +39,7 @@ def all_posets(n: int) -> list[Poset]:
             key = canonical_form(p)
             if key not in seen:
                 seen[key] = p
-        _POSET_CACHE[n] = [seen[k] for k in sorted(seen)]
+        _POSET_CACHE[n] = list(seen.values())
     return _POSET_CACHE[n]
 
 

@@ -409,25 +409,12 @@ def thm22_oracle(d: Structure, bound: int | None = None) -> OracleResult:
     return OracleResult(family, structure, unit)
 
 
-def _lattice_closure(npoints: int, seed_masks) -> list[int]:
-    full = (1 << npoints) - 1
-    members = set(seed_masks) | {0, full}
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(members):
-                for z in (x | y, x & y):
-                    if z not in members:
-                        members.add(z)
-                        nxt.append(z)
-        frontier = nxt
-    return sorted(members)
-
-
 def _free_dlat(s: Structure, kind: str, bound: int | None) -> FreeResult:
+    # Every msl or dd-lattice point is principal, ^x, and the points including
+    # ^x form the basic set of x; so the basic sets generate exactly the
+    # up-sets of the spectrum, which are enumerated only up to the cap.
     sp = spectrum(s, kind, bound)
-    element_masks = _lattice_closure(len(sp.points), sp.basics)
+    element_masks = upper_sets(sp.order, MATERIALIZE_CAP + 1)
     if len(element_masks) > MATERIALIZE_CAP:
         raise CarrierTooLarge("free distributive lattice exceeds the size cap")
     return FreeResult(s, f"dlat-on-{kind}", sp.points, sp.labels, sp.basics,

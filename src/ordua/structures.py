@@ -61,8 +61,14 @@ def transitive_closure(rows) -> list[int]:
     return rows
 
 
-def upper_sets(up) -> list[int]:
-    """All up-sets of the preorder with up-rows up, in ascending mask order.
+def upper_sets(up, limit: int | None = None) -> list[int]:
+    """All up-sets of the preorder with up-rows up, in ascending mask order;
+    only the first limit of them if limit is given."""
+    return list(itertools.islice(_upper_sets(up), limit))
+
+
+def _upper_sets(up):
+    """Yield the up-sets of the preorder with up-rows up, ascending.
 
     Branch on the highest undecided point: out with its down-row (first, so
     the output ascends) or in with its up-row. Every branch ends in a distinct
@@ -73,19 +79,15 @@ def upper_sets(up) -> list[int]:
     for i, row in enumerate(up):
         for j in bits(row):
             dn[j] |= 1 << i
-    full = (1 << n) - 1
-    out = []
-    stack = [(0, 0)]
+    stack = [(0, (1 << n) - 1)]  # (inside, undecided)
     while stack:
-        inside, outside = stack.pop()
-        rest = full & ~(inside | outside)
+        inside, rest = stack.pop()
         if not rest:
-            out.append(inside)
+            yield inside
             continue
         p = rest.bit_length() - 1
-        stack.append((inside | up[p], outside))
-        stack.append((inside, outside | dn[p]))
-    return out
+        stack.append((inside | up[p], rest & ~up[p]))
+        stack.append((inside, rest & ~dn[p]))
 
 
 class Subset:
@@ -410,31 +412,25 @@ def _total(table) -> bool:
     return all(None not in row for row in table)
 
 
-def join_irreducible_mask(s: Structure) -> int:
-    """Elements that are not the join of their strict down-sets (bottom excluded)."""
-    out = 0
-    for x in range(s.n):
-        strict = s.base.dn[x] ^ (1 << x)
-        if s.join_of(bits(strict)) != x:
-            out |= 1 << x
-    return out
+def join_irreducible_mask(p: Poset) -> int:
+    """Join-irreducibles of the lattice p: the x whose strict down-set is
+    principal, a down-row (the bottom's is empty, so it is excluded)."""
+    principal = set(p.dn)
+    return sum(1 << x for x, r in enumerate(p.dn) if r ^ (1 << x) in principal)
 
 
 def _is_distributive(p: Poset) -> list[int] | None:
     """Birkhoff rows ji[x] = join-irreducibles below x of the lattice p, or
     None if p is not distributive.
 
-    x is join-irreducible iff its strict down-set is principal (one lower
-    cover). x -> ji[x] is injective, preserves meets and reflects order, so it
+    x -> ji[x] is injective, preserves meets and reflects order, so it
     preserves joins, i.e. p is distributive, iff its image is closed under
     union; by induction it suffices to add one irreducible's row at a time.
     """
-    principal = set(p.dn)
-    irreducible = [x for x, r in enumerate(p.dn) if r ^ (1 << x) in principal]
-    mask = sum(1 << x for x in irreducible)
+    mask = join_irreducible_mask(p)
     ji = [r & mask for r in p.dn]
     image = set(ji)
-    if all(r | ji[x] in image for r in ji for x in irreducible):
+    if all(r | ji[x] in image for r in ji for x in bits(mask)):
         return ji
     return None
 
@@ -571,7 +567,7 @@ def prime_filters(s: Structure) -> SetFamily:
     needed (the equivalences are covered by the property tests).
     """
     s.require("distributive-lattice", "prime_filters")
-    ji = join_irreducible_mask(s)
+    ji = join_irreducible_mask(s.base)
     return SetFamily(s.n, [s.base.up[x] for x in bits(ji)])
 
 
@@ -603,14 +599,13 @@ def indecomposable_elements(s: Structure) -> Subset:
     decomposable via the empty family.
     """
     s.require("distributive-lattice", "indecomposable_elements")
-    return Subset(s.n, join_irreducible_mask(s))
+    return Subset(s.n, join_irreducible_mask(s.base))
 
 
 def _components_below(s: Structure, d: int) -> list[int]:
     """Joins of the connectivity classes (under meet != 0) of join-irreducibles <= d."""
-    ji = [x for x in bits(join_irreducible_mask(s) & s.base.dn[d])]
     comps: list[int] = []
-    unseen = set(ji)
+    unseen = set(bits(join_irreducible_mask(s.base) & s.base.dn[d]))
     while unseen:
         seed = unseen.pop()
         block = [seed]
@@ -934,18 +929,34 @@ def structure_isomorphism(s: Structure, t: Structure,
     return order_isomorphism(s.base, t.base, pins)
 
 
+def _class_orders(classes):
+    """Yield each concatenation of one ordering per class, one at a time."""
+    if not classes:
+        yield ()
+        return
+    for head in itertools.permutations(classes[0]):
+        for rest in _class_orders(classes[1:]):
+            yield head + rest
+
+
 def canonical_form(p: Poset) -> tuple:
-    """A permutation-invariant certificate, for deduplicating small posets."""
+    """A complete isomorphism invariant, for deduplicating small posets.
+
+    The refined colors are invariant and canonically numbered, so the least
+    relabelled up-rows need only be sought among the relabellings listing
+    the color classes in color order (the orderings within each class, not
+    all n! permutations). Equal keys mean isomorphic posets.
+    """
     n = p.n
+    colors = _refine_colors(p)
+    classes = [[i for i in range(n) if colors[i] == c] for c in range(max(colors) + 1)]
+    ups = [tuple(bits(row)) for row in p.up]
+    pos = [0] * n
     best = None
-    for perm in itertools.permutations(range(n)):
-        rows = []
-        for i in range(n):
-            row = 0
-            for j in bits(p.up[perm[i]]):
-                row |= 1 << perm.index(j)
-            rows.append(row)
-        key = tuple(rows)
+    for perm in _class_orders(classes):
+        for k, i in enumerate(perm):
+            pos[i] = 1 << k
+        key = tuple([sum([pos[j] for j in ups[i]]) for i in perm])
         if best is None or key < best:
             best = key
-    return (n, best)
+    return (n, tuple(sorted(colors)), best)

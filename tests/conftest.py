@@ -81,6 +81,17 @@ def shuffled(p: Poset, rng) -> Poset:
     return Poset([p.labels[o] for o in old], up)
 
 
+def brute_canonical(p: Poset) -> tuple:
+    """The lexicographically least relabelled up-rows over all n!
+    permutations: a complete isomorphism invariant that uses no colors."""
+    best = None
+    for perm in itertools.permutations(range(p.n)):
+        rows = tuple(sum(1 << perm.index(j) for j in bits(p.up[i])) for i in perm)
+        if best is None or rows < best:
+            best = rows
+    return (p.n, best)
+
+
 def brute_prime_filters(s: Structure) -> list[int]:
     full = (1 << s.n) - 1
     out = []

@@ -208,6 +208,21 @@ def test_explicit_bound_overrides_env(capsys, monkeypatch):
     assert code == 0
 
 
+def test_tripped_free_dlat_cap_exits_without_building(tmp_path):
+    # the free lattice on the 32-element Boolean algebra as a meet-semilattice
+    # has 7,581 elements; the cap must trip before they are all built
+    elements = [f"s{m}" for m in range(32)]
+    leq = [[f"s{a}", f"s{b}"] for a in range(32) for b in range(32)
+           if a != b and a & ~b == 0]
+    src = write_json(tmp_path, "b5.json", {
+        "elements": elements, "leq": leq, "kind-hint": "meet-semilattice"})
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordua", "free-dlat", src, "--bound", "32"],
+        capture_output=True, text=True, env=package_env(), timeout=20)
+    assert proc.returncode == 3
+    assert proc.stderr == "ordua: error: free distributive lattice exceeds the size cap\n"
+
+
 # --------------------------------------------------------------- rendering
 
 def test_dot_output(capsys):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lower_set_lattice
+from ordua import free
 from ordua.corpus import all_posets_up_to
 from ordua.errors import CarrierTooLarge, KindMismatch, NotInjective, OracleBoundExceeded
 from ordua.free import (
@@ -26,6 +27,7 @@ from ordua.structures import (
     indecomposable_elements,
     order_isomorphism,
     powerset_structure,
+    upper_sets,
     validate_poset,
 )
 
@@ -77,6 +79,21 @@ def test_materialization_cap():
     assert fr.size == 1 << 16 > MATERIALIZE_CAP
     with pytest.raises(CarrierTooLarge):
         fr.structure
+
+
+def test_free_dlat_stops_enumerating_past_the_cap(monkeypatch):
+    # 2^5 as a meet-semilattice has a free lattice of 7,581 elements
+    counts = []
+
+    def counting(up, limit=None):
+        out = upper_sets(up, limit)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(free, "upper_sets", counting)
+    with pytest.raises(CarrierTooLarge):
+        free_dlat_on_msl(powerset_structure(5).with_kind("meet-semilattice"), 32)
+    assert counts == [MATERIALIZE_CAP + 1]
 
 
 def test_unit_is_an_order_embedding():

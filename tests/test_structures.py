@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import random
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_canonical,
     brute_complement,
     brute_disjunctive_filters,
     brute_filters,
@@ -17,7 +19,7 @@ from conftest import (
     lower_set_lattice,
     shuffled,
 )
-from ordua.corpus import all_posets, all_posets_up_to, random_poset
+from ordua.corpus import _labelled_down_rows, all_posets, all_posets_up_to, random_poset
 from ordua.errors import (
     AntisymmetryViolation,
     CarrierTooLarge,
@@ -43,6 +45,7 @@ from ordua.structures import (
     is_coherent_poset,
     is_flat_map,
     is_homomorphism,
+    join_irreducible_mask,
     order_isomorphism,
     powerset_structure,
     prime_filters,
@@ -409,7 +412,103 @@ def test_non_isomorphic_posets_rejected():
     assert canonical_form(mk("C4").base) != canonical_form(mk("D4").base)
 
 
+@functools.cache
+def labelled_posets(n: int) -> list[tuple[Poset, tuple]]:
+    """Every naturally labelled poset on n points, in generation order, with
+    its brute-force certificate."""
+    out = []
+    for rows in _labelled_down_rows(n):
+        up = [sum(1 << j for j in range(n) if rows[j] >> i & 1) for i in range(n)]
+        p = Poset([f"x{i}" for i in range(n)], up)
+        out.append((p, brute_canonical(p)))
+    return out
+
+
+def crowns(*sizes: int) -> Poset:
+    """Disjoint crowns: in each, minimal a_i lies below maximal b_i and
+    b_(i+1 mod k). Color refinement gives all minimal points one color and
+    all maximal points another, whatever the sizes."""
+    labels, pairs = [], []
+    for c, k in enumerate(sizes):
+        labels += [f"a{c}.{i}" for i in range(k)] + [f"b{c}.{i}" for i in range(k)]
+        pairs += [(f"a{c}.{i}", f"b{c}.{(i + d) % k}") for i in range(k) for d in (0, 1)]
+    return validate_poset(labels, pairs)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_canonical_form_partitions_like_brute_force(n):
+    # the pairs form a bijection between the two sets of keys
+    keys = {(canonical_form(p), brute) for p, brute in labelled_posets(n)}
+    assert len(keys) == len({a for a, _ in keys}) == len({b for _, b in keys})
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_canonical_form_separates_like_brute_force_on_random_pairs(seed):
+    rng = random.Random(seed)
+    n = 6 + seed % 2
+    p = random_poset(rng, n, 0.3)
+    pairs = sum(map(int.bit_count, p.up))
+    other = random_poset(rng, n, 0.3)
+    while sum(map(int.bit_count, other.up)) != pairs:
+        other = random_poset(rng, n, 0.3)
+    key, brute = canonical_form(p), brute_canonical(p)
+    assert canonical_form(shuffled(p, rng)) == key
+    for q in (shuffled(p.dual(), rng), shuffled(other, rng)):
+        assert (canonical_form(q) == key) == (brute_canonical(q) == brute)
+
+
+def test_canonical_form_separates_posets_colors_cannot():
+    one, two = crowns(4), crowns(2, 2)
+    assert canonical_form(one)[:2] == canonical_form(two)[:2]
+    assert order_isomorphism(one, two) is None
+    assert canonical_form(one) != canonical_form(two)
+
+
+@pytest.mark.parametrize("p", [
+    Poset([f"x{i}" for i in range(7)], [1 << i for i in range(7)]),  # one color class
+    crowns(2, 2).dual(),
+    *(random_poset(random.Random(seed), 7, 0.3) for seed in range(3)),
+], ids=["antichain", "crowns", "random0", "random1", "random2"])
+def test_canonical_form_is_invariant_under_relabelling(p):
+    rng = random.Random(0)
+    key = canonical_form(p)
+    assert key[0] == p.n
+    for _ in range(2):
+        assert canonical_form(shuffled(p, rng)) == key
+
+
+def test_poset_counts():
+    # OEIS A000112
+    assert [len(all_posets(n)) for n in range(1, 7)] == [1, 2, 5, 16, 63, 318]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_all_posets_keeps_the_first_labelled_poset_of_each_class(n):
+    first = {}
+    for p, brute in labelled_posets(n):
+        first.setdefault(brute, p)
+    assert [p.up for p in all_posets(n)] == [p.up for p in first.values()]
+
+
 # ------------------------------------------------------ recovery ingredients
+
+def test_join_irreducibles_match_definition():
+    # x is join-irreducible iff it is not the join of its strict down-set
+    lattices = [s for s in map(classify, all_posets_up_to(5)) if s.is_lattice()]
+    for seed in range(8):
+        rng = random.Random(seed)
+        lattices.append(classify(shuffled(lower_set_lattice(random_poset(rng, 4)).base, rng)))
+    for s in lattices:
+        expected = 0
+        for x in range(s.n):
+            join = s.bottom
+            for y in range(s.n):
+                if y != x and s.leq(y, x):
+                    join = brute_join(s, join, y)
+            if join != x:
+                expected |= 1 << x
+        assert join_irreducible_mask(s.base) == expected
+
 
 def test_indecomposables_of_a_chain():
     c4 = mk("C4")
@@ -472,6 +571,14 @@ def test_poset_upper_and_lower_sets_match_definition(seed):
     p = random_poset(rng, rng.randint(1, 7), rng.random())
     assert p.upper_set_masks() == brute_upper_sets(p.up)
     assert p.lower_set_masks() == brute_upper_sets(p.dn)
+
+
+def test_upper_sets_stop_at_the_limit():
+    for up in ([1 << i for i in range(5)], [0b011, 0b011, 0b111],
+               [0b1111, 0b1110, 0b1100, 0b1000]):
+        every = brute_upper_sets(up)
+        for limit in (1, 2, len(every) - 1, len(every), len(every) + 1):
+            assert upper_sets(up, limit) == every[:limit]
 
 
 def test_upper_sets_leave_no_reference_cycles():
