@@ -120,6 +120,17 @@ def _structure_from_document(doc: dict) -> Structure:
     return s
 
 
+def _read_document(path: str, shown: str):
+    """The JSON document at path; errors name it as shown."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise InputFormatError(f"cannot read {shown}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise InputFormatError(f"invalid JSON in {shown}: {e}") from e
+
+
 def load_structure(path_or_name: str, base_dir: str | None = None) -> Structure:
     """Load a structure document from a path, or take a built-in by name."""
     if path_or_name in _BUILTIN_SPECS:
@@ -129,24 +140,13 @@ def load_structure(path_or_name: str, base_dir: str | None = None) -> Structure:
         candidate = os.path.join(base_dir, path)
         if os.path.exists(candidate):
             path = candidate
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise InputFormatError(f"cannot read {path_or_name}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise InputFormatError(f"invalid JSON in {path_or_name}: {e}") from e
-    return _structure_from_document(doc)
+    return _structure_from_document(_read_document(path, path_or_name))
 
 
 def load_morphism(path: str) -> StructureMorphism:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise InputFormatError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise InputFormatError(f"invalid JSON in {path}: {e}") from e
+    doc = _read_document(path, path)
+    if not isinstance(doc, dict):
+        raise InputFormatError("morphism document must be a JSON object")
     for key in ("source", "target", "map", "kind"):
         if key not in doc:
             raise InputFormatError(f'morphism document needs "{key}"')

@@ -8,17 +8,18 @@ patch topology of the basic sets, and the order is inclusion of filters.
 
 from __future__ import annotations
 
-from ordua.errors import InputFormatError, KindMismatch, NotPriestley, NotT0
+from ordua.errors import InputFormatError, KindMismatch, NotT0
 from ordua.free import free_boolean
 from ordua.spaces import (
     FiniteSpace,
     Preorder,
     PreorderedSpace,
+    _require_priestley,
+    _unseparated_pair,
     generate_topology,
     is_continuous,
     is_monotone_map,
     patch_space,
-    priestley_check,
     specialization_preorder,
     upper_open_reduct,
     weakly_indecomposable_clopen_uppers,
@@ -122,17 +123,13 @@ def priestley_of_dlat(d: Structure, bound: int | None = None) -> DualityResult:
 
 def dlat_of_priestley(ps: PreorderedSpace) -> Structure:
     """The lattice of clopen upper sets of a Priestley space."""
-    report = priestley_check(ps)
-    if not report.ok:
-        raise NotPriestley(f"not a Priestley space (pair {report.failing_pair})")
+    report = _require_priestley(ps)
     return structure_from_closed_masks(ps.labels, report.clopen_uppers.masks)
 
 
 def coherent_of_priestley(ps: PreorderedSpace) -> FiniteSpace:
     """Drop to the coherent reduct: keep only the open upper sets."""
-    report = priestley_check(ps)
-    if not report.ok:
-        raise NotPriestley(f"not a Priestley space (pair {report.failing_pair})")
+    _require_priestley(ps)
     return upper_open_reduct(ps)
 
 
@@ -206,13 +203,10 @@ def extended_image_check(ps: PreorderedSpace, variant: str
     if variant not in ("coherent-poset", "msl"):
         raise InputFormatError(f"unknown extended-image variant {variant!r}")
     wi = list(weakly_indecomposable_clopen_uppers(ps).masks)
-    for x in range(ps.n):
-        for y in range(ps.n):
-            if x == y or ps.preorder.leq(x, y):
-                continue
-            if not any(w >> x & 1 and not w >> y & 1 for w in wi):
-                return False, {"kind": "separation",
-                               "pair": (ps.labels[x], ps.labels[y])}
+    bad = _unseparated_pair(ps.preorder.up, wi)
+    if bad is not None:
+        return False, {"kind": "separation",
+                       "pair": (ps.labels[bad[0]], ps.labels[bad[1]])}
     if variant == "msl":
         full = (1 << ps.n) - 1
         if full not in wi:

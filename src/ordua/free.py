@@ -27,6 +27,7 @@ from ordua.structures import (
     Structure,
     StructureMorphism,
     Subset,
+    _is_monotone,
     _satisfies_kind,
     bits,
     classify,
@@ -118,10 +119,8 @@ def free_boolean(c: Structure, kind: str, bound: int | None = None) -> FreeResul
 def _is_flat_model(mapping, src: Structure, b: Structure) -> bool:
     # Two equations on top of monotonicity: the images cover the top, and
     # binary meets of images are the joins of images of common lower bounds.
-    for i in range(src.n):
-        for j in bits(src.base.up[i]):
-            if not b.leq(mapping[i], mapping[j]):
-                return False
+    if _is_monotone(mapping, src, b) is not None:
+        return False
     if b.join_of(mapping) != b.top:
         return False
     for x in range(src.n):
@@ -208,34 +207,19 @@ def induced_boolean_hom(f: StructureMorphism, fr_src: FreeResult,
 
 
 def _uppers_substructure(b: Structure, trace_rows: list[int], primes: list[int]
-                         ) -> tuple[Structure, list[int], dict[int, int], list[int]]:
+                         ) -> tuple[Structure, list[int]]:
     """The sublattice of trace-upper elements of a Boolean algebra b.
 
-    trace_rows[k] = mask of primes above prime k in the trace preorder.
-    Elements are represented by their atom masks; returns the substructure,
-    its sorted mask list (aligned with its element indices), the mask ->
-    b-element lookup, and the list of upper b-elements.
+    trace_rows[k] = mask of primes above prime k in the trace preorder. An
+    element is upper iff the primes containing it form a trace up-set, and it
+    is the join of the atoms generating those primes; so the sublattice is the
+    up-set lattice of the trace preorder (Birkhoff). Returns it with the
+    b-element of each of its elements.
     """
-    atoms = b.atoms()
-    atom_of_prime = []
-    for pm in primes:
-        least = b.base.minimal_mask(pm)
-        atom_of_prime.append(least.bit_length() - 1)
-    am = []
-    for x in range(b.n):
-        m = 0
-        for t, a in enumerate(atoms):
-            if b.leq(a, x):
-                m |= 1 << t
-        am.append(m)
-    # x is upper iff the primes containing it (those of the atoms below it)
-    # form a trace-upper set, and x is the join of those atoms
-    uppers = sorted(b.join_of(atom_of_prime[k] for k in bits(u))
-                    for u in upper_sets(trace_rows))
-    sub_masks = sorted(am[x] for x in uppers)
-    sub = structure_from_closed_masks([f"t{t}" for t in range(len(atoms))], sub_masks)
-    back = {am[x]: x for x in uppers}
-    return sub, sub_masks, back, uppers
+    atom = [b.base.minimal_mask(pm).bit_length() - 1 for pm in primes]
+    ups = upper_sets(trace_rows)
+    sub = structure_from_closed_masks([f"t{k}" for k in range(len(primes))], ups)
+    return sub, [b.join_of(atom[k] for k in bits(u)) for u in ups]
 
 
 def recognize_free_boolean(i: StructureMorphism, duality_kind: str
@@ -271,15 +255,13 @@ def recognize_free_boolean(i: StructureMorphism, duality_kind: str
         # traces, so a repeat means b has primes the source cannot separate
         return False, {"duplicate-trace": True}
     trace_rows = inclusion_rows(traces)
-    sub, sub_masks, back, uppers = _uppers_substructure(b, trace_rows, primes)
+    sub, uppers = _uppers_substructure(b, trace_rows, primes)
     if duality_kind == "dlat":
         target = set(uppers)
     elif duality_kind == "msl":
-        mask = indecomposable_elements(sub).mask
-        target = {back[sub_masks[j]] for j in bits(mask)}
+        target = {uppers[j] for j in bits(indecomposable_elements(sub).mask)}
     else:
-        mask = disjunctively_compact_elements(sub).mask
-        target = {back[sub_masks[j]] for j in bits(mask)}
+        target = {uppers[j] for j in bits(disjunctively_compact_elements(sub).mask)}
     image = set(i.map)
     if image == target:
         return True, None
@@ -299,10 +281,6 @@ class ClosureFamily:
         self.carrier_labels = tuple(carrier_labels)
         self.doubled_labels = tuple(doubled_labels)
         self.members = tuple(members)
-
-    @property
-    def ground_size(self) -> int:
-        return 1 << len(self.doubled_labels)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -393,16 +371,8 @@ def thm22_oracle(d: Structure, bound: int | None = None) -> OracleResult:
         frontier = nxt
     members = sorted(members)
     index = {v: k for k, v in enumerate(members)}
-    n = len(members)
-    up = inclusion_rows(members)
-    meet = [[None] * n for _ in range(n)]
-    join = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            meet[a][b] = meet[b][a] = index[close(members[a] & members[b])]
-            join[a][b] = join[b][a] = index[close(members[a] | members[b])]
-    labels = [f"m{k}" for k in range(n)]
-    structure = classify(Poset(labels, up))
+    labels = [f"m{k}" for k in range(len(members))]
+    structure = classify(Poset(labels, inclusion_rows(members)))
     unit = [index[close(1 << (1 << e))] for e in range(nn)]
     doubled = list(d.labels) + [x + "*" for x in d.labels]
     family = ClosureFamily(d.labels, doubled, members)

@@ -62,8 +62,7 @@ class Preorder:
         return bool(self.up[i] >> j & 1)
 
     def is_antisymmetric(self) -> bool:
-        return all(not (j != i and self.up[j] >> i & 1)
-                   for i in range(self.n) for j in bits(self.up[i]))
+        return self.antisymmetry_failure() is None
 
     def antisymmetry_failure(self) -> tuple[int, int] | None:
         for i in range(self.n):
@@ -72,15 +71,8 @@ class Preorder:
                     return (i, j)
         return None
 
-    def to_poset(self) -> Poset:
-        return Poset(self.labels, self.up)
-
     def is_upper(self, mask: int) -> bool:
         return all(not (self.up[i] & ~mask) for i in bits(mask))
-
-    def upper_masks(self, bound: int | None = None) -> list[int]:
-        check_carrier(self.n, bound, "upper-set enumeration")
-        return upper_sets(self.up)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Preorder)
@@ -206,8 +198,7 @@ class PreorderedSpace:
 
     def clopen_upper_masks(self) -> list[int]:
         """Unions of components that are upper: up-sets of both relations."""
-        rows = zip(_components(self.space.minimal), self.preorder.up)
-        return upper_sets(transitive_closure(c | u for c, u in rows))
+        return upper_sets(_clopen_upper_rows(self))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PreorderedSpace)
@@ -218,6 +209,24 @@ class PreorderedSpace:
 
     def __repr__(self) -> str:
         return f"PreorderedSpace(n={self.n})"
+
+
+def _clopen_upper_rows(ps: PreorderedSpace) -> list[int]:
+    """Row p: the least clopen upper set containing p, which is p's row in the
+    union of the component relation and the order, closed transitively."""
+    rows = zip(_components(ps.space.minimal), ps.preorder.up)
+    return transitive_closure(c | u for c, u in rows)
+
+
+def _unseparated_pair(up, family) -> tuple[int, int] | None:
+    """The least x, then the least y for it, with x not <= y in the reflexive
+    relation with up-rows up, yet y in every member of the family that holds
+    x; None if the family order-separates the points."""
+    for x, row in enumerate(minimal_opens(len(up), family)):
+        rest = row & ~up[x]
+        if rest:
+            return x, (rest & -rest).bit_length() - 1
+    return None
 
 
 class PriestleyReport:
@@ -318,42 +327,37 @@ def priestley_boolean_algebra(labels, family: SetFamily,
 def priestley_check(ps: PreorderedSpace) -> PriestleyReport:
     """Check the Priestley axioms: compactness (automatic for finite spaces),
     a partial order, and separation of x !<= y by a clopen upper set."""
+    uppers = SetFamily(ps.n, ps.clopen_upper_masks())
     cyc = ps.preorder.antisymmetry_failure()
     if cyc is not None:
         i, j = cyc
         return PriestleyReport(True, False, False,
-                               (ps.labels[i], ps.labels[j]),
-                               SetFamily(ps.n, ps.clopen_upper_masks()))
-    uppers = ps.clopen_upper_masks()
-    for x in range(ps.n):
-        for y in range(ps.n):
-            if x == y or ps.preorder.leq(x, y):
-                continue
-            if not any(u >> x & 1 and not u >> y & 1 for u in uppers):
-                return PriestleyReport(True, True, False,
-                                       (ps.labels[x], ps.labels[y]),
-                                       SetFamily(ps.n, uppers))
-    return PriestleyReport(True, True, True, None, SetFamily(ps.n, uppers))
+                               (ps.labels[i], ps.labels[j]), uppers)
+    bad = _unseparated_pair(ps.preorder.up, uppers.masks)
+    if bad is not None:
+        x, y = bad
+        return PriestleyReport(True, True, False,
+                               (ps.labels[x], ps.labels[y]), uppers)
+    return PriestleyReport(True, True, True, None, uppers)
+
+
+def _require_priestley(ps: PreorderedSpace) -> PriestleyReport:
+    """The Priestley report of ps; raise NotPriestley unless it holds."""
+    report = priestley_check(ps)
+    if not report.ok:
+        raise NotPriestley(f"not a Priestley space (pair {report.failing_pair})")
+    return report
 
 
 def weakly_indecomposable_clopen_uppers(ps: PreorderedSpace) -> SetFamily:
     """Clopen upper sets that are not the union of their proper clopen-upper subsets.
 
-    The empty set is the empty union, hence decomposable.
+    Each clopen upper set is the union of the least clopen upper sets around
+    its points, so it is weakly indecomposable iff it is one of them. The
+    empty set is the empty union, hence decomposable.
     """
-    report = priestley_check(ps)
-    if not report.ok:
-        raise NotPriestley(f"not a Priestley space (pair {report.failing_pair})")
-    uppers = ps.clopen_upper_masks()
-    out = []
-    for u in uppers:
-        union = 0
-        for v in uppers:
-            if v != u and not v & ~u:
-                union |= v
-        if union != u:
-            out.append(u)
-    return SetFamily(ps.n, out)
+    _require_priestley(ps)
+    return SetFamily(ps.n, _clopen_upper_rows(ps))
 
 
 def check_patch_characterization(ps: PreorderedSpace, family: SetFamily,
@@ -383,17 +387,11 @@ def check_patch_characterization(ps: PreorderedSpace, family: SetFamily,
         sp = ps.space
         good = [s for s in family.masks if sp.is_open(s)
                 and sp.is_open(sp.full ^ s) and ps.preorder.is_upper(s)]
-        for x in range(ps.n):
-            for y in range(ps.n):
-                if x == y or rows_a[x] >> y & 1:
-                    continue
-                if not any(u >> x & 1 and not u >> y & 1 for u in good):
-                    rhs = False
-                    witness = {"kind": "separation",
-                               "pair": (ps.labels[x], ps.labels[y])}
-                    break
-            if not rhs:
-                break
+        bad = _unseparated_pair(rows_a, good)
+        if bad is not None:
+            rhs = False
+            witness = {"kind": "separation",
+                       "pair": (ps.labels[bad[0]], ps.labels[bad[1]])}
     return lhs, rhs, witness
 
 

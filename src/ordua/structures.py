@@ -142,9 +142,6 @@ class SetFamily:
         self.n = n
         self.masks = tuple(seen)
 
-    def subsets(self) -> list[Subset]:
-        return [Subset(self.n, m) for m in self.masks]
-
     def __iter__(self):
         return iter(self.masks)
 
@@ -216,10 +213,6 @@ class Poset:
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
-
-    def pairs(self) -> list[tuple[str, str]]:
-        return [(self.labels[i], self.labels[j])
-                for i in range(self.n) for j in bits(self.up[i])]
 
     def dual(self) -> "Poset":
         return Poset(self.labels, self.dn)
@@ -361,17 +354,6 @@ class Structure:
                     return None
         return self.bottom if acc is None else acc
 
-    def meet_of(self, indices) -> int | None:
-        acc = None
-        for i in indices:
-            if acc is None:
-                acc = i
-            else:
-                acc = self.meet[acc][i]
-                if acc is None:
-                    return None
-        return self.top if acc is None else acc
-
     def atoms(self) -> list[int]:
         if self.bottom is None:
             raise KindMismatch("atoms need a bottom element")
@@ -400,12 +382,22 @@ def _bounds(p: Poset) -> tuple[int | None, int | None]:
     return top, bottom
 
 
-def _glb_table(rows) -> list[list[int | None]]:
-    # rows = p.dn gives meets; rows = p.up gives joins. The meet of i and j is
-    # the element whose down-row is dn[i] & dn[j]; rows are distinct by
-    # antisymmetry, and a missing row means no meet.
-    index = {r: i for i, r in enumerate(rows)}
-    return [[index.get(r & r2) for r2 in rows] for r in rows]
+def _tables(meet_keys, join_keys) -> tuple[list, list]:
+    """The meet and join tables of elements with distinct keys: the meet of i
+    and j is the element whose meet key is meet_keys[i] & meet_keys[j], the
+    join the one whose join key is join_keys[i] & join_keys[j], and a missing
+    key means no meet or join (None)."""
+    n = len(meet_keys)
+    meet_at = {k: i for i, k in enumerate(meet_keys)}.get
+    join_at = {k: i for i, k in enumerate(join_keys)}.get
+    meet: list[list[int | None]] = [[None] * n for _ in range(n)]
+    join: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        mk, jk, meet_i, join_i = meet_keys[i], join_keys[i], meet[i], join[i]
+        for j in range(i, n):
+            meet_i[j] = meet[j][i] = meet_at(mk & meet_keys[j])
+            join_i[j] = join[j][i] = join_at(jk & join_keys[j])
+    return meet, join
 
 
 def _total(table) -> bool:
@@ -438,8 +430,9 @@ def _is_distributive(p: Poset) -> list[int] | None:
 def classify(p: Poset) -> Structure:
     """Compute the operation tables of p and the strongest kind they support."""
     top, bottom = _bounds(p)
-    meet = _glb_table(p.dn)
-    join = _glb_table(p.up)
+    # meets are down-row intersections, joins up-row intersections; rows are
+    # distinct by antisymmetry
+    meet, join = _tables(p.dn, p.up)
     is_msl = top is not None and _total(meet)
     is_lat = is_msl and bottom is not None and _total(join)
     ji = _is_distributive(p) if is_lat else None
@@ -492,7 +485,7 @@ def inclusion_rows(masks) -> list[int]:
     return rows
 
 
-def structure_from_closed_masks(point_labels, masks, element_labels=None) -> Structure:
+def structure_from_closed_masks(point_labels, masks) -> Structure:
     """Structure on a family of subsets closed under union and intersection.
 
     The family must contain the empty set and the full set; meets/joins are
@@ -502,28 +495,20 @@ def structure_from_closed_masks(point_labels, masks, element_labels=None) -> Str
     point_labels = tuple(str(x) for x in point_labels)
     masks = tuple(sorted(set(int(m) for m in masks)))
     full = (1 << len(point_labels)) - 1
-    idx = {m: i for i, m in enumerate(masks)}
-    if 0 not in idx or full not in idx:
+    # sorted, so every mask lies in the carrier once the ends are empty and full
+    if not masks or masks[0] != 0 or masks[-1] != full:
         raise InputFormatError("closed family must contain the empty and full sets")
-    n = len(masks)
-    up = inclusion_rows(masks)
-    meet: list[list[int | None]] = [[None] * n for _ in range(n)]
-    join: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for i, mi in enumerate(masks):
-        for j in range(i, n):
-            mj = masks[j]
-            try:
-                meet[i][j] = meet[j][i] = idx[mi & mj]
-                join[i][j] = join[j][i] = idx[mi | mj]
-            except KeyError:
-                raise InputFormatError("set family is not closed under union/intersection")
-    comp = tuple(idx.get(full ^ m) for m in masks)
-    kind = "boolean-algebra" if all(c is not None for c in comp) else "distributive-lattice"
-    if element_labels is None:
-        element_labels = [_set_label(point_labels, m) for m in masks]
-    base = Poset(element_labels, up)
-    return Structure(base, kind, meet, join, idx[full], idx[0],
-                     comp if kind == "boolean-algebra" else None)
+    # complements intersect to the complement of the union, so they key joins
+    complements = [full ^ m for m in masks]
+    meet, join = _tables(masks, complements)
+    if not (_total(meet) and _total(join)):
+        raise InputFormatError("set family is not closed under union/intersection")
+    idx = {m: i for i, m in enumerate(masks)}
+    comp = tuple(idx.get(c) for c in complements)
+    boolean = None not in comp
+    base = Poset([_set_label(point_labels, m) for m in masks], inclusion_rows(masks))
+    return Structure(base, "boolean-algebra" if boolean else "distributive-lattice",
+                     meet, join, len(masks) - 1, 0, comp if boolean else None)
 
 
 def powerset_structure(k: int, point_labels=None) -> Structure:

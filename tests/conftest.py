@@ -46,6 +46,31 @@ def brute_upper_sets(up) -> list[int]:
                    for j in range(n) if up[i] >> j & 1)]
 
 
+def brute_clopen_uppers(ps) -> list[int]:
+    """Clopen upper sets of the preordered space ps, ascending: the opens are
+    the brute-force up-sets of the minimal opens, and a set is clopen when it
+    and its complement are open."""
+    full = (1 << ps.n) - 1
+    opens = set(brute_upper_sets(ps.space.minimal))
+    return [u for u in brute_upper_sets(ps.preorder.up)
+            if u in opens and full ^ u in opens]
+
+
+def brute_weakly_indecomposable(ps) -> list[int]:
+    """Clopen upper sets that are not the union of their proper clopen-upper
+    subsets, by definition."""
+    uppers = brute_clopen_uppers(ps)
+    out = []
+    for u in uppers:
+        union = 0
+        for v in uppers:
+            if v != u and not v & ~u:
+                union |= v
+        if union != u:
+            out.append(u)
+    return out
+
+
 def brute_join(s: Structure, a: int, b: int) -> int | None:
     uppers = [x for x in range(s.n) if s.leq(a, x) and s.leq(b, x)]
     least = [x for x in uppers if all(s.leq(x, y) for y in uppers)]

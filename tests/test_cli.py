@@ -161,6 +161,16 @@ def test_recognize_rejects_a_non_unit(capsys, tmp_path):
     assert json.loads(out)["ok"] is False
 
 
+@pytest.mark.parametrize("doc", [5, None, "source target map kind",
+                                 ["source", "target", "map", "kind"]],
+                         ids=["number", "null", "string", "list"])
+def test_recognize_rejects_a_document_that_is_not_an_object(capsys, tmp_path, doc):
+    mpath = write_json(tmp_path, "m.json", doc)
+    code, out, err = run(capsys, "recognize", mpath)
+    assert (code, out) == (2, "")
+    assert err == "ordua: error: morphism document must be a JSON object\n"
+
+
 # ----------------------------------------------------------- error handling
 
 def test_cycle_is_an_input_error(capsys, tmp_path):

@@ -206,14 +206,18 @@ def test_recognition_accepts_the_canonical_units():
 
 
 def test_recognition_rejects_the_wrong_subalgebra():
-    # the identity embeds 2^2 in itself as a meet-semilattice, but the free
-    # Boolean algebra on the 4-element msl 2^2 has 2^5 elements, not 4
-    b = powerset_structure(2)
-    ident = StructureMorphism(b.with_kind("meet-semilattice"), b,
-                              (0, 1, 2, 3), "meet-hom")
-    ok, witness = recognize_free_boolean(ident, "msl")
-    assert not ok
-    assert witness["missing"] or witness["extra"]
+    # the identity embeds 2^k in itself as a meet-semilattice, but the free
+    # Boolean algebra on the msl 2^k has a point per filter, 2^(2^k)
+    # elements; the image holds elements that are not join-irreducible
+    # upper elements (the empty set and the non-singleton ones)
+    for k, extra in [(2, ["{p0,p1}", "{}"]),
+                     (3, ["{p0,p1,p2}", "{p0,p1}", "{p0,p2}", "{p1,p2}", "{}"])]:
+        b = powerset_structure(k)
+        ident = StructureMorphism(b.with_kind("meet-semilattice"), b,
+                                  range(b.n), "meet-hom")
+        ok, witness = recognize_free_boolean(ident, "msl")
+        assert not ok
+        assert witness == {"missing": [], "extra": extra}
 
 
 def test_recognition_rejects_inseparable_primes():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_upper_sets
+from conftest import brute_clopen_uppers, brute_upper_sets, brute_weakly_indecomposable
 from ordua import spaces
 from ordua.corpus import all_preorders, all_posets_up_to
 from ordua.errors import CarrierTooLarge, InputFormatError, NotPriestley, NotT0
@@ -205,6 +205,48 @@ def test_weakly_indecomposable_on_antichain():
 def test_weakly_indecomposable_on_point():
     ps = PreorderedSpace(discrete(1), Preorder(["x0"], (0b1,)))
     assert list(weakly_indecomposable_clopen_uppers(ps).masks) == [0b1]
+
+
+def _spaces_over_small_posets():
+    """Every poset of <= 5 points with the discrete topology, and twice with
+    the patch topology of a seeded random family of its up-sets."""
+    rng = random.Random(7)
+    out = []
+    for p in all_posets_up_to(5):
+        pre = Preorder.from_poset(p)
+        points = FiniteSpace.from_rows(p.labels, [1 << i for i in range(p.n)])
+        out.append(PreorderedSpace(points, pre))
+        ups = p.upper_set_masks()
+        for _ in range(2):
+            family = SetFamily(p.n, rng.sample(ups, rng.randint(1, len(ups))))
+            out.append(PreorderedSpace(patch_space(p.labels, family), pre))
+    return out
+
+
+def test_weakly_indecomposable_matches_definition():
+    checked = 0
+    for ps in _spaces_over_small_posets():
+        if not priestley_check(ps).ok:
+            with pytest.raises(NotPriestley):
+                weakly_indecomposable_clopen_uppers(ps)
+            continue
+        checked += 1
+        assert (list(weakly_indecomposable_clopen_uppers(ps).masks)
+                == brute_weakly_indecomposable(ps))
+    assert checked >= 100
+
+
+def test_priestley_failing_pair_is_the_first_unseparated_pair():
+    # x then y, each ascending: the first x not <= y with no clopen upper set
+    # holding x but not y
+    for ps in _spaces_over_small_posets():
+        uppers = brute_clopen_uppers(ps)
+        first = next(((ps.labels[x], ps.labels[y])
+                      for x in range(ps.n) for y in range(ps.n)
+                      if not ps.preorder.leq(x, y)
+                      and not any(u >> x & 1 and not u >> y & 1 for u in uppers)),
+                     None)
+        assert priestley_check(ps).failing_pair == first
 
 
 def test_weakly_indecomposable_needs_priestley():

@@ -182,6 +182,31 @@ def test_table_cases_include_undefined_cells():
                for row in classify(_shuffled_tables_case(seed)).meet)
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_closed_family_tables_match_definition(seed):
+    rng = random.Random(seed)
+    s = lower_set_lattice(random_poset(rng, rng.randint(1, 5), rng.random()))
+    for a in range(s.n):
+        for b in range(s.n):
+            assert s.meet[a][b] == brute_meet(s, a, b)
+            assert s.join[a][b] == brute_join(s, a, b)
+
+
+@pytest.mark.parametrize("labels, masks, message", [
+    (["a", "b"], [0, 3, 7], "empty and full"),
+    (["a", "b"], [-1, 0, 3], "empty and full"),
+    (["a", "b"], [], "empty and full"),
+    (["a", "b"], [1, 3], "empty and full"),
+    (["a", "b"], [0, 1], "empty and full"),
+    (["a", "b", "c"], [0, 1, 2, 7], "not closed"),  # {a} | {b} is missing
+    (["a", "b", "c"], [0, 3, 6, 7], "not closed"),  # {a,b} & {b,c} is missing
+], ids=["beyond-carrier", "negative", "no-sets", "no-empty-set", "no-full-set",
+        "not-union-closed", "not-intersection-closed"])
+def test_structure_from_closed_masks_rejects_bad_families(labels, masks, message):
+    with pytest.raises(InputFormatError, match=message):
+        structure_from_closed_masks(labels, masks)
+
+
 def _product_2x3():
     pairs = [(f"{i}{j}", f"{k}{m}") for i in range(2) for j in range(3)
              for k in range(2) for m in range(3) if i <= k and j <= m]
