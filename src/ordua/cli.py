@@ -179,23 +179,9 @@ def _dot_quote(s: str) -> str:
 
 
 def _preorder_cover_edges(up) -> list[tuple[int, int]]:
-    n = len(up)
-    edges = []
-    for i in range(n):
-        for j in bits(up[i]):
-            if j == i:
-                continue
-            between = False
-            for k in bits(up[i]):
-                if k != i and k != j and up[k] >> j & 1 and not up[j] >> k & 1:
-                    between = True
-                    break
-                if k != i and k != j and up[k] >> j & 1 and up[j] >> k & 1:
-                    between = True
-                    break
-            if not between:
-                edges.append((i, j))
-    return edges
+    """Pairs i <= j, i != j, with no third point k between: i <= k <= j."""
+    return [(i, j) for i, row in enumerate(up) for j in bits(row) if j != i
+            and not any(up[k] >> j & 1 for k in bits(row & ~(1 << i | 1 << j)))]
 
 
 def export_dot(obj, path: str | None = None) -> str:

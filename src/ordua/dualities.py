@@ -8,14 +8,13 @@ patch topology of the basic sets, and the order is inclusion of filters.
 
 from __future__ import annotations
 
-from ordua.errors import InputFormatError, KindMismatch, NotT0
+from ordua.errors import InputFormatError, NotT0
 from ordua.free import free_boolean
 from ordua.spaces import (
     FiniteSpace,
     Preorder,
     PreorderedSpace,
     _require_priestley,
-    _unseparated_pair,
     generate_topology,
     is_continuous,
     is_monotone_map,
@@ -31,7 +30,7 @@ from ordua.structures import (
     Structure,
     StructureMorphism,
     Subset,
-    _satisfies_kind,
+    _require_kind,
     bits,
     classify,
     inclusion_rows,
@@ -182,9 +181,7 @@ def dual_morphism(f: StructureMorphism, duality: str, bound: int | None = None
     the inverse image f^-1(G), which must be a point of the source spectrum."""
     if duality not in DUALITY_KINDS:
         raise InputFormatError(f"unknown duality kind {duality!r}")
-    hom_kind = _DUAL_HOM_KIND[duality]
-    if not _satisfies_kind(f.map, f.source, f.target, hom_kind):
-        raise KindMismatch(f"map is not a {hom_kind}")
+    _require_kind(f.map, f.source, f.target, _DUAL_HOM_KIND[duality])
     res_src = spectrum_for(f.source, duality, bound)
     res_tgt = spectrum_for(f.target, duality, bound)
     mapping = inverse_image_map(f, res_src.point_filters.masks,
@@ -197,16 +194,13 @@ def extended_image_check(ps: PreorderedSpace, variant: str
     """Whether a Priestley space lies in the extended image of a spectrum.
 
     'coherent-poset': the weakly indecomposable clopen uppers order-separate
-    the points. 'msl': additionally the full set is weakly indecomposable and
-    the family is closed under binary intersection.
+    the points, which always holds: in a Priestley space they are the
+    principal up-sets of the order. 'msl': additionally the full set is
+    weakly indecomposable and the family is closed under binary intersection.
     """
     if variant not in ("coherent-poset", "msl"):
         raise InputFormatError(f"unknown extended-image variant {variant!r}")
     wi = list(weakly_indecomposable_clopen_uppers(ps).masks)
-    bad = _unseparated_pair(ps.preorder.up, wi)
-    if bad is not None:
-        return False, {"kind": "separation",
-                       "pair": (ps.labels[bad[0]], ps.labels[bad[1]])}
     if variant == "msl":
         full = (1 << ps.n) - 1
         if full not in wi:
@@ -255,8 +249,9 @@ def roundtrip_check(d: Structure, bound: int | None = None
     Returns (ok, rebuilt lattice, element map as a tuple of target indices).
     """
     res = priestley_of_dlat(d, bound)
-    result = dlat_of_priestley(res.space)
-    index = {m: i for i, m in enumerate(sorted(res.space.clopen_upper_masks()))}
+    uppers = _require_priestley(res.space).clopen_uppers.masks
+    result = structure_from_closed_masks(res.space.labels, uppers)
+    index = {m: i for i, m in enumerate(uppers)}
     if d.n != result.n:
         return False, result, None
     iso = []

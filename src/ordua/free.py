@@ -28,6 +28,7 @@ from ordua.structures import (
     StructureMorphism,
     Subset,
     _is_monotone,
+    _require_kind,
     _satisfies_kind,
     bits,
     classify,
@@ -119,7 +120,7 @@ def free_boolean(c: Structure, kind: str, bound: int | None = None) -> FreeResul
 def _is_flat_model(mapping, src: Structure, b: Structure) -> bool:
     # Two equations on top of monotonicity: the images cover the top, and
     # binary meets of images are the joins of images of common lower bounds.
-    if _is_monotone(mapping, src, b) is not None:
+    if _is_monotone(mapping, src.base.up, b.base.up) is not None:
         return False
     if b.join_of(mapping) != b.top:
         return False
@@ -181,20 +182,13 @@ def universal_property_check(fr: FreeResult, atom_bound: int = 3
     return True, None
 
 
-def free_point_map(f: StructureMorphism, fr_src: FreeResult,
-                   fr_tgt: FreeResult) -> tuple[int, ...]:
-    """The spectrum map induced by f: points of the target free structure map
-    to points of the source one by inverse image."""
-    return inverse_image_map(f, fr_src.points.masks, fr_tgt.points.masks)
-
-
 def induced_boolean_hom(f: StructureMorphism, fr_src: FreeResult,
                         fr_tgt: FreeResult) -> tuple[int, ...]:
     """The Boolean hom Free(source) -> Free(target) induced by f, as a map of
     powerset masks (valid whenever both frees stay un-materialized too)."""
     if len(fr_src.points) > 12:
         raise CarrierTooLarge("induced hom table would exceed 2^12 entries")
-    pm = free_point_map(f, fr_src, fr_tgt)
+    pm = inverse_image_map(f, fr_src.points.masks, fr_tgt.points.masks)
     npts_t = len(fr_tgt.points)
     out = []
     for s in range(1 << len(fr_src.points)):
@@ -237,8 +231,7 @@ def recognize_free_boolean(i: StructureMorphism, duality_kind: str
     b = i.target
     if b.kind != "boolean-algebra":
         raise KindMismatch("recognition target must be a boolean algebra")
-    if not _satisfies_kind(i.map, i.source, b, hom_kind):
-        raise KindMismatch(f"map is not a {hom_kind}")
+    _require_kind(i.map, i.source, b, hom_kind)
     if len(set(i.map)) != i.source.n:
         raise NotInjective("map is not injective")
     primes = list(prime_filters(b).masks)

@@ -21,6 +21,7 @@ from ordua.structures import (
     Poset,
     SetFamily,
     Structure,
+    _is_monotone,
     bits,
     check_carrier,
     structure_from_closed_masks,
@@ -196,10 +197,6 @@ class PreorderedSpace:
     def n(self) -> int:
         return self.space.n
 
-    def clopen_upper_masks(self) -> list[int]:
-        """Unions of components that are upper: up-sets of both relations."""
-        return upper_sets(_clopen_upper_rows(self))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, PreorderedSpace)
                 and self.space == other.space and self.preorder == other.preorder)
@@ -218,11 +215,11 @@ def _clopen_upper_rows(ps: PreorderedSpace) -> list[int]:
     return transitive_closure(c | u for c, u in rows)
 
 
-def _unseparated_pair(up, family) -> tuple[int, int] | None:
+def _unseparated_pair(up, rows) -> tuple[int, int] | None:
     """The least x, then the least y for it, with x not <= y in the reflexive
-    relation with up-rows up, yet y in every member of the family that holds
-    x; None if the family order-separates the points."""
-    for x, row in enumerate(minimal_opens(len(up), family)):
+    relation with up-rows up, yet y in rows[x], the least member of a family
+    holding x; None if the family order-separates the points."""
+    for x, row in enumerate(rows):
         rest = row & ~up[x]
         if rest:
             return x, (rest & -rest).bit_length() - 1
@@ -230,18 +227,23 @@ def _unseparated_pair(up, family) -> tuple[int, int] | None:
 
 
 class PriestleyReport:
-    """Outcome of the Priestley axioms on a preordered space."""
+    """Outcome of the Priestley axioms on a preordered space; rows[p] is the
+    least clopen upper set around p, and the clopen uppers are their unions."""
 
     __slots__ = ("is_compact", "is_partial_order", "separation_ok",
-                 "failing_pair", "clopen_uppers")
+                 "failing_pair", "rows")
 
     def __init__(self, is_compact, is_partial_order, separation_ok,
-                 failing_pair, clopen_uppers: SetFamily):
+                 failing_pair, rows):
         self.is_compact = is_compact
         self.is_partial_order = is_partial_order
         self.separation_ok = separation_ok
         self.failing_pair = failing_pair
-        self.clopen_uppers = clopen_uppers
+        self.rows = tuple(rows)
+
+    @property
+    def clopen_uppers(self) -> SetFamily:
+        return SetFamily(len(self.rows), upper_sets(self.rows))
 
     @property
     def ok(self) -> bool:
@@ -326,19 +328,20 @@ def priestley_boolean_algebra(labels, family: SetFamily,
 
 def priestley_check(ps: PreorderedSpace) -> PriestleyReport:
     """Check the Priestley axioms: compactness (automatic for finite spaces),
-    a partial order, and separation of x !<= y by a clopen upper set."""
-    uppers = SetFamily(ps.n, ps.clopen_upper_masks())
+    a partial order, and separation of x !<= y by a clopen upper set: y is
+    outside the least clopen upper set around x."""
+    rows = _clopen_upper_rows(ps)
     cyc = ps.preorder.antisymmetry_failure()
     if cyc is not None:
         i, j = cyc
         return PriestleyReport(True, False, False,
-                               (ps.labels[i], ps.labels[j]), uppers)
-    bad = _unseparated_pair(ps.preorder.up, uppers.masks)
+                               (ps.labels[i], ps.labels[j]), rows)
+    bad = _unseparated_pair(ps.preorder.up, rows)
     if bad is not None:
         x, y = bad
         return PriestleyReport(True, True, False,
-                               (ps.labels[x], ps.labels[y]), uppers)
-    return PriestleyReport(True, True, True, None, uppers)
+                               (ps.labels[x], ps.labels[y]), rows)
+    return PriestleyReport(True, True, True, None, rows)
 
 
 def _require_priestley(ps: PreorderedSpace) -> PriestleyReport:
@@ -356,8 +359,7 @@ def weakly_indecomposable_clopen_uppers(ps: PreorderedSpace) -> SetFamily:
     its points, so it is weakly indecomposable iff it is one of them. The
     empty set is the empty union, hence decomposable.
     """
-    _require_priestley(ps)
-    return SetFamily(ps.n, _clopen_upper_rows(ps))
+    return SetFamily(ps.n, _require_priestley(ps).rows)
 
 
 def check_patch_characterization(ps: PreorderedSpace, family: SetFamily,
@@ -387,7 +389,7 @@ def check_patch_characterization(ps: PreorderedSpace, family: SetFamily,
         sp = ps.space
         good = [s for s in family.masks if sp.is_open(s)
                 and sp.is_open(sp.full ^ s) and ps.preorder.is_upper(s)]
-        bad = _unseparated_pair(rows_a, good)
+        bad = _unseparated_pair(rows_a, minimal_opens(ps.n, good))
         if bad is not None:
             rhs = False
             witness = {"kind": "separation",
@@ -408,16 +410,11 @@ def check_frame_pullback(space: FiniteSpace, bound: int | None = None) -> bool:
     return tuple(rows) == space.minimal
 
 
-def _is_monotone_rows(mapping, src_up, tgt_up) -> bool:
-    return all(tgt_up[mapping[i]] >> mapping[j] & 1
-               for i, row in enumerate(src_up) for j in bits(row))
-
-
 def is_continuous(mapping, source: FiniteSpace, target: FiniteSpace) -> bool:
     """Preimages of opens are open: for finite spaces, exactly when the map is
     monotone for the specialization preorders."""
-    return _is_monotone_rows(mapping, source.minimal, target.minimal)
+    return _is_monotone(mapping, source.minimal, target.minimal) is None
 
 
 def is_monotone_map(mapping, source: Preorder, target: Preorder) -> bool:
-    return _is_monotone_rows(mapping, source.up, target.up)
+    return _is_monotone(mapping, source.up, target.up) is None

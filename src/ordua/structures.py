@@ -673,10 +673,12 @@ def compose(g: StructureMorphism, f: StructureMorphism, kind: str | None = None
                              [g.map[v] for v in f.map], kind or f.kind)
 
 
-def _is_monotone(map, src: Structure, tgt: Structure) -> tuple[int, int] | None:
-    for i in range(src.n):
-        for j in bits(src.base.up[i]):
-            if not tgt.leq(map[i], map[j]):
+def _is_monotone(map, src_up, tgt_up) -> tuple[int, int] | None:
+    """The first (i, j) with i <= j in the source up-rows but map[i] not <=
+    map[j] in the target ones; None if the map is monotone."""
+    for i, row in enumerate(src_up):
+        for j in bits(row):
+            if not tgt_up[map[i]] >> map[j] & 1:
                 return (i, j)
     return None
 
@@ -689,7 +691,7 @@ def is_flat_map(f: StructureMorphism) -> tuple[bool, dict | None]:
     names the violated condition and the elements realizing the violation.
     """
     src, tgt = f.source, f.target
-    bad = _is_monotone(f.map, src, tgt)
+    bad = _is_monotone(f.map, src.base.up, tgt.base.up)
     if bad is not None:
         i, j = bad
         return False, {"condition": "monotone",
@@ -737,7 +739,7 @@ def _hom_compatible(src: Structure, tgt: Structure, kind: str) -> str | None:
 
 
 def _satisfies_kind(map, src: Structure, tgt: Structure, kind: str) -> bool:
-    if _is_monotone(map, src, tgt) is not None:
+    if _is_monotone(map, src.base.up, tgt.base.up) is not None:
         return False
     if kind == "monotone":
         return True
@@ -790,6 +792,12 @@ def is_homomorphism(f: StructureMorphism) -> bool:
     if reason is not None:
         raise KindMismatch(reason)
     return _satisfies_kind(f.map, f.source, f.target, f.kind)
+
+
+def _require_kind(map, src: Structure, tgt: Structure, kind: str) -> None:
+    """Raise KindMismatch unless the kinds support a kind morphism and map is one."""
+    if not is_homomorphism(StructureMorphism(src, tgt, map, kind)):
+        raise KindMismatch(f"map is not a {kind}")
 
 
 def enumerate_homomorphisms(src: Structure, tgt: Structure, kind: str,

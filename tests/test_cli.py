@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 import re
 import subprocess
 import sys
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import package_env
-from ordua.cli import main
+from ordua.cli import _BUILTIN_SPECS, main
 
 
 def run(capsys, *argv):
@@ -169,6 +171,36 @@ def test_recognize_rejects_a_document_that_is_not_an_object(capsys, tmp_path, do
     code, out, err = run(capsys, "recognize", mpath)
     assert (code, out) == (2, "")
     assert err == "ordua: error: morphism document must be a JSON object\n"
+
+
+@pytest.mark.parametrize("source", ["A2", "A3"])
+@pytest.mark.parametrize("kind", ["meet-hom", "lattice-hom", "disjunctive-hom"])
+def test_recognize_rejects_a_source_without_top(capsys, tmp_path, source, kind):
+    labels = _BUILTIN_SPECS[source][0]
+    mpath = write_json(tmp_path, "m.json", {
+        "source": source, "target": "C2", "kind": kind,
+        "map": {x: "1" for x in labels}})
+    code, out, err = run(capsys, "recognize", mpath)
+    assert (code, out) == (2, "")
+    assert err.startswith("ordua: error:") and "needs" in err
+
+
+def test_recognize_fuzz_never_escapes(capsys, tmp_path):
+    # every ordered pair of built-ins, each recognizable kind, two seeded
+    # label maps: an input the command cannot use is exit 2, not a traceback
+    rng = random.Random(2)
+    mpath = tmp_path / "m.json"
+    for source, target in itertools.product(_BUILTIN_SPECS, repeat=2):
+        for kind in ("meet-hom", "lattice-hom", "disjunctive-hom"):
+            for _ in range(2):
+                labels = _BUILTIN_SPECS[target][0]
+                mpath.write_text(json.dumps({
+                    "source": source, "target": target, "kind": kind,
+                    "map": {x: rng.choice(labels) for x in _BUILTIN_SPECS[source][0]}}))
+                code, _, err = run(capsys, "recognize", str(mpath))
+                assert code in (0, 1, 2), (source, target, kind)
+                if code == 2:
+                    assert err.startswith("ordua: error:"), (source, target, kind)
 
 
 # ----------------------------------------------------------- error handling

@@ -190,6 +190,14 @@ def test_dual_morphism_checks_hom_kind():
         dual_morphism(f, "dlat")
 
 
+@pytest.mark.parametrize("duality", ["msl", "dlat", "ddlat"])
+def test_dual_morphism_rejects_a_source_without_top(duality):
+    a2 = classify(validate_poset(["p", "q"], []))
+    f = StructureMorphism(a2, chain(2), (1, 1), "monotone")
+    with pytest.raises(KindMismatch, match="needs"):
+        dual_morphism(f, duality)
+
+
 def test_dual_morphism_requires_flat_maps_for_posets():
     # x -> p is monotone but not flat: up(q) would pull back to the empty set
     point = classify(validate_poset(["x"], []))

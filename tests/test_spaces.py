@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import brute_clopen_uppers, brute_upper_sets, brute_weakly_indecomposable
-from ordua import spaces
+from ordua import spaces, structures
 from ordua.corpus import all_preorders, all_posets_up_to
+from ordua.dualities import coherent_of_priestley, extended_image_check
 from ordua.errors import CarrierTooLarge, InputFormatError, NotPriestley, NotT0
 from ordua.spaces import (
     FiniteSpace,
@@ -246,7 +247,69 @@ def test_priestley_failing_pair_is_the_first_unseparated_pair():
                       if not ps.preorder.leq(x, y)
                       and not any(u >> x & 1 and not u >> y & 1 for u in uppers)),
                      None)
-        assert priestley_check(ps).failing_pair == first
+        report = priestley_check(ps)
+        assert report.failing_pair == first
+        assert list(report.clopen_uppers) == uppers
+
+
+def test_priestley_layer_lists_no_upper_sets(monkeypatch):
+    # the axioms, the weakly indecomposable sets, the coherent reduct and the
+    # extended images are decided on the n least clopen upper sets, never on
+    # the 2^40 clopen uppers of the discrete antichain
+    def refuse(up):
+        raise AssertionError("upper sets listed")
+
+    monkeypatch.setattr(structures, "_upper_sets", refuse)
+    n = 40
+    labels = [f"x{i}" for i in range(n)]
+    points = FiniteSpace.from_rows(labels, [1 << i for i in range(n)])
+    antichain = Preorder(labels, [1 << i for i in range(n)])
+    chain = Preorder(labels, [(1 << n) - (1 << i) for i in range(n)])
+    msl_image = {antichain: (False, {"kind": "top-not-weakly-indecomposable"}),
+                 chain: (True, None)}
+    for pre in (antichain, chain):
+        ps = PreorderedSpace(points, pre)
+        report = priestley_check(ps)
+        assert report.ok and report.rows == pre.up
+        assert list(weakly_indecomposable_clopen_uppers(ps).masks) == sorted(pre.up)
+        assert coherent_of_priestley(ps).minimal == pre.up
+        assert extended_image_check(ps, "coherent-poset") == (True, None)
+        assert extended_image_check(ps, "msl") == msl_image[pre]
+
+
+def _extended_image_by_definition(ps, variant):
+    """The extended-image check straight off its definition, on the brute
+    force weakly indecomposable clopen uppers."""
+    wi = brute_weakly_indecomposable(ps)
+    for x in range(ps.n):
+        for y in range(ps.n):
+            if not ps.preorder.leq(x, y) and not any(
+                    u >> x & 1 and not u >> y & 1 for u in wi):
+                return False, {"kind": "separation",
+                               "pair": (ps.labels[x], ps.labels[y])}
+    if variant == "msl":
+        if (1 << ps.n) - 1 not in wi:
+            return False, {"kind": "top-not-weakly-indecomposable"}
+        for a, b in itertools.combinations(wi, 2):
+            if a & b not in wi:
+                return False, {"kind": "intersection",
+                               "sets": ([ps.labels[i] for i in range(ps.n) if a >> i & 1],
+                                        [ps.labels[i] for i in range(ps.n) if b >> i & 1])}
+    return True, None
+
+
+def test_extended_image_check_matches_definition():
+    outcomes = set()
+    for ps in _spaces_over_small_posets():
+        for variant in ("coherent-poset", "msl"):
+            if not priestley_check(ps).ok:
+                with pytest.raises(NotPriestley):
+                    extended_image_check(ps, variant)
+                continue
+            got = extended_image_check(ps, variant)
+            assert got == _extended_image_by_definition(ps, variant)
+            outcomes.add((variant, got[0]))
+    assert outcomes == {("coherent-poset", True), ("msl", True), ("msl", False)}
 
 
 def test_weakly_indecomposable_needs_priestley():
