@@ -252,18 +252,17 @@ def roundtrip_check(d: Structure, bound: int | None = None
     uppers = _require_priestley(res.space).clopen_uppers.masks
     result = structure_from_closed_masks(res.space.labels, uppers)
     index = {m: i for i, m in enumerate(uppers)}
-    if d.n != result.n:
+    iso = tuple(index.get(m) for m in res.embedding)
+    if d.n != result.n or None in iso or len(set(iso)) != d.n:
         return False, result, None
-    iso = []
-    for m in res.embedding:
-        if m not in index:
+    # iso is a bijection, so it is an order isomorphism iff x <= y exactly
+    # when every prime filter holding x holds y: x's up-row is the meet of
+    # the prime filters containing x
+    primes = res.point_filters.masks
+    for x, m in enumerate(res.embedding):
+        row = d.base.full
+        for k in bits(m):
+            row &= primes[k]
+        if row != d.base.up[x]:
             return False, result, None
-        iso.append(index[m])
-    if len(set(iso)) != d.n:
-        return False, result, None
-    # iso is a bijection, so it is an order isomorphism iff it maps each
-    # up-row of d onto the up-row of its image
-    for i, row in enumerate(d.base.up):
-        if sum(1 << iso[j] for j in bits(row)) != result.base.up[iso[i]]:
-            return False, result, None
-    return True, result, tuple(iso)
+    return True, result, iso

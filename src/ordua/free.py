@@ -27,6 +27,7 @@ from ordua.structures import (
     Structure,
     StructureMorphism,
     Subset,
+    _hom_compatible,
     _is_monotone,
     _require_kind,
     _satisfies_kind,
@@ -124,23 +125,34 @@ def _is_flat_model(mapping, src: Structure, b: Structure) -> bool:
         return False
     if b.join_of(mapping) != b.top:
         return False
+    meet = b.meet
     for x in range(src.n):
         for y in range(x, src.n):
             common = src.base.dn[x] & src.base.dn[y]
             rhs = b.join_of(mapping[d] for d in bits(common))
-            if b.meet[mapping[x]][mapping[y]] != rhs:
+            if meet[mapping[x]][mapping[y]] != rhs:
                 return False
     return True
 
 
 def is_class_morphism(mapping, src: Structure, tgt: Structure, kind: str) -> bool:
     """Membership in the model class that the free kind is free for."""
+    return _class_test(src, tgt, kind)(mapping)
+
+
+def _class_test(src: Structure, tgt: Structure, kind: str):
+    """is_class_morphism's test for maps src -> tgt; raises KindMismatch at
+    once if the kinds do not support the class's homomorphisms."""
     if kind == "poset-monotone":
-        return _satisfies_kind(mapping, src, tgt, "monotone")
+        return lambda m: _satisfies_kind(m, src, tgt, "monotone")
     if kind == "poset-flat":
-        return _is_flat_model(mapping, src, tgt)
+        return lambda m: _is_flat_model(m, src, tgt)
     if kind in _HOM_KIND_OF:
-        return _satisfies_kind(mapping, src, tgt, _HOM_KIND_OF[kind])
+        hom_kind = _HOM_KIND_OF[kind]
+        reason = _hom_compatible(src, tgt, hom_kind)
+        if reason is not None:
+            raise KindMismatch(reason)
+        return lambda m: _satisfies_kind(m, src, tgt, hom_kind)
     raise InputFormatError(f"unknown free kind {kind!r}")
 
 
@@ -156,9 +168,9 @@ def universal_property_check(fr: FreeResult, atom_bound: int = 3
     npts = len(fr.points)
     for k in range(1, atom_bound + 1):
         b = powerset_structure(k)
-        wanted = sorted(
-            m for m in itertools.product(range(b.n), repeat=c.n)
-            if is_class_morphism(m, c, b, fr.kind))
+        member = _class_test(c, b, fr.kind)
+        wanted = sorted(m for m in itertools.product(range(b.n), repeat=c.n)
+                        if member(m))
         got = []
         for phi in itertools.product(range(npts), repeat=k):
             comp = []
@@ -189,15 +201,8 @@ def induced_boolean_hom(f: StructureMorphism, fr_src: FreeResult,
     if len(fr_src.points) > 12:
         raise CarrierTooLarge("induced hom table would exceed 2^12 entries")
     pm = inverse_image_map(f, fr_src.points.masks, fr_tgt.points.masks)
-    npts_t = len(fr_tgt.points)
-    out = []
-    for s in range(1 << len(fr_src.points)):
-        e = 0
-        for q in range(npts_t):
-            if s >> pm[q] & 1:
-                e |= 1 << q
-        out.append(e)
-    return tuple(out)
+    return tuple(sum(1 << q for q, k in enumerate(pm) if s >> k & 1)
+                 for s in range(1 << len(fr_src.points)))
 
 
 def _uppers_substructure(b: Structure, trace_rows: list[int], primes: list[int]
@@ -235,13 +240,7 @@ def recognize_free_boolean(i: StructureMorphism, duality_kind: str
     if len(set(i.map)) != i.source.n:
         raise NotInjective("map is not injective")
     primes = list(prime_filters(b).masks)
-    traces = []
-    for pm in primes:
-        tr = 0
-        for cidx in range(i.source.n):
-            if pm >> i.map[cidx] & 1:
-                tr |= 1 << cidx
-        traces.append(tr)
+    traces = [sum(1 << c for c, y in enumerate(i.map) if pm >> y & 1) for pm in primes]
     if len(set(traces)) != len(traces):
         # the trace comparison must be a partial order on the primes; for a
         # genuine unit the primes biject with the spectrum points via their
@@ -326,7 +325,8 @@ def thm22_oracle(d: Structure, bound: int | None = None) -> OracleResult:
     seeds = contains[d.bottom]
     for e in range(nn):
         seeds |= contains[e] & contains[nn + e]
-    pairs = [(a, b) for a in range(nn) for b in range(a, nn)]
+    meet, join = d.meet, d.join
+    pairs = [(a, b, join[a][b], meet[a][b]) for a in range(nn) for b in range(a, nn)]
 
     def close(i_bits: int) -> int:
         i_bits |= seeds
@@ -337,8 +337,7 @@ def thm22_oracle(d: Structure, bound: int | None = None) -> OracleResult:
             i_bits |= padded(i_bits, d.top)
             for e in range(nn):
                 i_bits |= padded(i_bits, e) & padded(i_bits, nn + e)
-            for a, b in pairs:
-                j, w = d.join[a][b], d.meet[a][b]
+            for a, b, j, w in pairs:
                 i_bits |= contains[j] & padded(i_bits, a) & padded(i_bits, b)
                 i_bits |= contains[a] & contains[b] & padded(i_bits, w)
                 # converse directions of the same biconditionals: a member
@@ -429,14 +428,14 @@ def supercompact_elements(s: Structure) -> Subset:
     Binary joins suffice in a finite lattice; the empty cover rules out the
     bottom.
     """
-    out = 0
+    out, join = 0, s.join
     for a in range(s.n):
         if a == s.bottom:
             continue
         good = True
         for x in range(s.n):
             for y in range(x, s.n):
-                j = s.join[x][y]
+                j = join[x][y]
                 if j is None or not s.leq(a, j):
                     continue
                 if not (s.leq(a, x) or s.leq(a, y)):

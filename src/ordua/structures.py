@@ -171,11 +171,7 @@ class Poset:
         labels = tuple(str(x) for x in labels)
         up = tuple(int(m) for m in up)
         n = len(labels)
-        if n == 0:
-            raise InputFormatError("carrier must be nonempty")
-        if len(set(labels)) != n:
-            dup = sorted(x for x in set(labels) if labels.count(x) > 1)
-            raise DuplicateLabel(f"duplicate labels {dup}")
+        self._index = _label_index(labels)
         if len(up) != n:
             raise InputFormatError("order rows do not match carrier size")
         full = (1 << n) - 1
@@ -195,7 +191,15 @@ class Poset:
         self.labels = labels
         self.up = up
         self.dn = tuple(dn)
-        self._index = {x: i for i, x in enumerate(labels)}
+
+    @classmethod
+    def _of_order(cls, labels, up, dn) -> "Poset":
+        """The poset on labels with up-rows up and down-rows dn, which must
+        already be a partial order and its transpose: only labels are checked."""
+        p = object.__new__(cls)
+        p.labels, p.up, p.dn = tuple(labels), tuple(up), tuple(dn)
+        p._index = _label_index(p.labels)
+        return p
 
     @property
     def n(self) -> int:
@@ -219,19 +223,11 @@ class Poset:
 
     def maximal_mask(self, mask: int | None = None) -> int:
         mask = self.full if mask is None else mask
-        out = 0
-        for i in bits(mask):
-            if self.up[i] & mask == 1 << i:
-                out |= 1 << i
-        return out
+        return sum(1 << i for i in bits(mask) if self.up[i] & mask == 1 << i)
 
     def minimal_mask(self, mask: int | None = None) -> int:
         mask = self.full if mask is None else mask
-        out = 0
-        for i in bits(mask):
-            if self.dn[i] & mask == 1 << i:
-                out |= 1 << i
-        return out
+        return sum(1 << i for i in bits(mask) if self.dn[i] & mask == 1 << i)
 
     def upper_set_masks(self, bound: int | None = None) -> list[int]:
         check_carrier(self.n, bound, "upper-set enumeration")
@@ -263,58 +259,82 @@ class Poset:
         return f"Poset({list(self.labels)}, {len(self.hasse_pairs())} covers)"
 
 
-def validate_poset(labels, pairs) -> Poset:
-    """Close a raw relation reflexively-transitively and certify it is a poset.
-
-    Raises DuplicateLabel / UnknownLabel / AntisymmetryViolation (with a cycle
-    witness) as appropriate.
-    """
-    labels = [str(x) for x in labels]
-    if len(set(labels)) != len(labels):
-        dup = sorted(x for x in set(labels) if labels.count(x) > 1)
-        raise DuplicateLabel(f"duplicate labels {dup}")
+def _label_index(labels: tuple[str, ...]) -> dict[str, int]:
+    """label -> index, for a nonempty carrier of distinct labels."""
     if not labels:
         raise InputFormatError("carrier must be nonempty")
     index = {x: i for i, x in enumerate(labels)}
+    if len(index) != len(labels):
+        dup = sorted(x for x in index if labels.count(x) > 1)
+        raise DuplicateLabel(f"duplicate labels {dup}")
+    return index
+
+
+def validate_poset(labels, pairs) -> Poset:
+    """Close a raw relation reflexively-transitively and certify it is a poset.
+
+    One pass in a topological order of the pairs' graph (Kahn) ORs each
+    point's successors' up-rows and its predecessors' down-rows. Raises
+    DuplicateLabel / UnknownLabel / AntisymmetryViolation (with a cycle
+    witness) as appropriate.
+    """
+    labels = tuple(str(x) for x in labels)
+    index = _label_index(labels)
     n = len(labels)
-    up = [1 << i for i in range(n)]
+    succ, pred = [0] * n, [0] * n
     for a, b in pairs:
         a, b = str(a), str(b)
         if a not in index:
             raise UnknownLabel(f"unknown label {a!r} in order pair")
         if b not in index:
             raise UnknownLabel(f"unknown label {b!r} in order pair")
-        up[index[a]] |= 1 << index[b]
-    up = transitive_closure(up)
-    for i in range(n):
-        for j in bits(up[i]):
-            if j != i and up[j] >> i & 1:
-                cycle = sorted(labels[x] for x in bits(up[i])
-                               if up[x] >> i & 1 and up[i] >> x & 1)
-                raise AntisymmetryViolation(cycle)
-    return Poset(labels, up)
+        i, j = index[a], index[b]
+        if i != j:
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
+    indegree = [popcount(r) for r in pred]
+    order = [i for i in range(n) if not indegree[i]]
+    for i in order:  # grows while it is read
+        for j in bits(succ[i]):
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < n:
+        up = transitive_closure((1 << i) | r for i, r in enumerate(succ))
+        for i, row in enumerate(up):
+            cycle = [x for x in bits(row) if up[x] >> i & 1]
+            if len(cycle) > 1:
+                raise AntisymmetryViolation(sorted(labels[x] for x in cycle))
+    up, dn = [1 << i for i in range(n)], [1 << i for i in range(n)]
+    for i in reversed(order):
+        for j in bits(succ[i]):
+            up[i] |= up[j]
+    for i in order:
+        for j in bits(pred[i]):
+            dn[i] |= dn[j]
+    return Poset._of_order(labels, up, dn)
 
 
 class Structure:
     """A poset together with whatever algebraic structure it supports.
 
-    meet/join are full n*n tables with None at undefined entries; kind is the
-    strongest of poset / meet-semilattice / dd-lattice / distributive-lattice /
-    boolean-algebra that applies (classify computes it).
+    kind is the strongest of poset / meet-semilattice / dd-lattice /
+    distributive-lattice / boolean-algebra that applies (classify computes
+    it). meet/join are n*n tables with None at undefined entries, built from
+    the order rows on first read and kept.
     """
 
-    __slots__ = ("base", "kind", "meet", "join", "top", "bottom", "complement")
+    __slots__ = ("base", "kind", "top", "bottom", "complement", "_ops")
 
-    def __init__(self, base: Poset, kind: str, meet, join, top, bottom, complement):
+    def __init__(self, base: Poset, kind: str, top, bottom, complement):
         if kind not in KIND_RANK:
             raise InputFormatError(f"unknown kind {kind!r}")
         self.base = base
         self.kind = kind
-        self.meet = meet
-        self.join = join
         self.top = top
         self.bottom = bottom
         self.complement = complement
+        self._ops = None
 
     @property
     def n(self) -> int:
@@ -334,22 +354,32 @@ class Structure:
         if self.rank() < KIND_RANK[kind]:
             raise KindMismatch(f"{op} needs kind >= {kind}, structure is {self.kind}")
 
+    meet = property(lambda self: self._operations()[0])
+    join = property(lambda self: self._operations()[1])
+
+    def _operations(self) -> tuple[list, list]:
+        # meets intersect down-rows, joins up-rows (distinct by antisymmetry)
+        if self._ops is None:
+            self._ops = _tables(self.base.dn, self.base.up)
+        return self._ops
+
     def with_kind(self, kind: str) -> "Structure":
-        return Structure(self.base, kind, self.meet, self.join, self.top,
-                         self.bottom, self.complement)
+        s = Structure(self.base, kind, self.top, self.bottom, self.complement)
+        s._ops = self._ops
+        return s
 
     def is_lattice(self) -> bool:
         return (self.top is not None and self.bottom is not None
-                and _total(self.meet) and _total(self.join))
+                and _closed(self.base.dn) and _closed(self.base.up))
 
     def join_of(self, indices) -> int | None:
         """Join of a finite family; the empty join is the bottom (None if absent)."""
-        acc = None
+        acc, join = None, self.join
         for i in indices:
             if acc is None:
                 acc = i
             else:
-                acc = self.join[acc][i]
+                acc = join[acc][i]
                 if acc is None:
                     return None
         return self.bottom if acc is None else acc
@@ -400,8 +430,11 @@ def _tables(meet_keys, join_keys) -> tuple[list, list]:
     return meet, join
 
 
-def _total(table) -> bool:
-    return all(None not in row for row in table)
+def _closed(rows) -> bool:
+    """Whether the rows are closed under pairwise intersection: for down-rows,
+    whether every pair has a meet; for up-rows, a join. Keeps nothing."""
+    keys = set(rows)
+    return all(a & b in keys for a, b in itertools.combinations(rows, 2))
 
 
 def join_irreducible_mask(p: Poset) -> int:
@@ -411,50 +444,52 @@ def join_irreducible_mask(p: Poset) -> int:
     return sum(1 << x for x, r in enumerate(p.dn) if r ^ (1 << x) in principal)
 
 
-def _is_distributive(p: Poset) -> list[int] | None:
-    """Birkhoff rows ji[x] = join-irreducibles below x of the lattice p, or
-    None if p is not distributive.
-
-    x -> ji[x] is injective, preserves meets and reflects order, so it
-    preserves joins, i.e. p is distributive, iff its image is closed under
-    union; by induction it suffices to add one irreducible's row at a time.
+def _birkhoff_rows(p: Poset) -> list[int] | None:
+    """Birkhoff rows ji[x] = join-irreducibles below x if x -> ji[x] maps p
+    onto the down-sets of the join-irreducibles isomorphically, i.e. p is a
+    distributive lattice; else None. ji is monotone and a minimal point's row
+    is empty, so it is such an isomorphism iff it is injective and ji[x] | j
+    is the row of some y >= x for every j minimal outside ji[x]: the image is
+    then closed along the covers of the down-sets, and ji^-1 monotone on them.
     """
     mask = join_irreducible_mask(p)
     ji = [r & mask for r in p.dn]
-    image = set(ji)
-    if all(r | ji[x] in image for r in ji for x in bits(mask)):
-        return ji
-    return None
+    element = {r: x for x, r in enumerate(ji)}
+    if len(element) != p.n:
+        return None
+    for x, r in enumerate(ji):
+        for j in bits(mask & ~r):
+            if ji[j] & ~r == 1 << j:
+                y = element.get(r | 1 << j)
+                if y is None or not p.up[x] >> y & 1:
+                    return None
+    return ji
 
 
 def classify(p: Poset) -> Structure:
-    """Compute the operation tables of p and the strongest kind they support."""
+    """The strongest kind p supports, decided from its order rows; only the
+    dd-lattice test, reached when p is not distributive, reads the tables."""
     top, bottom = _bounds(p)
-    # meets are down-row intersections, joins up-row intersections; rows are
-    # distinct by antisymmetry
-    meet, join = _tables(p.dn, p.up)
-    is_msl = top is not None and _total(meet)
-    is_lat = is_msl and bottom is not None and _total(join)
-    ji = _is_distributive(p) if is_lat else None
-    kind = "meet-semilattice" if is_msl else "poset"
-    complement = None
+    ji = _birkhoff_rows(p)
     if ji is not None:
-        kind = "distributive-lattice"
-        # distributive lattices are the down-sets of their join-irreducibles;
-        # Boolean iff those form an antichain, i.e. every subset is a down-set
-        if p.n == 1 << popcount(ji[top]):
-            kind = "boolean-algebra"
-            element = {r: x for x, r in enumerate(ji)}
-            complement = tuple(element[ji[top] ^ r] for r in ji)
-    elif is_msl and bottom is not None and _is_dd(p, meet, join, bottom):
-        kind = "dd-lattice"
-    return Structure(p, kind, meet, join, top, bottom, complement)
+        # Boolean iff the join-irreducibles form an antichain, i.e. every
+        # subset of them is a down-set
+        if p.n != 1 << popcount(ji[top]):
+            return Structure(p, "distributive-lattice", top, bottom, None)
+        element = {r: x for x, r in enumerate(ji)}
+        complement = tuple(element[ji[top] ^ r] for r in ji)
+        return Structure(p, "boolean-algebra", top, bottom, complement)
+    if top is None or not _closed(p.dn):
+        return Structure(p, "poset", top, bottom, None)
+    s = Structure(p, "meet-semilattice", top, bottom, None)
+    return s.with_kind("dd-lattice") if bottom is not None and _is_dd(s) else s
 
 
-def _is_dd(p: Poset, meet, join, bottom) -> bool:
+def _is_dd(s: Structure) -> bool:
     # Disjoint pairs must have joins, and meets must distribute over them;
     # finite induction lifts the pair case to arbitrary finite families.
-    n = p.n
+    meet, join, bottom = s.meet, s.join, s.bottom
+    n = s.n
     for a in range(n):
         for b in range(a, n):
             if meet[a][b] != bottom:
@@ -491,6 +526,11 @@ def structure_from_closed_masks(point_labels, masks) -> Structure:
     The family must contain the empty set and the full set; meets/joins are
     then set intersection/union, the lattice is distributive (a sublattice of a
     powerset), and it is Boolean exactly when closed under set complement.
+
+    Decided per point: the members are up-sets of the preorder least[x] =
+    meet of the members holding x, and the family is closed iff they are all
+    of them. The members above m hold every point of m, those below it no
+    point outside it.
     """
     point_labels = tuple(str(x) for x in point_labels)
     masks = tuple(sorted(set(int(m) for m in masks)))
@@ -498,17 +538,30 @@ def structure_from_closed_masks(point_labels, masks) -> Structure:
     # sorted, so every mask lies in the carrier once the ends are empty and full
     if not masks or masks[0] != 0 or masks[-1] != full:
         raise InputFormatError("closed family must contain the empty and full sets")
-    # complements intersect to the complement of the union, so they key joins
-    complements = [full ^ m for m in masks]
-    meet, join = _tables(masks, complements)
-    if not (_total(meet) and _total(join)):
+    least = [full] * len(point_labels)
+    holders = [0] * len(point_labels)  # index masks of the members holding x
+    for k, m in enumerate(masks):
+        for x in bits(m):
+            least[x] &= m
+            holders[x] |= 1 << k
+    if upper_sets(least, len(masks) + 1) != list(masks):
         raise InputFormatError("set family is not closed under union/intersection")
+    every = (1 << len(masks)) - 1
+    up, dn = [], []
+    for m in masks:
+        above = below = every
+        for x in bits(m):
+            above &= holders[x]
+        for x in bits(full ^ m):
+            below &= ~holders[x]
+        up.append(above)
+        dn.append(below)
     idx = {m: i for i, m in enumerate(masks)}
-    comp = tuple(idx.get(c) for c in complements)
+    comp = tuple(idx.get(full ^ m) for m in masks)
     boolean = None not in comp
-    base = Poset([_set_label(point_labels, m) for m in masks], inclusion_rows(masks))
+    base = Poset._of_order([_set_label(point_labels, m) for m in masks], up, dn)
     return Structure(base, "boolean-algebra" if boolean else "distributive-lattice",
-                     meet, join, len(masks) - 1, 0, comp if boolean else None)
+                     len(masks) - 1, 0, comp if boolean else None)
 
 
 def powerset_structure(k: int, point_labels=None) -> Structure:
@@ -566,9 +619,9 @@ def disjunctive_filters(s: Structure) -> SetFamily:
     joining above it as soon as this holds for every disjoint pair.
     """
     s.require("dd-lattice", "disjunctive_filters")
-    bot = s.bottom
-    pairs = [(a, b, s.join[a][b]) for a in range(s.n) for b in range(a + 1, s.n)
-             if bot not in (a, b) and s.meet[a][b] == bot]
+    bot, meet, join = s.bottom, s.meet, s.join
+    pairs = [(a, b, join[a][b]) for a in range(s.n) for b in range(a + 1, s.n)
+             if bot not in (a, b) and meet[a][b] == bot]
     out = []
     for x in range(s.n):
         if x != bot and all(not s.leq(x, j) or s.leq(x, a) or s.leq(x, b)
@@ -590,6 +643,7 @@ def indecomposable_elements(s: Structure) -> Subset:
 def _components_below(s: Structure, d: int) -> list[int]:
     """Joins of the connectivity classes (under meet != 0) of join-irreducibles <= d."""
     comps: list[int] = []
+    meet = s.meet
     unseen = set(bits(join_irreducible_mask(s.base) & s.base.dn[d]))
     while unseen:
         seed = unseen.pop()
@@ -597,7 +651,7 @@ def _components_below(s: Structure, d: int) -> list[int]:
         frontier = [seed]
         while frontier:
             v = frontier.pop()
-            linked = [w for w in unseen if s.meet[v][w] != s.bottom]
+            linked = [w for w in unseen if meet[v][w] != s.bottom]
             for w in linked:
                 unseen.remove(w)
                 block.append(w)
@@ -618,13 +672,8 @@ def disjunctively_compact_elements(s: Structure) -> Subset:
     s.require("distributive-lattice", "disjunctively_compact_elements")
     out = 0
     for d in range(s.n):
-        compact = True
-        for c in _components_below(s, d):
-            avoid = [x for x in bits(s.base.dn[d]) if not s.leq(c, x)]
-            if s.join_of(avoid) == d:
-                compact = False
-                break
-        if compact:
+        if all(s.join_of(x for x in bits(s.base.dn[d]) if not s.leq(c, x)) != d
+               for c in _components_below(s, d)):
             out |= 1 << d
     return Subset(s.n, out)
 
@@ -700,42 +749,32 @@ def is_flat_map(f: StructureMorphism) -> tuple[bool, dict | None]:
         if not any(tgt.leq(d, f.map[c]) for c in range(src.n)):
             return False, {"condition": "covering", "d": tgt.labels[d]}
     for d in range(tgt.n):
-        for c in range(src.n):
-            if not tgt.leq(d, f.map[c]):
-                continue
-            for c2 in range(src.n):
-                if not tgt.leq(d, f.map[c2]):
-                    continue
-                ok = any(src.leq(c3, c) and src.leq(c3, c2) and tgt.leq(d, f.map[c3])
-                         for c3 in range(src.n))
-                if not ok:
+        above = [c for c in range(src.n) if tgt.leq(d, f.map[c])]
+        for c in above:
+            for c2 in above:
+                if not any(src.leq(c3, c) and src.leq(c3, c2) for c3 in above):
                     return False, {"condition": "directedness",
                                    "d": tgt.labels[d],
                                    "c": src.labels[c], "c'": src.labels[c2]}
     return True, None
 
 
+_HOM_NEEDS = {
+    "meet-hom": ("meet-semilattices", lambda s: s.rank() >= 1),
+    "lattice-hom": ("bounded lattices", lambda s: s.is_lattice()),
+    "boolean-hom": ("boolean algebras", lambda s: s.kind == "boolean-algebra"),
+    "disjunctive-hom": ("dd-lattices", lambda s: s.rank() >= KIND_RANK["dd-lattice"]),
+}
+
+
 def _hom_compatible(src: Structure, tgt: Structure, kind: str) -> str | None:
     """None if the kinds support this morphism kind, else the reason."""
     if kind in ("monotone", "flat"):
         return None
-    if kind == "meet-hom":
-        if src.rank() < 1 or tgt.rank() < 1:
-            return "meet-hom needs meet-semilattices"
-        return None
-    if kind == "lattice-hom":
-        if not (src.is_lattice() and tgt.is_lattice()):
-            return "lattice-hom needs bounded lattices"
-        return None
-    if kind == "boolean-hom":
-        if src.kind != "boolean-algebra" or tgt.kind != "boolean-algebra":
-            return "boolean-hom needs boolean algebras"
-        return None
-    if kind == "disjunctive-hom":
-        if src.rank() < KIND_RANK["dd-lattice"] or tgt.rank() < KIND_RANK["dd-lattice"]:
-            return "disjunctive-hom needs dd-lattices"
-        return None
-    return f"unknown morphism kind {kind!r}"
+    if kind not in _HOM_NEEDS:
+        return f"unknown morphism kind {kind!r}"
+    what, holds = _HOM_NEEDS[kind]
+    return None if holds(src) and holds(tgt) else f"{kind} needs {what}"
 
 
 def _satisfies_kind(map, src: Structure, tgt: Structure, kind: str) -> bool:
@@ -746,44 +785,35 @@ def _satisfies_kind(map, src: Structure, tgt: Structure, kind: str) -> bool:
     if kind == "flat":
         ok, _ = is_flat_map(StructureMorphism(src, tgt, map, "flat"))
         return ok
-    n = src.n
-    if kind in ("meet-hom", "lattice-hom", "boolean-hom", "disjunctive-hom"):
-        if map[src.top] != tgt.top:
-            return False
-        for a in range(n):
-            for b in range(a + 1, n):
-                if map[src.meet[a][b]] != tgt.meet[map[a]][map[b]]:
-                    return False
+    if kind not in _HOM_NEEDS:
+        raise InputFormatError(f"unknown morphism kind {kind!r}")
+    n, smeet, sjoin, tmeet, tjoin = src.n, src.meet, src.join, tgt.meet, tgt.join
+    if map[src.top] != tgt.top:
+        return False
+    for a in range(n):
+        for b in range(a + 1, n):
+            if map[smeet[a][b]] != tmeet[map[a]][map[b]]:
+                return False
     if kind == "meet-hom":
         return True
-    if kind in ("lattice-hom", "boolean-hom"):
-        if map[src.bottom] != tgt.bottom:
-            return False
-        for a in range(n):
-            for b in range(a + 1, n):
-                if map[src.join[a][b]] != tgt.join[map[a]][map[b]]:
-                    return False
-        if kind == "boolean-hom":
-            for a in range(n):
-                if map[src.complement[a]] != tgt.complement[map[a]]:
-                    return False
-        return True
+    if map[src.bottom] != tgt.bottom:
+        return False
     if kind == "disjunctive-hom":
         # Meet-hom preserving joins of pairwise-disjoint families; the empty
         # family forces bottom to bottom, and pairs suffice by induction.
-        if map[src.bottom] != tgt.bottom:
-            return False
         for a in range(n):
             for b in range(a + 1, n):
-                if src.meet[a][b] != src.bottom:
-                    continue
-                j = src.join[a][b]
-                if j is None:
-                    continue
-                if tgt.join[map[a]][map[b]] != map[j]:
+                j = sjoin[a][b]
+                if (smeet[a][b] == src.bottom and j is not None
+                        and tjoin[map[a]][map[b]] != map[j]):
                     return False
         return True
-    raise InputFormatError(f"unknown morphism kind {kind!r}")
+    for a in range(n):
+        for b in range(a + 1, n):
+            if map[sjoin[a][b]] != tjoin[map[a]][map[b]]:
+                return False
+    return kind == "lattice-hom" or all(
+        map[src.complement[a]] == tgt.complement[map[a]] for a in range(n))
 
 
 def is_homomorphism(f: StructureMorphism) -> bool:

@@ -96,6 +96,83 @@ def brute_complement(s: Structure, a: int) -> int | None:
     return None
 
 
+def brute_tables(s: Structure) -> tuple[dict, dict]:
+    """Meet and join of every ordered pair by the definitions of brute_meet
+    and brute_join (the common lower bound above every other one, and
+    dually), on the down- and up-sets of s taken once as Python sets."""
+    rng = range(s.n)
+    below = [{y for y in rng if s.leq(y, x)} for x in rng]
+    above = [{y for y in rng if s.leq(x, y)} for x in rng]
+
+    def extreme(bounds, cone):
+        return next((x for x in sorted(bounds) if bounds <= cone[x]), None)
+
+    pairs = [(a, b) for a in rng for b in rng]
+    return ({(a, b): extreme(below[a] & below[b], below) for a, b in pairs},
+            {(a, b): extreme(above[a] & above[b], above) for a, b in pairs})
+
+
+def brute_kind(s: Structure, meet: dict, join: dict) -> str:
+    """The strongest kind of s straight from the definitions, given its
+    brute-force tables: a top and all meets, then the distributive law (with
+    complements), else meets distributing over the joins of disjoint pairs."""
+    rng = range(s.n)
+    top = [x for x in rng if all(s.leq(y, x) for y in rng)]
+    bottom = [x for x in rng if all(s.leq(x, y) for y in rng)]
+    if not top or None in meet.values():
+        return "poset"
+    if not bottom:
+        return "meet-semilattice"
+    m = [[meet[a, b] for b in rng] for a in rng]
+    j = [[join[a, b] for b in rng] for a in rng]
+    if None not in join.values() and all(
+            m[a][j[b][c]] == j[m[a][b]][m[a][c]]
+            for b, c in itertools.combinations(rng, 2) for a in rng):
+        if all(brute_complement(s, a) is not None for a in rng):
+            return "boolean-algebra"
+        return "distributive-lattice"
+    if all(join[a, b] is not None
+           and all(meet[c, join[a, b]] == join[meet[c, a], meet[c, b]] for c in rng)
+           for a in rng for b in rng if meet[a, b] == bottom[0]):
+        return "dd-lattice"
+    return "meet-semilattice"
+
+
+def brute_closed_family(n_points: int, masks):
+    """The error message structure_from_closed_masks must give for a family of
+    subsets of n_points points, or, if the family is closed, its inclusion
+    up-rows in ascending mask order; decided by every pairwise union and
+    intersection."""
+    masks = sorted(set(masks))
+    if not masks or masks[0] != 0 or masks[-1] != (1 << n_points) - 1:
+        return "closed family must contain the empty and full sets"
+    family = set(masks)
+    if any(a | b not in family or a & b not in family for a in masks for b in masks):
+        return "set family is not closed under union/intersection"
+    return [sum(1 << k for k, b in enumerate(masks) if not a & ~b) for a in masks]
+
+
+def warshall_poset(labels, pairs):
+    """(up-rows, None) of the reflexive-transitive closure of a relation
+    (Warshall on a boolean matrix), or (None, cycle) if it has one: the sorted
+    labels of the class of mutually related points holding the least point
+    on a cycle."""
+    n = len(labels)
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in pairs:
+        reach[labels.index(a)][labels.index(b)] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    for i in range(n):
+        cycle = [x for x in range(n) if reach[i][x] and reach[x][i]]
+        if len(cycle) > 1:
+            return None, sorted(labels[x] for x in cycle)
+    return [sum(1 << j for j in range(n) if reach[i][j]) for i in range(n)], None
+
+
 def shuffled(p: Poset, rng) -> Poset:
     """p with its carrier indices permuted at random, so that index order
     need not be a linear extension."""

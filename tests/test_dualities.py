@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_upper_sets, lower_set_lattice, shuffled
-from ordua import dualities
+from ordua import dualities, structures
 from ordua.corpus import all_posets, all_posets_up_to, random_poset
 from ordua.errors import KindMismatch, NotPriestley
 from ordua.dualities import (
@@ -24,10 +24,13 @@ from ordua.dualities import (
     stone_spectrum,
     upper_elements,
 )
+from ordua.free import free_boolean
 from ordua.spaces import FiniteSpace, Preorder, PreorderedSpace, priestley_check
 from ordua.structures import (
     StructureMorphism,
     classify,
+    powerset_structure,
+    prime_filters,
     validate_poset,
 )
 from ordua.structures import bits
@@ -299,3 +302,25 @@ def test_poset_spectrum_open_space_is_the_lower_set_witnesses():
                 f_u |= res.embedding[i]
             witnesses.add(f_u)
         assert res.auxiliary["A"].opens.masks == tuple(sorted(witnesses))
+
+
+def test_lattice_path_builds_no_tables(monkeypatch):
+    """classify, the prime filters, the Priestley dual, the round trip and
+    the free Boolean algebra decide everything from order rows, so they run
+    on 2^10 and on a 10-point down-set lattice with no meet/join table."""
+    lattices = [(powerset_structure(10).base, "boolean-algebra"),
+                (lower_set_lattice(random_poset(random.Random(3), 10, 0.2)).base,
+                 "distributive-lattice")]
+
+    def no_tables(*args):
+        raise AssertionError("built an n*n meet/join table")
+
+    monkeypatch.setattr(structures, "_tables", no_tables)
+    for base, kind in lattices:
+        s = classify(base)
+        assert s.kind == kind
+        assert len(prime_filters(s)) == 10
+        assert priestley_of_dlat(s).n_points == 10
+        ok, rebuilt, iso = roundtrip_check(s)
+        assert ok and rebuilt.n == s.n and sorted(iso) == list(range(s.n))
+        assert free_boolean(s, "dlat").size == 1 << 10

@@ -55,6 +55,15 @@ def m3():
         [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")]))
 
 
+def test_is_class_morphism_rejects_kinds_without_the_class_homs():
+    # the antichain has no top, so it has no meet-homs, lattice homs or
+    # disjunctive homs out of it
+    for kind in ("msl", "dlat", "ddlat"):
+        with pytest.raises(KindMismatch):
+            free.is_class_morphism((1, 1), antichain(2), chain(2), kind)
+    assert free.is_class_morphism((0, 1), antichain(2), chain(2), "poset-monotone")
+
+
 # --------------------------------------------------------------- frozen sizes
 
 def test_free_boolean_sizes():

@@ -9,15 +9,19 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_canonical,
+    brute_closed_family,
     brute_complement,
     brute_disjunctive_filters,
     brute_filters,
     brute_join,
+    brute_kind,
     brute_meet,
     brute_prime_filters,
+    brute_tables,
     brute_upper_sets,
     lower_set_lattice,
     shuffled,
+    warshall_poset,
 )
 from ordua.corpus import _labelled_down_rows, all_posets, all_posets_up_to, random_poset
 from ordua.errors import (
@@ -99,6 +103,41 @@ def test_validate_poset_rejects_duplicate_labels():
 def test_validate_poset_rejects_unknown_label():
     with pytest.raises(UnknownLabel):
         validate_poset(["x"], [("x", "w")])
+
+
+def _random_relation(rng):
+    """Random labels and pairs: mostly along a hidden linear order, with a
+    few pairs against it (which may close a cycle), self-pairs and repeats."""
+    n = rng.randint(1, 8)
+    labels = [f"v{i}" for i in rng.sample(range(20), n)]
+    forward = rng.random()
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i, n)
+             if rng.random() < forward / 2]
+    pairs += [(labels[j], labels[i]) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < 0.08]
+    pairs += rng.sample(pairs, min(2, len(pairs)))
+    rng.shuffle(pairs)
+    return labels, pairs
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_validate_poset_matches_warshall(block):
+    rng = random.Random(block)
+    outcomes = set()
+    for _ in range(40):
+        labels, pairs = _random_relation(rng)
+        up, cycle = warshall_poset(labels, pairs)
+        outcomes.add(cycle is None)
+        if cycle is not None:
+            with pytest.raises(AntisymmetryViolation) as err:
+                validate_poset(labels, pairs)
+            assert err.value.cycle == cycle
+            continue
+        p = validate_poset(labels, pairs)
+        assert p.labels == tuple(labels) and list(p.up) == up
+        assert list(p.dn) == [sum(1 << i for i in range(p.n) if up[i] >> j & 1)
+                              for j in range(p.n)]
+    assert outcomes == {True, False}
 
 
 def test_poset_requires_nonempty_carrier():
@@ -205,6 +244,66 @@ def test_closed_family_tables_match_definition(seed):
 def test_structure_from_closed_masks_rejects_bad_families(labels, masks, message):
     with pytest.raises(InputFormatError, match=message):
         structure_from_closed_masks(labels, masks)
+
+
+def _random_family(rng):
+    """A random family of subsets of up to 5 points, usually with the empty
+    and full sets added, and closed under union and intersection about half
+    of the time."""
+    npts = rng.randint(0, 5)
+    full = (1 << npts) - 1
+    family = {rng.randrange(1 << npts) for _ in range(rng.randint(0, 6))}
+    if rng.random() < 0.9:
+        family |= {0, full}
+    if rng.random() < 0.5:
+        grown = None
+        while grown != family:
+            grown = set(family)
+            family |= {a | b for a in grown for b in grown}
+            family |= {a & b for a in grown for b in grown}
+    return [f"x{i}" for i in range(npts)], sorted(family)
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_structure_from_closed_masks_matches_pairwise_reference(block):
+    rng = random.Random(100 + block)
+    outcomes = set()
+    for _ in range(30):
+        labels, masks = _random_family(rng)
+        expected = brute_closed_family(len(labels), masks)
+        outcomes.add(isinstance(expected, str))
+        if isinstance(expected, str):
+            with pytest.raises(InputFormatError) as err:
+                structure_from_closed_masks(labels, masks)
+            assert str(err.value) == expected
+            continue
+        s = structure_from_closed_masks(labels, masks)
+        assert list(s.base.up) == expected
+        assert list(s.base.dn) == [
+            sum(1 << i for i in range(s.n) if expected[i] >> j & 1) for j in range(s.n)]
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_classify_matches_brute_force_up_to_6_points(n):
+    """Every poset on n points and its lower-set lattice, as classify sees it
+    and as structure_from_closed_masks builds it."""
+    for p in all_posets(n):
+        lattice = lower_set_lattice(p)
+        for group in ([classify(p)], [lattice, classify(lattice.base)]):
+            s = group[0]
+            meet, join = brute_tables(s)
+            rng = range(s.n)
+            kind = brute_kind(s, meet, join)
+            top = next((x for x in rng if all(s.leq(y, x) for y in rng)), None)
+            bottom = next((x for x in rng if all(s.leq(x, y) for y in rng)), None)
+            complements = (tuple(brute_complement(s, a) for a in rng)
+                           if kind == "boolean-algebra" else None)
+            for t in group:
+                assert (t.kind, t.top, t.bottom, t.complement) == (
+                    kind, top, bottom, complements)
+                assert t.meet == [[meet[a, b] for b in rng] for a in rng]
+                assert t.join == [[join[a, b] for b in rng] for a in rng]
 
 
 def _product_2x3():
