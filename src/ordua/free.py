@@ -32,6 +32,7 @@ from ordua.structures import (
     _require_kind,
     _satisfies_kind,
     bits,
+    check_carrier,
     classify,
     disjunctively_compact_elements,
     inclusion_rows,
@@ -215,10 +216,10 @@ def _uppers_substructure(b: Structure, trace_rows: list[int], primes: list[int]
     up-set lattice of the trace preorder (Birkhoff). Returns it with the
     b-element of each of its elements.
     """
-    atom = [b.base.minimal_mask(pm).bit_length() - 1 for pm in primes]
+    atom = {row: x for x, row in enumerate(b.base.up)}
     ups = upper_sets(trace_rows)
     sub = structure_from_closed_masks([f"t{k}" for k in range(len(primes))], ups)
-    return sub, [b.join_of(atom[k] for k in bits(u)) for u in ups]
+    return sub, [b.join_of(atom[primes[k]] for k in bits(u)) for u in ups]
 
 
 def recognize_free_boolean(i: StructureMorphism, duality_kind: str
@@ -289,17 +290,29 @@ class OracleResult:
         self.unit = tuple(unit)
 
 
+def _saturate(start, gens, op, close=lambda z: z) -> set[int]:
+    """start closed under x -> close(op(x, g)), g in gens; close sees new values only."""
+    out, frontier = set(start), set(start)
+    while frontier:
+        new = {op(x, g) for x in frontier for g in gens} - out
+        frontier = {close(z) for z in new} - out
+        out |= frontier
+    return out
+
+
 def thm22_oracle(d: Structure, bound: int | None = None) -> OracleResult:
     """Present the free Boolean algebra on a distributive lattice by
     generators and relations, independently of any spectrum.
 
     Works over ground subsets of the doubled carrier (second copy = starred).
     A member of the frame is an upward-closed family closed under the
-    covering rules induced by the defining sequents (both directions of the
-    meet and join biconditionals, the bounds, and the complement axioms);
-    the frame is the join-closure (join = closure of union) of the closures
-    of principal families, and the unit sends d to the closure of the
-    principal family at {d}.
+    covering rules of the defining sequents (both directions of the meet and
+    join biconditionals, the bounds, the complement axioms). The rules act
+    alike in every context, so (coverage theorem: Johnstone, Stone Spaces,
+    II.2.11) the closure of the principal family at g is the meet of the
+    generators, the closures at {e} for e in g. The frame is the join-closure
+    (join = closure of union) of these meets, reached by joining members with
+    them only, as close(close(A) | B) = close(A | B); d goes to its generator.
     """
     d.require("distributive-lattice", "thm22_oracle")
     cap = 3 if bound is None else bound
@@ -308,12 +321,10 @@ def thm22_oracle(d: Structure, bound: int | None = None) -> OracleResult:
             f"oracle bound is {cap}, carrier has {d.n} elements")
     nn = d.n
     m = 2 * nn
-    ground = 1 << m
-    fullbits = (1 << ground) - 1
-    contains = [0] * m
-    for g in range(ground):
-        for e in bits(g):
-            contains[e] |= 1 << g
+    fullbits = (1 << (1 << m)) - 1
+    # bit g of contains[e] is bit e of g: runs of 2^e zeros then 2^e ones
+    contains = [fullbits // ((1 << (2 << e)) - 1) * (((1 << (1 << e)) - 1) << (1 << e))
+                for e in range(m)]
     without = [fullbits ^ a for a in contains]
 
     def padded(i_bits: int, e: int) -> int:
@@ -349,26 +360,14 @@ def thm22_oracle(d: Structure, bound: int | None = None) -> OracleResult:
             if i_bits == prev:
                 return i_bits
 
-    principals = sorted({close(1 << g) for g in range(ground)} | {close(0)})
-    members = set(principals)
-    frontier = list(principals)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(members):
-                z = close(x | y)
-                if z not in members:
-                    members.add(z)
-                    nxt.append(z)
-        frontier = nxt
-    members = sorted(members)
-    index = {v: k for k, v in enumerate(members)}
+    gens = [close(1 << (1 << e)) for e in range(m)]
+    principals = _saturate({close(1), close(0)}, gens, int.__and__)
+    members = sorted(_saturate(principals, list(principals), int.__or__, close))
     labels = [f"m{k}" for k in range(len(members))]
     structure = classify(Poset(labels, inclusion_rows(members)))
-    unit = [index[close(1 << (1 << e))] for e in range(nn)]
+    unit = [members.index(gens[e]) for e in range(nn)]
     doubled = list(d.labels) + [x + "*" for x in d.labels]
-    family = ClosureFamily(d.labels, doubled, members)
-    return OracleResult(family, structure, unit)
+    return OracleResult(ClosureFamily(d.labels, doubled, members), structure, unit)
 
 
 def _free_dlat(s: Structure, kind: str, bound: int | None) -> FreeResult:
@@ -398,7 +397,8 @@ def free_dlat_on_ddlat(d: Structure, bound: int | None = None) -> FreeResult:
 
 def free_frame_on_poset(p: Poset, bound: int | None = None) -> FreeResult:
     """Free frame on a poset: the frame of lower sets, unit x -> down-set of x."""
-    element_masks = p.lower_set_masks(bound)
+    check_carrier(p.n, bound, "lower-set enumeration")
+    element_masks = upper_sets(p.dn, MATERIALIZE_CAP + 1)
     if len(element_masks) > MATERIALIZE_CAP:
         raise CarrierTooLarge("free frame exceeds the size cap")
     pts = [1 << i for i in range(p.n)]

@@ -19,7 +19,6 @@ from ordua.structures import (
     StructureMorphism,
     _set_label,
     bits,
-    filter_point_label,
     inclusion_rows,
 )
 
@@ -73,7 +72,9 @@ def spectrum(s: Structure, kind: str, bound: int | None = None) -> Spectrum:
         points = structures.disjunctive_filters(s)
     else:
         raise InputFormatError(f"unknown free kind {kind!r}")
-    return Spectrum(points, [filter_point_label(s, m) for m in points])
+    # every point of these kinds is a principal up-row ^x
+    least = {row: x for x, row in enumerate(s.base.up)}
+    return Spectrum(points, ["^" + s.labels[least[m]] for m in points])
 
 
 def inverse_image_map(f: StructureMorphism, src_points, tgt_points

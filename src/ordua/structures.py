@@ -225,10 +225,6 @@ class Poset:
         mask = self.full if mask is None else mask
         return sum(1 << i for i in bits(mask) if self.up[i] & mask == 1 << i)
 
-    def minimal_mask(self, mask: int | None = None) -> int:
-        mask = self.full if mask is None else mask
-        return sum(1 << i for i in bits(mask) if self.dn[i] & mask == 1 << i)
-
     def upper_set_masks(self, bound: int | None = None) -> list[int]:
         check_carrier(self.n, bound, "upper-set enumeration")
         return upper_sets(self.up)
@@ -575,14 +571,6 @@ def chain_structure(n: int) -> Structure:
     labels = [str(i) for i in range(n)]
     up = [((1 << n) - 1) ^ ((1 << i) - 1) for i in range(n)]
     return classify(Poset(labels, up))
-
-
-def filter_point_label(s: Structure, mask: int) -> str:
-    """Label for a spectrum point: '^x' by least element when principal."""
-    least = s.base.minimal_mask(mask)
-    if popcount(least) == 1:
-        return "^" + s.labels[least.bit_length() - 1]
-    return "{" + ",".join(s.labels[i] for i in bits(mask)) + "}"
 
 
 def filters(s: Structure, bound: int | None = None) -> SetFamily:

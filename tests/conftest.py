@@ -233,6 +233,57 @@ def brute_disjunctive_filters(s: Structure) -> list[int]:
     return out
 
 
+def brute_oracle_members(d: Structure) -> list[int]:
+    """The members of the Theorem 2.2 presented frame on d, ascending, by
+    closing every ground subset's principal family and then joining every
+    pair of members until nothing new appears.
+
+    A family is a bitset over the ground subsets g of the doubled carrier
+    (element e + n is e starred); bit g is set when g is in the family. The
+    closure rules are those of ``ordua.free.thm22_oracle``, applied by a
+    fixpoint loop with no use of generators.
+    """
+    n, m = d.n, 2 * d.n
+    ground = 1 << m
+    contains = [sum(1 << g for g in range(ground) if g >> e & 1) for e in range(m)]
+
+    def padded(fam: int, e: int) -> int:
+        # bit g set iff g | {e} is in fam
+        inside = fam & contains[e]
+        return inside | inside >> (1 << e)
+
+    seeds = contains[d.bottom]
+    for e in range(n):
+        seeds |= contains[e] & contains[n + e]
+
+    def close(fam: int) -> int:
+        fam |= seeds
+        while True:
+            prev = fam
+            for e in range(m):
+                fam |= (fam & ~contains[e]) << (1 << e)
+            fam |= padded(fam, d.top)
+            for e in range(n):
+                fam |= padded(fam, e) & padded(fam, n + e)
+            for a in range(n):
+                for b in range(a, n):
+                    j, w = d.join[a][b], d.meet[a][b]
+                    fam |= contains[j] & padded(fam, a) & padded(fam, b)
+                    fam |= contains[a] & contains[b] & padded(fam, w)
+                    fam |= contains[a] & padded(fam, j)
+                    fam |= contains[b] & padded(fam, j)
+                    fam |= contains[w] & padded(padded(fam, a), b)
+            if fam == prev:
+                return fam
+
+    members = {close(1 << g) for g in range(ground)} | {close(0)}
+    while True:
+        joined = {close(x | y) for x in members for y in members} | members
+        if joined == members:
+            return sorted(members)
+        members = joined
+
+
 def lower_set_lattice(p) -> Structure:
     return structure_from_closed_masks(p.labels, p.lower_set_masks())
 

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lower_set_lattice
-from ordua import free
-from ordua.corpus import all_posets_up_to
+from conftest import brute_oracle_members, lower_set_lattice
+from ordua import free, structures
+from ordua.corpus import all_posets, all_posets_up_to
 from ordua.errors import CarrierTooLarge, KindMismatch, NotInjective, OracleBoundExceeded
 from ordua.free import (
     MATERIALIZE_CAP,
@@ -19,7 +19,9 @@ from ordua.free import (
     thm22_oracle,
     universal_property_check,
 )
+from ordua.spectra import spectrum
 from ordua.structures import (
+    KIND_RANK,
     StructureMorphism,
     classify,
     filters,
@@ -134,6 +136,38 @@ def test_oracle_matches_free_on_the_diamond():
     assert orc.structure.n == fb.size == 4
     assert order_isomorphism(orc.structure.base, fb.structure.base,
                              pins=dict(zip(orc.unit, fb.unit))) is not None
+
+
+def distributive_lattices(n: int):
+    rank = KIND_RANK["distributive-lattice"]
+    return [s for s in map(classify, all_posets(n)) if s.rank() >= rank]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_oracle_members_match_the_full_scan(n):
+    for d in distributive_lattices(n):
+        assert list(thm22_oracle(d, 5).family.members) == brute_oracle_members(d)
+
+
+def test_oracle_matches_free_on_six_element_lattices():
+    lattices = distributive_lattices(6)
+    assert len(lattices) == 5
+    for d in lattices:
+        orc = thm22_oracle(d, 6)
+        fb = free_boolean(d, "dlat")
+        assert orc.structure.n == fb.size
+        assert order_isomorphism(orc.structure.base, fb.structure.base,
+                                 pins=dict(zip(orc.unit, fb.unit))) is not None
+
+
+def test_oracle_uses_no_spectrum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle must not read a spectrum")
+
+    for name in ("spectrum", "prime_filters", "free_boolean"):
+        monkeypatch.setattr(free, name, refuse)
+    for d in (chain(4), diamond()):
+        assert list(thm22_oracle(d, 4).family.members) == brute_oracle_members(d)
 
 
 def test_oracle_default_bound():
@@ -303,6 +337,37 @@ def test_free_frame_on_antichain():
     fr = free_frame_on_poset(antichain(3).base)
     assert fr.size == 8
     assert len(frame_supercompacts(fr)) == 3
+
+
+def test_free_frame_stops_enumerating_past_the_cap(monkeypatch):
+    # the 24-point antichain has 2^24 lower sets
+    yielded = []
+    enumerate_upper_sets = structures._upper_sets
+
+    def counting(up):
+        for mask in enumerate_upper_sets(up):
+            yielded.append(mask)
+            yield mask
+
+    monkeypatch.setattr(structures, "_upper_sets", counting)
+    with pytest.raises(CarrierTooLarge, match="free frame exceeds the size cap"):
+        free_frame_on_poset(antichain(24).base, 24)
+    assert len(yielded) <= MATERIALIZE_CAP + 1
+    with pytest.raises(CarrierTooLarge, match="carrier <= 24, got 25"):
+        free_frame_on_poset(antichain(25).base, 24)
+
+
+@pytest.mark.parametrize("kind", ["poset-flat", "msl", "dlat", "ddlat"])
+def test_filter_spectrum_points_are_labelled_by_their_least_element(kind):
+    rank = KIND_RANK[{"poset-flat": "poset", "msl": "meet-semilattice",
+                      "dlat": "distributive-lattice", "ddlat": "dd-lattice"}[kind]]
+    for s in map(classify, all_posets_up_to(5)):
+        if s.rank() < rank:
+            continue
+        sp = spectrum(s, kind)
+        members = [[y for y in range(s.n) if m >> y & 1] for m in sp.points]
+        least = [next(x for x in ys if all(s.leq(x, y) for y in ys)) for ys in members]
+        assert sp.labels == tuple("^" + s.labels[x] for x in least)
 
 
 @given(posets_small)
