@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -257,6 +258,13 @@ def _duality_for_kind(s: Structure) -> str:
 
 
 def _free_report(fr: FreeResult) -> dict:
+    # a size above the interpreter's int-to-str digit limit (0: none) cannot print
+    limit = sys.get_int_max_str_digits()
+    if limit and fr.size >= 10 ** limit:
+        digits = math.floor(len(fr.points) * math.log10(2)) + 1
+        raise CarrierTooLarge(
+            f"free algebra size 2^{len(fr.points)} has {digits} decimal digits; "
+            f"the int-to-str digit limit is {limit}")
     report = {
         "model-class": fr.kind,
         "points": len(fr.points),

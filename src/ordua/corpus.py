@@ -51,26 +51,25 @@ def all_posets_up_to(n: int) -> list[Poset]:
 
 
 def all_preorders(n: int) -> list[tuple[int, ...]]:
-    """Up-rows of all labelled preorders on n points."""
+    """Up-rows of all labelled preorders on n points, ordered by their rows
+    read from the last point to the first. Point k extends a preorder on
+    0..k-1 by a down-set D (the complement of an up-set) below it and an
+    up-set U above it; that is transitive iff D is already below all of U."""
     if n not in _PREORDER_CACHE:
-        found = []
-        offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-        for combo in range(1 << len(offdiag)):
-            rows = [1 << i for i in range(n)]
-            for b in bits(combo):
-                i, j = offdiag[b]
-                rows[i] |= 1 << j
-            ok = True
-            for i in range(n):
-                for j in bits(rows[i]):
-                    if rows[j] & ~rows[i]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found.append(tuple(rows))
-        _PREORDER_CACHE[n] = found
+        found = [()]
+        for k in range(n):
+            point, nxt = 1 << k, []
+            for rows in found:
+                ups = upper_sets(rows)
+                for d in ((point - 1) ^ u for u in ups):
+                    common = point - 1
+                    for i in bits(d):
+                        common &= rows[i]
+                    ext = tuple(r | point if d >> i & 1 else r
+                                for i, r in enumerate(rows))
+                    nxt.extend([ext + (point | u,) for u in ups if not u & ~common])
+            found = nxt
+        _PREORDER_CACHE[n] = sorted(found, key=lambda r: r[::-1])
     return _PREORDER_CACHE[n]
 
 

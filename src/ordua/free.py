@@ -11,8 +11,6 @@ operation tables are only materialized below a size cap.
 
 from __future__ import annotations
 
-import itertools
-
 from ordua.errors import (
     CarrierTooLarge,
     InputFormatError,
@@ -29,6 +27,7 @@ from ordua.structures import (
     Subset,
     _hom_compatible,
     _is_monotone,
+    _monotone_maps,
     _require_kind,
     _satisfies_kind,
     bits,
@@ -165,24 +164,18 @@ def universal_property_check(fr: FreeResult, atom_bound: int = 3
     correspond to maps from the k atoms to the spectrum points; composing with
     the unit must hit each class morphism c -> B exactly once.
     """
-    c = fr.source
-    npts = len(fr.points)
+    c, npts = fr.source, len(fr.points)
+    level = [(0,) * c.n]
     for k in range(1, atom_bound + 1):
         b = powerset_structure(k)
         member = _class_test(c, b, fr.kind)
-        wanted = sorted(m for m in itertools.product(range(b.n), repeat=c.n)
-                        if member(m))
-        got = []
-        for phi in itertools.product(range(npts), repeat=k):
-            comp = []
-            for i in range(c.n):
-                e = 0
-                for t in range(k):
-                    if fr.unit_masks[i] >> phi[t] & 1:
-                        e |= 1 << t
-                comp.append(e)
-            got.append(tuple(comp))
-        got.sort()
+        wanted = sorted(m for m in _monotone_maps(c, b) if member(m))
+        # atom k - 1 sent to point q sets bit k - 1 of the source elements
+        # whose unit mask holds q: column q of the unit masks, shifted
+        cols = [tuple([(u >> q & 1) << (k - 1) for u in fr.unit_masks])
+                for q in range(npts)]
+        level = [tuple(map(int.__or__, g, col)) for g in level for col in cols]
+        got = sorted(level)
         if len(set(got)) != len(got):
             dup = next(g for i, g in enumerate(got) if i and got[i - 1] == g)
             return False, {"atoms": k, "duplicate": list(dup)}

@@ -765,6 +765,30 @@ def _hom_compatible(src: Structure, tgt: Structure, kind: str) -> str | None:
     return None if holds(src) and holds(tgt) else f"{kind} needs {what}"
 
 
+def _monotone_maps(src: Structure, tgt: Structure) -> list[tuple[int, ...]]:
+    """All monotone maps src -> tgt as map tuples, in no fixed order. Partial
+    maps grow by one source element per level, along a linear extension; an
+    element only takes images in the AND of the target up-rows of the images
+    of its lower covers, so every partial map built is monotone so far."""
+    p, up, full = src.base, tgt.base.up, tgt.base.full
+    # a strict lower element has a smaller down-row, also as an integer
+    order = sorted(range(p.n), key=p.dn.__getitem__)
+    pos = sorted(range(p.n), key=order.__getitem__)  # pos[x]: x's place in order
+    maps = [()]
+    for i in order:
+        below = [pos[j] for j in bits(p.maximal_mask(p.dn[i] ^ 1 << i))]
+        nxt = []
+        for m in maps:
+            allowed = full
+            for k in below:
+                allowed &= up[m[k]]
+            nxt.extend([m + (v,) for v in bits(allowed)])
+        maps = nxt
+    if order == sorted(order):
+        return maps
+    return [tuple([m[k] for k in pos]) for m in maps]
+
+
 def _satisfies_kind(map, src: Structure, tgt: Structure, kind: str) -> bool:
     if _is_monotone(map, src.base.up, tgt.base.up) is not None:
         return False
@@ -823,7 +847,8 @@ def enumerate_homomorphisms(src: Structure, tgt: Structure, kind: str,
     """All morphisms src -> tgt of the given kind, sorted by map tuple.
 
     Boolean homs are enumerated through atom maps (h <-> atoms(tgt) ->
-    atoms(src)); other kinds filter the full map space, guarded by the bound.
+    atoms(src)); other kinds filter the monotone maps, guarded by the bound
+    on the full map space.
     """
     reason = _hom_compatible(src, tgt, kind)
     if reason is not None:
@@ -845,8 +870,8 @@ def enumerate_homomorphisms(src: Structure, tgt: Structure, kind: str,
     if tgt.n ** src.n > 4 ** b:
         raise CarrierTooLarge(
             f"map space {tgt.n}^{src.n} exceeds the enumeration bound")
-    out = [m for m in itertools.product(range(tgt.n), repeat=src.n)
-           if _satisfies_kind(m, src, tgt, kind)]
+    out = sorted(m for m in _monotone_maps(src, tgt)
+                 if _satisfies_kind(m, src, tgt, kind))
     return [StructureMorphism(src, tgt, m, kind) for m in out]
 
 

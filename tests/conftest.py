@@ -14,7 +14,15 @@ from pathlib import Path
 
 import ordua
 from ordua.corpus import random_poset
-from ordua.structures import Poset, Structure, bits, structure_from_closed_masks
+from ordua.free import is_class_morphism
+from ordua.structures import (
+    MORPHISM_KINDS,
+    Poset,
+    Structure,
+    _satisfies_kind,
+    bits,
+    structure_from_closed_masks,
+)
 
 
 def brute_filters(s: Structure) -> list[int]:
@@ -44,6 +52,34 @@ def brute_upper_sets(up) -> list[int]:
     return [m for m in range(1 << n)
             if all(m >> j & 1 for i in range(n) if m >> i & 1
                    for j in range(n) if up[i] >> j & 1)]
+
+
+def brute_preorders(n: int) -> list[tuple[int, ...]]:
+    """Up-rows of every reflexive, transitive relation on n points, in the
+    order of a scan over all 2^(n(n-1)) off-diagonal relations."""
+    found = []
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for combo in range(1 << len(offdiag)):
+        rows = [1 << i for i in range(n)]
+        for b in bits(combo):
+            i, j = offdiag[b]
+            rows[i] |= 1 << j
+        if all(not rows[j] & ~rows[i] for i in range(n) for j in bits(rows[i])):
+            found.append(tuple(rows))
+    return found
+
+
+def brute_class_maps(c: Structure, b: Structure, kind: str) -> list[tuple[int, ...]]:
+    """Every map c -> b in the class named by kind, ascending, by testing all
+    b.n ** c.n maps: a morphism kind is tested by its laws, a free kind by
+    membership in the model class the free construction is free for."""
+    if kind in MORPHISM_KINDS:
+        def test(m):
+            return _satisfies_kind(m, c, b, kind)
+    else:
+        def test(m):
+            return is_class_morphism(m, c, b, kind)
+    return [m for m in itertools.product(range(b.n), repeat=c.n) if test(m)]
 
 
 def brute_clopen_uppers(ps) -> list[int]:

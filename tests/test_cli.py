@@ -265,6 +265,22 @@ def test_tripped_free_dlat_cap_exits_without_building(tmp_path):
     assert proc.stderr == "ordua: error: free distributive lattice exceeds the size cap\n"
 
 
+def test_free_bool_size_beyond_the_int_printing_limit_exits_3(tmp_path):
+    # the 14-point antichain has 2^14 up-sets, so its free Boolean algebra
+    # has 2^16384 elements, a 4,933-digit number
+    src = write_json(tmp_path, "a14.json", {
+        "elements": [f"a{i}" for i in range(14)], "leq": []})
+    env = package_env()
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordua", "free-bool", src, "--bound", "14"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ("ordua: error: free algebra size 2^16384 has 4933 decimal "
+                           "digits; the int-to-str digit limit is 4300\n")
+
+
 # --------------------------------------------------------------- rendering
 
 def test_dot_output(capsys):

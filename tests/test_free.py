@@ -1,8 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_oracle_members, lower_set_lattice
+from conftest import brute_class_maps, brute_oracle_members, lower_set_lattice
 from ordua import free, structures
 from ordua.corpus import all_posets, all_posets_up_to
 from ordua.errors import CarrierTooLarge, KindMismatch, NotInjective, OracleBoundExceeded
@@ -194,7 +196,86 @@ def test_universal_property_detects_a_tampered_unit():
     swapped[1], swapped[2] = swapped[2], swapped[1]
     tampered = type(fr)(fr.source, fr.kind, fr.points, fr.point_labels, swapped)
     ok, witness = universal_property_check(tampered)
-    assert not ok and witness is not None
+    assert not ok
+    assert witness == {"atoms": 1, "missing": [[0, 0, 1]], "extra": [[0, 1, 0]]}
+
+
+def test_universal_property_detects_inseparable_points():
+    # both points contain exactly the images of "1" and "2", so the two
+    # atom maps to 2 compose to the same map
+    fr = free_boolean(chain(3), "dlat")
+    merged = type(fr)(fr.source, fr.kind, fr.points, fr.point_labels, [0, 3, 3])
+    assert universal_property_check(merged) == (
+        False, {"atoms": 1, "duplicate": [0, 1, 1]})
+
+
+def class_maps_found(fr, atom_bound: int):
+    """universal_property_check's verdict on fr, and the maps its class test
+    accepted for each target 2^k, keyed by the target size."""
+    accepted = {}
+    real = free._class_test
+
+    def recording(src, tgt, kind):
+        test, found = real(src, tgt, kind), accepted.setdefault(tgt.n, [])
+
+        def member(m):
+            ok = test(m)
+            if ok:
+                found.append(m)
+            return ok
+        return member
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(free, "_class_test", recording)
+        verdict = universal_property_check(fr, atom_bound)
+    return verdict, accepted
+
+
+def assert_search_matches_scan(fr, atom_bound: int):
+    verdict, accepted = class_maps_found(fr, atom_bound)
+    assert verdict == (True, None)
+    for k in range(1, atom_bound + 1):
+        wanted = brute_class_maps(fr.source, powerset_structure(k), fr.kind)
+        assert sorted(accepted[1 << k]) == wanted
+
+
+@pytest.mark.parametrize("kind", ["poset-monotone", "poset-flat"])
+def test_search_matches_the_map_scan_on_small_posets(kind):
+    for p in all_posets_up_to(5):
+        assert_search_matches_scan(free_boolean(classify(p), kind), 2)
+
+
+@pytest.mark.parametrize("kind,least", [("msl", "meet-semilattice"),
+                                        ("dlat", "distributive-lattice"),
+                                        ("ddlat", "dd-lattice")])
+def test_search_matches_the_map_scan_on_small_algebras(kind, least):
+    algebras = [s for s in map(classify, all_posets_up_to(5))
+                if KIND_RANK[s.kind] >= KIND_RANK[least]]
+    assert algebras
+    for s in algebras:
+        assert_search_matches_scan(free_boolean(s, kind), 2)
+
+
+def test_universal_property_check_reads_no_spectrum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check must not read a spectrum")
+
+    fr = free_boolean(diamond(), "dlat")
+    for name in ("spectrum", "free_boolean"):
+        monkeypatch.setattr(free, name, refuse)
+    assert_search_matches_scan(fr, 3)
+
+
+@pytest.mark.parametrize("source,kind", [
+    (chain(6), "dlat"), (chain(7), "dlat"), (powerset_structure(3), "dlat"),
+    (chain(6), "poset-monotone")], ids=["C6", "C7", "2^3", "C6-monotone"])
+def test_universal_property_at_three_atoms_on_larger_sources(source, kind):
+    fr = free_boolean(source, kind)
+    start = time.perf_counter()
+    assert universal_property_check(fr, 3) == (True, None)
+    # about 0.01 s for the chains and 0.13 s for 2^3 on a 2-CPU VM; a scan
+    # of all (2^3)^n maps takes 5 s on C7 and minutes on 2^3
+    assert time.perf_counter() - start < 2
 
 
 # ----------------------------------------------------------- induced homs

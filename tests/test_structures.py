@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_canonical,
+    brute_class_maps,
     brute_closed_family,
     brute_complement,
     brute_disjunctive_filters,
@@ -16,6 +17,7 @@ from conftest import (
     brute_join,
     brute_kind,
     brute_meet,
+    brute_preorders,
     brute_prime_filters,
     brute_tables,
     brute_upper_sets,
@@ -23,7 +25,13 @@ from conftest import (
     shuffled,
     warshall_poset,
 )
-from ordua.corpus import _labelled_down_rows, all_posets, all_posets_up_to, random_poset
+from ordua.corpus import (
+    _labelled_down_rows,
+    all_posets,
+    all_posets_up_to,
+    all_preorders,
+    random_poset,
+)
 from ordua.errors import (
     AntisymmetryViolation,
     CarrierTooLarge,
@@ -33,9 +41,11 @@ from ordua.errors import (
     UnknownLabel,
 )
 from ordua.structures import (
+    MORPHISM_KINDS,
     Poset,
     StructureMorphism,
     Subset,
+    _hom_compatible,
     bits,
     canonical_form,
     chain_structure,
@@ -469,6 +479,25 @@ def test_enumerate_meet_homs_against_filter():
     assert sorted(h.map for h in homs) == sorted(brute)
 
 
+def test_enumerate_homomorphisms_matches_the_map_scan():
+    small = [classify(p) for p in all_posets_up_to(4)]
+    for src in small:
+        for tgt in small:
+            for kind in MORPHISM_KINDS:
+                if _hom_compatible(src, tgt, kind) is not None:
+                    with pytest.raises(KindMismatch):
+                        enumerate_homomorphisms(src, tgt, kind)
+                    continue
+                homs = enumerate_homomorphisms(src, tgt, kind)
+                assert [h.map for h in homs] == brute_class_maps(src, tgt, kind)
+
+
+def test_enumerate_homomorphisms_guards_the_map_space():
+    c5 = chain_structure(5)
+    with pytest.raises(CarrierTooLarge, match=r"^map space 5\^5 exceeds the enumeration bound$"):
+        enumerate_homomorphisms(c5, c5, "monotone", bound=5)
+
+
 def test_compose_checks_carriers():
     c2, c3 = mk("C2"), mk("C3")
     f = StructureMorphism.from_labels(c2, c3, {"0": "0", "1": "1"}, "monotone")
@@ -604,6 +633,20 @@ def test_canonical_form_is_invariant_under_relabelling(p):
 def test_poset_counts():
     # OEIS A000112
     assert [len(all_posets(n)) for n in range(1, 7)] == [1, 2, 5, 16, 63, 318]
+
+
+def test_all_preorders_match_the_relation_scan():
+    for n in range(5):
+        assert all_preorders(n) == brute_preorders(n)
+
+
+def test_preorders_on_five_points():
+    rows = all_preorders(5)
+    assert len(rows) == 6942  # OEIS A000798
+    assert len(set(rows)) == len(rows)
+    for r in rows:
+        assert all(r[i] >> i & 1 for i in range(5))
+        assert all(not r[j] & ~r[i] for i in range(5) for j in bits(r[i]))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
