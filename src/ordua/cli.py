@@ -185,13 +185,11 @@ def _preorder_cover_edges(up) -> list[tuple[int, int]]:
             and not any(up[k] >> j & 1 for k in bits(row & ~(1 << i | 1 << j)))]
 
 
-def export_dot(obj, path: str | None = None) -> str:
-    """Render a poset, structure, space, or spectrum as a DOT digraph
+def export_dot(obj) -> str:
+    """Render a poset, structure, free algebra or space as a DOT digraph
     (edges are the cover relation, drawn bottom-up)."""
     if isinstance(obj, FreeResult):
         obj = obj.structure
-    if isinstance(obj, DualityResult):
-        obj = obj.space
     if isinstance(obj, Structure):
         labels, up = obj.base.labels, obj.base.up
         note = f"kind: {obj.kind}"
@@ -204,9 +202,6 @@ def export_dot(obj, path: str | None = None) -> str:
     elif isinstance(obj, FiniteSpace):
         labels, up = obj.labels, specialization_preorder(obj).up
         note = f"opens: {len(obj.opens)}"
-    elif isinstance(obj, Preorder):
-        labels, up = obj.labels, obj.up
-        note = "preorder"
     else:
         raise InputFormatError(f"no DOT rendering for {type(obj).__name__}")
     lines = ["digraph {", "  rankdir=BT;", f"  label={_dot_quote(note)};"]
@@ -215,11 +210,7 @@ def export_dot(obj, path: str | None = None) -> str:
     for i, j in _preorder_cover_edges(up):
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def _filters_as_labels(s_labels, masks) -> list[list[str]]:
@@ -242,8 +233,7 @@ def _spectrum_report(s: Structure, res: DualityResult, duality: str) -> dict:
                       for i in range(s.n)},
     }
     for key, aux in res.auxiliary.items():
-        if isinstance(aux, FiniteSpace):
-            report[f"{key}-opens"] = len(aux.opens)
+        report[f"{key}-opens"] = len(aux.opens)
     return report
 
 
@@ -399,10 +389,8 @@ def run_command(command: str, files: list[str], bound: int, oracle_bound: int,
                   "elements": list(d.labels)}
         return 0, report, d
     if command == "free-bool":
-        kind = {"poset": "poset-monotone", "meet-semilattice": "msl",
-                "dd-lattice": "ddlat", "distributive-lattice": "dlat",
-                "boolean-algebra": "dlat"}[s.kind]
-        fr = free_boolean(s, kind, bound)
+        duality = _duality_for_kind(s)
+        fr = free_boolean(s, "poset-monotone" if duality == "poset" else duality, bound)
         report = {"command": command, **_free_report(fr)}
         return 0, report, fr if fr.size <= 64 else None
     if command == "free-dlat":

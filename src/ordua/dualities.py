@@ -9,7 +9,7 @@ patch topology of the basic sets, and the order is inclusion of filters.
 from __future__ import annotations
 
 from ordua.errors import InputFormatError, NotT0
-from ordua.free import free_boolean
+from ordua.free import _HOM_KIND_OF, free_boolean
 from ordua.spaces import (
     FiniteSpace,
     Preorder,
@@ -40,8 +40,7 @@ from ordua.structures import (
 
 DUALITY_KINDS = ("poset", "msl", "dlat", "ddlat")
 
-_DUAL_HOM_KIND = {"poset": "flat", "msl": "meet-hom", "dlat": "lattice-hom",
-                  "ddlat": "disjunctive-hom"}
+_DUAL_HOM_KIND = {"poset": "flat", **_HOM_KIND_OF}
 
 
 class DualityResult:

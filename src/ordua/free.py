@@ -27,9 +27,9 @@ from ordua.structures import (
     Subset,
     _hom_compatible,
     _is_monotone,
+    _law_test,
     _monotone_maps,
     _require_kind,
-    _satisfies_kind,
     bits,
     check_carrier,
     classify,
@@ -118,41 +118,36 @@ def free_boolean(c: Structure, kind: str, bound: int | None = None) -> FreeResul
     return FreeResult(c, kind, sp.points, sp.labels, sp.basics)
 
 
-def _is_flat_model(mapping, src: Structure, b: Structure) -> bool:
-    # Two equations on top of monotonicity: the images cover the top, and
-    # binary meets of images are the joins of images of common lower bounds.
-    if _is_monotone(mapping, src.base.up, b.base.up) is not None:
-        return False
-    if b.join_of(mapping) != b.top:
-        return False
-    meet = b.meet
-    for x in range(src.n):
-        for y in range(x, src.n):
-            common = src.base.dn[x] & src.base.dn[y]
-            rhs = b.join_of(mapping[d] for d in bits(common))
-            if meet[mapping[x]][mapping[y]] != rhs:
-                return False
-    return True
+def _flat_model_test(src: Structure, b: Structure):
+    # Two equations beyond monotonicity: the images cover the top, and binary
+    # meets of images are the joins of images of common lower bounds.
+    dn, meet, join_of = src.base.dn, b.meet, b.join_of
+    pairs = [(x, y, list(bits(dn[x] & dn[y])))
+             for x in range(src.n) for y in range(x, src.n)]
+    return lambda m: join_of(m) == b.top and all(
+        meet[m[x]][m[y]] == join_of(m[d] for d in common) for x, y, common in pairs)
 
 
 def is_class_morphism(mapping, src: Structure, tgt: Structure, kind: str) -> bool:
     """Membership in the model class that the free kind is free for."""
-    return _class_test(src, tgt, kind)(mapping)
+    test = _class_test(src, tgt, kind)
+    return _is_monotone(mapping, src.base.up, tgt.base.up) is None and test(mapping)
 
 
 def _class_test(src: Structure, tgt: Structure, kind: str):
-    """is_class_morphism's test for maps src -> tgt; raises KindMismatch at
-    once if the kinds do not support the class's homomorphisms."""
+    """The laws of the class beyond monotonicity, as a test of monotone maps
+    src -> tgt; raises KindMismatch at once if the kinds do not support the
+    class's homomorphisms."""
     if kind == "poset-monotone":
-        return lambda m: _satisfies_kind(m, src, tgt, "monotone")
+        return _law_test(src, tgt, "monotone")
     if kind == "poset-flat":
-        return lambda m: _is_flat_model(m, src, tgt)
+        return _flat_model_test(src, tgt)
     if kind in _HOM_KIND_OF:
         hom_kind = _HOM_KIND_OF[kind]
         reason = _hom_compatible(src, tgt, hom_kind)
         if reason is not None:
             raise KindMismatch(reason)
-        return lambda m: _satisfies_kind(m, src, tgt, hom_kind)
+        return _law_test(src, tgt, hom_kind)
     raise InputFormatError(f"unknown free kind {kind!r}")
 
 
@@ -169,7 +164,7 @@ def universal_property_check(fr: FreeResult, atom_bound: int = 3
     for k in range(1, atom_bound + 1):
         b = powerset_structure(k)
         member = _class_test(c, b, fr.kind)
-        wanted = sorted(m for m in _monotone_maps(c, b) if member(m))
+        wanted = sorted(filter(member, _monotone_maps(c, b)))
         # atom k - 1 sent to point q sets bit k - 1 of the source elements
         # whose unit mask holds q: column q of the unit masks, shifted
         cols = [tuple([(u >> q & 1) << (k - 1) for u in fr.unit_masks])
@@ -299,8 +294,8 @@ def thm22_oracle(d: Structure, bound: int | None = None) -> OracleResult:
 
     Works over ground subsets of the doubled carrier (second copy = starred).
     A member of the frame is an upward-closed family closed under the
-    covering rules of the defining sequents (both directions of the meet and
-    join biconditionals, the bounds, the complement axioms). The rules act
+    covering rules of the defining sequents (the order, the meet and join of
+    each pair, the bounds, the complement axioms). The rules act
     alike in every context, so (coverage theorem: Johnstone, Stone Spaces,
     II.2.11) the closure of the principal family at g is the meet of the
     generators, the closures at {e} for e in g. The frame is the join-closure
@@ -319,18 +314,22 @@ def thm22_oracle(d: Structure, bound: int | None = None) -> OracleResult:
     contains = [fullbits // ((1 << (2 << e)) - 1) * (((1 << (1 << e)) - 1) << (1 << e))
                 for e in range(m)]
     without = [fullbits ^ a for a in contains]
-
-    def padded(i_bits: int, e: int) -> int:
-        # bit g set iff (g | {e}) is in the family
-        width = 1 << e
-        inside = i_bits & contains[e]
-        return inside | (inside >> width)
-
+    # the defining sequents "premises |- conclusions" as (the family of the
+    # ground subsets holding the premises, conclusions). Those without
+    # conclusions are the seeds: bottom |- and e, e* |-. The rest: |- top,
+    # |- e, e*, a |- b for a < b, and for incomparable a, b: a, b |- a meet b
+    # and a join b |- a, b (for comparable a, b every family satisfies these).
+    up, meet, join = d.base.up, d.meet, d.join
     seeds = contains[d.bottom]
-    for e in range(nn):
-        seeds |= contains[e] & contains[nn + e]
-    meet, join = d.meet, d.join
-    pairs = [(a, b, join[a][b], meet[a][b]) for a in range(nn) for b in range(a, nn)]
+    rules = [(fullbits, (d.top,))]
+    for a in range(nn):
+        seeds |= contains[a] & contains[nn + a]
+        rules.append((fullbits, (a, nn + a)))
+        rules += [(contains[a], (b,)) for b in bits(up[a] ^ 1 << a)]
+        for b in range(a + 1, nn):
+            if not (up[a] >> b & 1 or up[b] >> a & 1):
+                rules += [(contains[a] & contains[b], (meet[a][b],)),
+                          (contains[join[a][b]], (a, b))]
 
     def close(i_bits: int) -> int:
         i_bits |= seeds
@@ -338,18 +337,14 @@ def thm22_oracle(d: Structure, bound: int | None = None) -> OracleResult:
             prev = i_bits
             for e in range(m):
                 i_bits |= (i_bits & without[e]) << (1 << e)
-            i_bits |= padded(i_bits, d.top)
-            for e in range(nn):
-                i_bits |= padded(i_bits, e) & padded(i_bits, nn + e)
-            for a, b, j, w in pairs:
-                i_bits |= contains[j] & padded(i_bits, a) & padded(i_bits, b)
-                i_bits |= contains[a] & contains[b] & padded(i_bits, w)
-                # converse directions of the same biconditionals: a member
-                # may drop a join above one of its elements or a meet below
-                # two of its elements
-                i_bits |= contains[a] & padded(i_bits, j)
-                i_bits |= contains[b] & padded(i_bits, j)
-                i_bits |= contains[w] & padded(padded(i_bits, a), b)
+            # pad[e] holds g iff g | {e} is in the family, which is upward
+            # closed now; a rule adds the g holding its premises whose
+            # extension by each conclusion is in the family
+            pad = [i_bits | (i_bits & a) >> (1 << e) for e, a in enumerate(contains)]
+            for held, conclusions in rules:
+                for c in conclusions:
+                    held &= pad[c]
+                i_bits |= held
             if i_bits == prev:
                 return i_bits
 

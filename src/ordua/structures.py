@@ -789,43 +789,39 @@ def _monotone_maps(src: Structure, tgt: Structure) -> list[tuple[int, ...]]:
     return [tuple([m[k] for k in pos]) for m in maps]
 
 
-def _satisfies_kind(map, src: Structure, tgt: Structure, kind: str) -> bool:
-    if _is_monotone(map, src.base.up, tgt.base.up) is not None:
-        return False
+def _law_test(src: Structure, tgt: Structure, kind: str):
+    """The laws of kind beyond monotonicity, as a test of map tuples src -> tgt
+    that assumes a monotone map. Each law is m[s] == op[m[a]][m[b]] for a
+    source pair a, b with s their meet or join, or a bound sent to a bound.
+    Comparable pairs are left out: a monotone map keeps their meets and joins.
+    """
     if kind == "monotone":
-        return True
+        return lambda m: True
     if kind == "flat":
-        ok, _ = is_flat_map(StructureMorphism(src, tgt, map, "flat"))
-        return ok
+        return lambda m: is_flat_map(StructureMorphism(src, tgt, m, "flat"))[0]
     if kind not in _HOM_NEEDS:
         raise InputFormatError(f"unknown morphism kind {kind!r}")
-    n, smeet, sjoin, tmeet, tjoin = src.n, src.meet, src.join, tgt.meet, tgt.join
-    if map[src.top] != tgt.top:
-        return False
-    for a in range(n):
-        for b in range(a + 1, n):
-            if map[smeet[a][b]] != tmeet[map[a]][map[b]]:
-                return False
-    if kind == "meet-hom":
-        return True
-    if map[src.bottom] != tgt.bottom:
-        return False
-    if kind == "disjunctive-hom":
-        # Meet-hom preserving joins of pairwise-disjoint families; the empty
-        # family forces bottom to bottom, and pairs suffice by induction.
-        for a in range(n):
-            for b in range(a + 1, n):
-                j = sjoin[a][b]
-                if (smeet[a][b] == src.bottom and j is not None
-                        and tjoin[map[a]][map[b]] != map[j]):
-                    return False
-        return True
-    for a in range(n):
-        for b in range(a + 1, n):
-            if map[sjoin[a][b]] != tjoin[map[a]][map[b]]:
-                return False
-    return kind == "lattice-hom" or all(
-        map[src.complement[a]] == tgt.complement[map[a]] for a in range(n))
+    up, smeet, sjoin = src.base.up, src.meet, src.join
+    pairs = [(a, b) for a, b in itertools.combinations(range(src.n), 2)
+             if not (up[a] >> b & 1 or up[b] >> a & 1)]
+    bounds = [(src.top, tgt.top)]
+    laws = [(smeet[a][b], a, b, tgt.meet) for a, b in pairs]
+    if kind != "meet-hom":
+        bounds.append((src.bottom, tgt.bottom))
+        if kind == "disjunctive-hom":
+            # Meet-hom preserving joins of pairwise-disjoint families; the
+            # empty family forces bottom to bottom, and pairs suffice by
+            # induction.
+            pairs = [(a, b) for a, b in pairs
+                     if smeet[a][b] == src.bottom and sjoin[a][b] is not None]
+        laws += [(sjoin[a][b], a, b, tgt.join) for a, b in pairs]
+    return lambda m: (all(m[x] == y for x, y in bounds)
+                      and all(m[s] == op[m[a]][m[b]] for s, a, b, op in laws))
+
+
+def _satisfies_kind(map, src: Structure, tgt: Structure, kind: str) -> bool:
+    return (_is_monotone(map, src.base.up, tgt.base.up) is None
+            and _law_test(src, tgt, kind)(map))
 
 
 def is_homomorphism(f: StructureMorphism) -> bool:
@@ -870,8 +866,7 @@ def enumerate_homomorphisms(src: Structure, tgt: Structure, kind: str,
     if tgt.n ** src.n > 4 ** b:
         raise CarrierTooLarge(
             f"map space {tgt.n}^{src.n} exceeds the enumeration bound")
-    out = sorted(m for m in _monotone_maps(src, tgt)
-                 if _satisfies_kind(m, src, tgt, kind))
+    out = sorted(filter(_law_test(src, tgt, kind), _monotone_maps(src, tgt)))
     return [StructureMorphism(src, tgt, m, kind) for m in out]
 
 

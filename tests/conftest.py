@@ -14,13 +14,13 @@ from pathlib import Path
 
 import ordua
 from ordua.corpus import random_poset
-from ordua.free import is_class_morphism
 from ordua.structures import (
     MORPHISM_KINDS,
     Poset,
     Structure,
-    _satisfies_kind,
+    StructureMorphism,
     bits,
+    is_flat_map,
     structure_from_closed_masks,
 )
 
@@ -69,17 +69,71 @@ def brute_preorders(n: int) -> list[tuple[int, ...]]:
     return found
 
 
+def brute_satisfies_kind(m, src: Structure, tgt: Structure, kind: str) -> bool:
+    """Whether the map tuple m is monotone and keeps what kind asks for, law
+    by law over every pair of source elements: the top and meets (every hom
+    kind), the bottom and joins (lattice and Boolean homs), complements
+    (Boolean homs), the bottom and joins of disjoint pairs (disjunctive
+    homs); a flat map is judged by is_flat_map."""
+    n = src.n
+    if any(src.leq(i, j) and not tgt.leq(m[i], m[j])
+           for i in range(n) for j in range(n)):
+        return False
+    if kind == "monotone":
+        return True
+    if kind == "flat":
+        return is_flat_map(StructureMorphism(src, tgt, m, "flat"))[0]
+    smeet, sjoin, tmeet, tjoin = src.meet, src.join, tgt.meet, tgt.join
+    pairs = list(itertools.combinations(range(n), 2))
+    if m[src.top] != tgt.top or any(
+            m[smeet[a][b]] != tmeet[m[a]][m[b]] for a, b in pairs):
+        return False
+    if kind == "meet-hom":
+        return True
+    if m[src.bottom] != tgt.bottom:
+        return False
+    if kind == "disjunctive-hom":
+        return all(tjoin[m[a]][m[b]] == m[sjoin[a][b]] for a, b in pairs
+                   if smeet[a][b] == src.bottom and sjoin[a][b] is not None)
+    if any(m[sjoin[a][b]] != tjoin[m[a]][m[b]] for a, b in pairs):
+        return False
+    return kind == "lattice-hom" or all(
+        m[src.complement[a]] == tgt.complement[m[a]] for a in range(n))
+
+
+def brute_flat_model(m, src: Structure, b: Structure) -> bool:
+    """Whether the map tuple m is a flat model: monotone, its images cover the
+    top, and the meet of the images of any two elements is the join of the
+    images of their common lower bounds."""
+    n = src.n
+    if not brute_satisfies_kind(m, src, b, "monotone") or b.join_of(m) != b.top:
+        return False
+    return all(
+        b.meet[m[x]][m[y]] == b.join_of(
+            [m[z] for z in range(n) if src.leq(z, x) and src.leq(z, y)])
+        for x in range(n) for y in range(x, n))
+
+
+BRUTE_HOM_KIND = {"poset-monotone": "monotone", "msl": "meet-hom",
+                  "dlat": "lattice-hom", "ddlat": "disjunctive-hom"}
+
+
+def brute_class_member(m, c: Structure, b: Structure, kind: str) -> bool:
+    """Whether the map tuple m: c -> b is in the class named by kind: a
+    morphism kind by its laws, a free kind by membership in the model class
+    the free construction is free for."""
+    if kind in MORPHISM_KINDS:
+        return brute_satisfies_kind(m, c, b, kind)
+    if kind == "poset-flat":
+        return brute_flat_model(m, c, b)
+    return brute_satisfies_kind(m, c, b, BRUTE_HOM_KIND[kind])
+
+
 def brute_class_maps(c: Structure, b: Structure, kind: str) -> list[tuple[int, ...]]:
     """Every map c -> b in the class named by kind, ascending, by testing all
-    b.n ** c.n maps: a morphism kind is tested by its laws, a free kind by
-    membership in the model class the free construction is free for."""
-    if kind in MORPHISM_KINDS:
-        def test(m):
-            return _satisfies_kind(m, c, b, kind)
-    else:
-        def test(m):
-            return is_class_morphism(m, c, b, kind)
-    return [m for m in itertools.product(range(b.n), repeat=c.n) if test(m)]
+    b.n ** c.n maps with brute_class_member."""
+    return [m for m in itertools.product(range(b.n), repeat=c.n)
+            if brute_class_member(m, c, b, kind)]
 
 
 def brute_clopen_uppers(ps) -> list[int]:
@@ -276,8 +330,10 @@ def brute_oracle_members(d: Structure) -> list[int]:
 
     A family is a bitset over the ground subsets g of the doubled carrier
     (element e + n is e starred); bit g is set when g is in the family. The
-    closure rules are those of ``ordua.free.thm22_oracle``, applied by a
-    fixpoint loop with no use of generators.
+    closure rules are the defining sequents written out pair by pair: the
+    bounds, the complement axioms, and both directions of the meet and join
+    of every pair, applied by a fixpoint loop with no use of generators and
+    no rule table.
     """
     n, m = d.n, 2 * d.n
     ground = 1 << m

@@ -1,14 +1,22 @@
+import itertools
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_class_maps, brute_oracle_members, lower_set_lattice
+from conftest import (
+    BRUTE_HOM_KIND,
+    brute_class_maps,
+    brute_class_member,
+    brute_oracle_members,
+    lower_set_lattice,
+)
 from ordua import free, structures
 from ordua.corpus import all_posets, all_posets_up_to
 from ordua.errors import CarrierTooLarge, KindMismatch, NotInjective, OracleBoundExceeded
 from ordua.free import (
+    FREE_KINDS,
     MATERIALIZE_CAP,
     free_boolean,
     free_dlat_on_ddlat,
@@ -24,13 +32,17 @@ from ordua.free import (
 from ordua.spectra import spectrum
 from ordua.structures import (
     KIND_RANK,
+    KINDS,
+    MORPHISM_KINDS,
     StructureMorphism,
+    _hom_compatible,
     classify,
     filters,
     is_homomorphism,
     indecomposable_elements,
     order_isomorphism,
     powerset_structure,
+    structure_isomorphism,
     upper_sets,
     validate_poset,
 )
@@ -66,6 +78,38 @@ def test_is_class_morphism_rejects_kinds_without_the_class_homs():
         with pytest.raises(KindMismatch):
             free.is_class_morphism((1, 1), antichain(2), chain(2), kind)
     assert free.is_class_morphism((0, 1), antichain(2), chain(2), "poset-monotone")
+
+
+def assert_verdicts_match_the_references(src, tgt, kinds):
+    for kind in kinds:
+        for m in itertools.product(range(tgt.n), repeat=src.n):
+            if kind in MORPHISM_KINDS:
+                got = is_homomorphism(StructureMorphism(src, tgt, m, kind))
+            else:
+                got = free.is_class_morphism(m, src, tgt, kind)
+            assert got == brute_class_member(m, src, tgt, kind), (kind, m)
+
+
+def test_morphism_tests_agree_with_the_references_on_every_map():
+    # every map, monotone or not, under every kind the carriers support;
+    # each structure of at most 3 elements is also taken at its weaker kinds
+    small = [s.with_kind(k) for s in map(classify, all_posets_up_to(3))
+             for k in KINDS if KIND_RANK[k] <= s.rank()]
+    for src in small:
+        for tgt in small:
+            kinds = [k for k in MORPHISM_KINDS if _hom_compatible(src, tgt, k) is None]
+            kinds += [k for k in FREE_KINDS if _hom_compatible(
+                src, tgt, BRUTE_HOM_KIND.get(k, "monotone")) is None]
+            assert_verdicts_match_the_references(src, tgt, kinds)
+    assert_verdicts_match_the_references(
+        powerset_structure(2), powerset_structure(3), ["boolean-hom"])
+    # a and b meet above the bottom, so a disjunctive hom need not keep a | b
+    raised_diamond = classify(validate_poset(
+        ["0", "z", "a", "b", "1"],
+        [("0", "z"), ("z", "a"), ("z", "b"), ("a", "1"), ("b", "1")]))
+    assert_verdicts_match_the_references(
+        raised_diamond, diamond(),
+        ["lattice-hom", "disjunctive-hom", "dlat", "ddlat", "poset-flat"])
 
 
 # --------------------------------------------------------------- frozen sizes
@@ -162,6 +206,15 @@ def test_oracle_matches_free_on_six_element_lattices():
                                  pins=dict(zip(orc.unit, fb.unit))) is not None
 
 
+@pytest.mark.parametrize("d", [chain(7), powerset_structure(3)], ids=["C7", "2^3"])
+def test_oracle_matches_free_on_larger_lattices(d):
+    orc = thm22_oracle(d, d.n)
+    fb = free_boolean(d, "dlat")
+    assert orc.structure.n == fb.size
+    assert structure_isomorphism(orc.structure, fb.structure,
+                                 dict(zip(orc.unit, fb.unit))) is not None
+
+
 def test_oracle_uses_no_spectrum(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle must not read a spectrum")
@@ -216,6 +269,7 @@ def class_maps_found(fr, atom_bound: int):
     real = free._class_test
 
     def recording(src, tgt, kind):
+        assert tgt.n not in accepted, "the class test is built once per target"
         test, found = real(src, tgt, kind), accepted.setdefault(tgt.n, [])
 
         def member(m):
