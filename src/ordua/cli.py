@@ -51,7 +51,6 @@ from ordua.spaces import (
     check_frame_pullback,
     check_patch_characterization,
     priestley_check,
-    specialization_preorder,
 )
 from ordua.structures import (
     DEFAULT_ENUMERATION_BOUND,
@@ -64,6 +63,7 @@ from ordua.structures import (
     StructureMorphism,
     bits,
     classify,
+    cover_pairs,
     disjunctive_filters,
     filters,
     prime_filters,
@@ -179,12 +179,6 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _preorder_cover_edges(up) -> list[tuple[int, int]]:
-    """Pairs i <= j, i != j, with no third point k between: i <= k <= j."""
-    return [(i, j) for i, row in enumerate(up) for j in bits(row) if j != i
-            and not any(up[k] >> j & 1 for k in bits(row & ~(1 << i | 1 << j)))]
-
-
 def export_dot(obj) -> str:
     """Render a poset, structure, free algebra or space as a DOT digraph
     (edges are the cover relation, drawn bottom-up)."""
@@ -200,14 +194,14 @@ def export_dot(obj) -> str:
         labels, up = obj.labels, obj.preorder.up
         note = f"opens: {len(obj.space.opens)}"
     elif isinstance(obj, FiniteSpace):
-        labels, up = obj.labels, specialization_preorder(obj).up
+        labels, up = obj.labels, obj.up
         note = f"opens: {len(obj.opens)}"
     else:
         raise InputFormatError(f"no DOT rendering for {type(obj).__name__}")
     lines = ["digraph {", "  rankdir=BT;", f"  label={_dot_quote(note)};"]
     for i, lab in enumerate(labels):
         lines.append(f"  n{i} [label={_dot_quote(lab)}];")
-    for i, j in _preorder_cover_edges(up):
+    for i, j in cover_pairs(up):
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -220,7 +214,7 @@ def _filters_as_labels(s_labels, masks) -> list[list[str]]:
 def _spectrum_report(s: Structure, res: DualityResult, duality: str) -> dict:
     order_pairs = sorted(
         [res.point_labels[i], res.point_labels[j]]
-        for i, j in _preorder_cover_edges(res.space.preorder.up))
+        for i, j in cover_pairs(res.space.preorder.up))
     report = {
         "duality": duality,
         "points": [{"label": res.point_labels[k], "filter": members}

@@ -4,21 +4,23 @@ Every spectrum here is built by ordua.spectra: points are filters of the
 appropriate sort (all filters, prime filters, disjunctive filters), the basic
 set of an element a is the set of points containing a, the topology is the
 patch topology of the basic sets, and the order is inclusion of filters.
+Every point is a principal filter, so the topologies are closed forms: the
+basic sets separate the points, making the patch topology discrete, and the
+topology they generate alone is the Alexandrov topology of inclusion.
 """
 
 from __future__ import annotations
 
-from ordua.errors import InputFormatError, NotT0
+from ordua.errors import InputFormatError
 from ordua.free import _HOM_KIND_OF, free_boolean
 from ordua.spaces import (
     FiniteSpace,
     Preorder,
     PreorderedSpace,
     _require_priestley,
-    generate_topology,
+    _require_t0,
     is_continuous,
     is_monotone_map,
-    patch_space,
     specialization_preorder,
     upper_open_reduct,
     weakly_indecomposable_clopen_uppers,
@@ -32,6 +34,7 @@ from ordua.structures import (
     Subset,
     _require_kind,
     bits,
+    check_carrier,
     classify,
     inclusion_rows,
     structure_from_closed_masks,
@@ -95,27 +98,38 @@ class OrderedBoolean:
         return f"OrderedBoolean(n={self.algebra.n}, {self.spec_order.n} primes)"
 
 
+def _discrete(labels, bound: int | None) -> FiniteSpace:
+    """The patch space of a family that separates the points: every set is
+    open, so each point is its own minimal open."""
+    check_carrier(len(labels), bound, "topology generation")
+    return FiniteSpace.from_rows(labels, [1 << k for k in range(len(labels))])
+
+
 def _patch_spectrum(c: Structure, duality: str, bound: int | None
                     ) -> DualityResult:
+    # distinct points are distinct filters, so the basic sets separate them
     sp = spectrum(c, "poset-flat" if duality == "poset" else duality, bound)
-    space = patch_space(sp.labels, SetFamily(len(sp.labels), sp.basics), bound)
+    space = _discrete(sp.labels, bound)
     return DualityResult(PreorderedSpace(space, Preorder(sp.labels, sp.order)),
                          sp.points, sp.labels, sp.basics)
 
 
 def stone_spectrum(d: Structure, bound: int | None = None) -> FiniteSpace:
     """The coherent (non-patch) topology on the prime filters, generated by
-    the basic sets alone."""
+    the basic sets alone. Each point is a principal filter ^x, so its least
+    open is the set of points containing ^x: the topology is the Alexandrov
+    topology of inclusion."""
     sp = spectrum(d, "dlat")
-    return generate_topology(sp.labels, SetFamily(len(sp.labels), sp.basics), bound)
+    check_carrier(len(sp.labels), bound, "topology generation")
+    return FiniteSpace.from_rows(sp.labels, sp.order)
 
 
 def priestley_of_dlat(d: Structure, bound: int | None = None) -> DualityResult:
     """Prime filter spectrum with patch topology and inclusion order; the
     Stone topology generated by the basic sets is auxiliary 'stone'."""
     res = _patch_spectrum(d, "dlat", bound)
-    res.auxiliary["stone"] = generate_topology(
-        res.point_labels, SetFamily(res.n_points, res.embedding), bound)
+    res.auxiliary["stone"] = FiniteSpace.from_rows(res.point_labels,
+                                                   res.space.preorder.up)
     return res
 
 
@@ -133,13 +147,11 @@ def coherent_of_priestley(ps: PreorderedSpace) -> FiniteSpace:
 
 def priestley_of_coherent(space: FiniteSpace, bound: int | None = None
                           ) -> PreorderedSpace:
-    """Patch topology plus specialization order of a T0 space."""
-    spec = specialization_preorder(space)
-    if not spec.is_antisymmetric():
-        raise NotT0(f"specialization has cycle {spec.antisymmetry_failure()}")
-    # the minimal opens generate the same patch topology as all the opens
-    minimal = SetFamily(space.n, space.minimal)
-    return PreorderedSpace(patch_space(space.labels, minimal, bound), spec)
+    """Patch topology plus specialization order of a T0 space; the minimal
+    opens separate the points, so the patch topology is discrete."""
+    _require_t0(space)
+    return PreorderedSpace(_discrete(space.labels, bound),
+                           specialization_preorder(space))
 
 
 def poset_spectrum(p: Poset, bound: int | None = None) -> DualityResult:
@@ -247,7 +259,7 @@ def roundtrip_check(d: Structure, bound: int | None = None
 
     Returns (ok, rebuilt lattice, element map as a tuple of target indices).
     """
-    res = priestley_of_dlat(d, bound)
+    res = _patch_spectrum(d, "dlat", bound)
     uppers = _require_priestley(res.space).clopen_uppers.masks
     result = structure_from_closed_masks(res.space.labels, uppers)
     index = {m: i for i, m in enumerate(uppers)}

@@ -256,11 +256,9 @@ class ClosureFamily:
     """A family of rule-closed upward-closed subsets of P_fin(doubled carrier),
     each member encoded as one big int with a bit per ground subset."""
 
-    __slots__ = ("carrier_labels", "doubled_labels", "members")
+    __slots__ = ("members",)
 
-    def __init__(self, carrier_labels, doubled_labels, members):
-        self.carrier_labels = tuple(carrier_labels)
-        self.doubled_labels = tuple(doubled_labels)
+    def __init__(self, members):
         self.members = tuple(members)
 
     def __len__(self) -> int:
@@ -354,8 +352,7 @@ def thm22_oracle(d: Structure, bound: int | None = None) -> OracleResult:
     labels = [f"m{k}" for k in range(len(members))]
     structure = classify(Poset(labels, inclusion_rows(members)))
     unit = [members.index(gens[e]) for e in range(nn)]
-    doubled = list(d.labels) + [x + "*" for x in d.labels]
-    return OracleResult(ClosureFamily(d.labels, doubled, members), structure, unit)
+    return OracleResult(ClosureFamily(members), structure, unit)
 
 
 def _free_dlat(s: Structure, kind: str, bound: int | None) -> FreeResult:

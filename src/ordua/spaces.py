@@ -2,9 +2,10 @@
 
 A finite topology is its minimal opens, the least open around each point:
 these rows are its specialization preorder and the opens are its up-sets
-(Alexandrov correspondence). A FiniteSpace stores the rows; ``opens`` is a
-view built on first read, bounded by the carrier check each builder makes, and
-openness, clopens, continuity and equality are decided on the rows.
+(Alexandrov correspondence). So a FiniteSpace is a Preorder whose up-rows are
+the minimal opens; ``opens`` is a view built on first read, bounded by the
+carrier check each builder makes, and openness, T0, clopens, continuity and
+equality are decided on the rows.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ class Preorder:
         return bool(self.up[i] >> j & 1)
 
     def is_antisymmetric(self) -> bool:
-        return self.antisymmetry_failure() is None
+        # i <= j <= i exactly when i and j have the same up-row
+        return len(set(self.up)) == self.n
 
     def antisymmetry_failure(self) -> tuple[int, int] | None:
         for i in range(self.n):
@@ -76,7 +78,7 @@ class Preorder:
         return all(not (self.up[i] & ~mask) for i in bits(mask))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Preorder)
+        return (type(other) is type(self)
                 and self.labels == other.labels and self.up == other.up)
 
     def __hash__(self) -> int:
@@ -105,17 +107,15 @@ def _components(rows) -> list[int]:
     return transitive_closure(link)
 
 
-class FiniteSpace:
-    """A finite space: labelled points and their minimal opens (minimal[p] is
-    the least open containing p); opens lists their up-sets on first read."""
+class FiniteSpace(Preorder):
+    """A finite space is its specialization preorder: up[p] is the least open
+    containing p (its minimal open), and opens lists the up-sets on first read."""
 
-    __slots__ = ("labels", "minimal", "_opens")
+    __slots__ = ("_opens",)
 
     def __init__(self, labels, opens) -> None:
-        labels = tuple(str(x) for x in labels)
+        labels = tuple(labels)
         n = len(labels)
-        if len(set(labels)) != n:
-            raise InputFormatError("duplicate point labels")
         family = opens if isinstance(opens, SetFamily) else SetFamily(n, opens)
         if family.n != n:
             raise CarrierMismatch("opens do not live on the point carrier")
@@ -130,49 +130,39 @@ class FiniteSpace:
             raise InputFormatError("family is not closed under intersections")
         if not all(o | m in masks for o in family.masks for m in minimal):
             raise InputFormatError("family is not closed under unions")
-        self.labels = labels
-        self.minimal = minimal
+        super().__init__(labels, minimal)
         self._opens = family
 
     @classmethod
     def from_rows(cls, labels, rows) -> "FiniteSpace":
         """The space whose minimal opens are rows, which must be a preorder."""
-        pre = Preorder(labels, rows)
         space = cls.__new__(cls)
-        space.labels, space.minimal, space._opens = pre.labels, pre.up, None
+        Preorder.__init__(space, labels, rows)
+        space._opens = None
         return space
+
+    @property
+    def minimal(self) -> tuple[int, ...]:
+        return self.up
 
     @property
     def opens(self) -> SetFamily:
         if self._opens is None:
-            self._opens = SetFamily(self.n, upper_sets(self.minimal))
+            self._opens = SetFamily(self.n, upper_sets(self.up))
         return self._opens
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
 
     @property
     def full(self) -> int:
         return (1 << self.n) - 1
 
     def is_open(self, mask: int) -> bool:
-        return (0 <= mask <= self.full
-                and all(not (self.minimal[p] & ~mask) for p in bits(mask)))
+        return 0 <= mask <= self.full and self.is_upper(mask)
 
     def clopen_masks(self) -> list[int]:
         """Clopen sets: the unions of connected components, ascending."""
-        return upper_sets(_components(self.minimal))
+        return upper_sets(_components(self.up))
 
-    def is_t0(self) -> bool:
-        return len(set(self.minimal)) == self.n
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FiniteSpace)
-                and self.labels == other.labels and self.minimal == other.minimal)
-
-    def __hash__(self) -> int:
-        return hash((self.labels, self.minimal))
+    is_t0 = Preorder.is_antisymmetric
 
     def __repr__(self) -> str:
         return f"FiniteSpace(n={self.n}, {len(self.opens)} opens)"
@@ -211,7 +201,7 @@ class PreorderedSpace:
 def _clopen_upper_rows(ps: PreorderedSpace) -> list[int]:
     """Row p: the least clopen upper set containing p, which is p's row in the
     union of the component relation and the order, closed transitively."""
-    rows = zip(_components(ps.space.minimal), ps.preorder.up)
+    rows = zip(_components(ps.space.up), ps.preorder.up)
     return transitive_closure(c | u for c, u in rows)
 
 
@@ -282,8 +272,8 @@ def _with_complements(family: SetFamily) -> SetFamily:
 
 
 def specialization_preorder(space: FiniteSpace) -> Preorder:
-    """x <= y iff every open containing x contains y (rows are minimal opens)."""
-    return Preorder(space.labels, space.minimal)
+    """x <= y iff every open containing x contains y: the space's own rows."""
+    return Preorder(space.labels, space.up)
 
 
 def alexandrov_space(pre: Preorder, bound: int | None = None) -> FiniteSpace:
@@ -295,15 +285,13 @@ def alexandrov_space(pre: Preorder, bound: int | None = None) -> FiniteSpace:
 def upper_open_reduct(ps: PreorderedSpace) -> FiniteSpace:
     """Keep only the opens that are upper for the order: the up-sets of the
     specialization preorder and the order together."""
-    rows = zip(ps.space.minimal, ps.preorder.up)
+    rows = zip(ps.space.up, ps.preorder.up)
     return FiniteSpace.from_rows(ps.labels, transitive_closure(m | u for m, u in rows))
 
 
 def preorder_coreflection(ps: PreorderedSpace) -> Preorder:
     """Intersect the order with the specialization preorder of the topology."""
-    spec = specialization_preorder(ps.space)
-    rows = [ps.preorder.up[i] & spec.up[i] for i in range(ps.n)]
-    return Preorder(ps.labels, rows)
+    return Preorder(ps.labels, [o & s for o, s in zip(ps.preorder.up, ps.space.up)])
 
 
 def priestley_boolean_algebra(labels, family: SetFamily,
@@ -376,7 +364,7 @@ def check_patch_characterization(ps: PreorderedSpace, family: SetFamily,
         raise CarrierMismatch("family does not live on the space carrier")
     rows_a = minimal_opens(ps.n, family.masks)
     patch = patch_space(ps.labels, family, bound)
-    lhs = ps.space.minimal == patch.minimal and tuple(ps.preorder.up) == rows_a
+    lhs = ps.space.up == patch.up and tuple(ps.preorder.up) == rows_a
     witness: dict | None = None
     rhs = True
     for s in family.masks:
@@ -397,24 +385,28 @@ def check_patch_characterization(ps: PreorderedSpace, family: SetFamily,
     return lhs, rhs, witness
 
 
+def _require_t0(space: FiniteSpace) -> None:
+    """Raise NotT0 naming the first two points with the same opens, if any."""
+    bad = space.antisymmetry_failure()
+    if bad is not None:
+        pair = (space.labels[bad[0]], space.labels[bad[1]])
+        raise NotT0(f"not a T0 space (pair {pair})")
+
+
 def check_frame_pullback(space: FiniteSpace, bound: int | None = None) -> bool:
     """For a T0 space: opens = patch opens that are specialization-upper."""
-    spec = specialization_preorder(space)
-    if not spec.is_antisymmetric():
-        bad = spec.antisymmetry_failure()
-        raise NotT0(f"specialization preorder has the cycle {bad}")
+    _require_t0(space)
     # the minimal opens generate the same patch topology as all the opens,
     # and the patch opens that are upper are the up-sets of both preorders
-    patch = patch_space(space.labels, SetFamily(space.n, space.minimal), bound)
-    rows = transitive_closure(m | u for m, u in zip(patch.minimal, spec.up))
-    return tuple(rows) == space.minimal
-
-
-def is_continuous(mapping, source: FiniteSpace, target: FiniteSpace) -> bool:
-    """Preimages of opens are open: for finite spaces, exactly when the map is
-    monotone for the specialization preorders."""
-    return _is_monotone(mapping, source.minimal, target.minimal) is None
+    patch = patch_space(space.labels, SetFamily(space.n, space.up), bound)
+    rows = transitive_closure(m | u for m, u in zip(patch.up, space.up))
+    return tuple(rows) == space.up
 
 
 def is_monotone_map(mapping, source: Preorder, target: Preorder) -> bool:
+    """Whether the map is monotone. For finite spaces (their specialization
+    preorders) this is continuity: preimages of opens are open."""
     return _is_monotone(mapping, source.up, target.up) is None
+
+
+is_continuous = is_monotone_map

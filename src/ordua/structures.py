@@ -61,6 +61,13 @@ def transitive_closure(rows) -> list[int]:
     return rows
 
 
+def cover_pairs(up) -> list[tuple[int, int]]:
+    """Pairs i <= j, i != j, of a preorder with up-rows up, with no third
+    point k between them: i <= k <= j."""
+    return [(i, j) for i, row in enumerate(up) for j in bits(row) if j != i
+            and not any(up[k] >> j & 1 for k in bits(row & ~(1 << i | 1 << j)))]
+
+
 def upper_sets(up, limit: int | None = None) -> list[int]:
     """All up-sets of the preorder with up-rows up, in ascending mask order;
     only the first limit of them if limit is given."""
@@ -233,17 +240,6 @@ class Poset:
         check_carrier(self.n, bound, "lower-set enumeration")
         return upper_sets(self.dn)
 
-    def hasse_pairs(self) -> list[tuple[int, int]]:
-        """Cover pairs (i, j) with i < j and nothing strictly between."""
-        out = []
-        for i in range(self.n):
-            strict = self.up[i] ^ (1 << i)
-            for j in bits(strict):
-                between = strict & self.dn[j] & ~(1 << j)
-                if not between:
-                    out.append((i, j))
-        return out
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poset)
                 and self.labels == other.labels and self.up == other.up)
@@ -252,7 +248,7 @@ class Poset:
         return hash((self.labels, self.up))
 
     def __repr__(self) -> str:
-        return f"Poset({list(self.labels)}, {len(self.hasse_pairs())} covers)"
+        return f"Poset({list(self.labels)}, {len(cover_pairs(self.up))} covers)"
 
 
 def _label_index(labels: tuple[str, ...]) -> dict[str, int]:

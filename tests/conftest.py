@@ -54,6 +54,18 @@ def brute_upper_sets(up) -> list[int]:
                    for j in range(n) if up[i] >> j & 1)]
 
 
+def brute_cover_pairs(up) -> list[tuple[int, int]]:
+    """Pairs (i, j), i != j, with i <= j and no k other than i and j such
+    that i <= k <= j, in the preorder with up-rows up, by definition."""
+    n = len(up)
+
+    def leq(a, b):
+        return bool(up[a] >> b & 1)
+
+    return [(i, j) for i in range(n) for j in range(n) if i != j and leq(i, j)
+            and not any(leq(i, k) and leq(k, j) for k in range(n) if k not in (i, j))]
+
+
 def brute_preorders(n: int) -> list[tuple[int, ...]]:
     """Up-rows of every reflexive, transitive relation on n points, in the
     order of a scan over all 2^(n(n-1)) off-diagonal relations."""

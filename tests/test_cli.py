@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from conftest import package_env
-from ordua.cli import _BUILTIN_SPECS, main
+from ordua.cli import _BUILTIN_SPECS, export_structure_document, main
+from ordua.structures import powerset_structure
 
 
 def run(capsys, *argv):
@@ -328,3 +329,12 @@ def test_console_entry_point():
         capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "distributive-lattice"
+
+
+def test_priestley_checks_the_topology_bound(capsys, tmp_path):
+    # 2^4 has four prime filters, one more than the bound allows
+    src = write_json(tmp_path, "b4.json",
+                     export_structure_document(powerset_structure(4)))
+    code, out, err = run(capsys, "priestley", src, "--bound", "3")
+    assert (code, out) == (3, "")
+    assert err == "ordua: error: topology generation needs carrier <= 3, got 4\n"

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from conftest import brute_upper_sets, lower_set_lattice, shuffled
 from ordua import dualities, structures
 from ordua.corpus import all_posets, all_posets_up_to, random_poset
-from ordua.errors import KindMismatch, NotPriestley
+from ordua.errors import CarrierTooLarge, KindMismatch, NotPriestley
 from ordua.dualities import (
     DualityResult,
     coherent_of_priestley,
+    ddlat_spectrum,
     dlat_of_priestley,
     dual_morphism,
     extended_image_check,
@@ -25,8 +26,17 @@ from ordua.dualities import (
     upper_elements,
 )
 from ordua.free import free_boolean
-from ordua.spaces import FiniteSpace, Preorder, PreorderedSpace, priestley_check
+from ordua.spaces import (
+    FiniteSpace,
+    Preorder,
+    PreorderedSpace,
+    generate_topology,
+    patch_space,
+    priestley_check,
+)
 from ordua.structures import (
+    KIND_RANK,
+    SetFamily,
     StructureMorphism,
     classify,
     powerset_structure,
@@ -92,6 +102,53 @@ def test_embedding_reflects_order():
                 assert d.leq(i, j) == inc
 
 
+def _spectra_of_the_corpora():
+    """(structure, duality result) for every poset of at most 5 points and
+    every msl, dd-lattice and distributive lattice among them, plus the
+    down-set lattices of the posets of at most 4 points."""
+    out = []
+    for p in all_posets_up_to(5):
+        c = classify(p)
+        out.append((c, poset_spectrum(p)))
+        rank = KIND_RANK[c.kind]
+        if rank >= KIND_RANK["meet-semilattice"]:
+            out.append((c, msl_spectrum(c)))
+        if rank >= KIND_RANK["dd-lattice"]:
+            out.append((c, ddlat_spectrum(c)))
+        if rank >= KIND_RANK["distributive-lattice"]:
+            out.append((c, priestley_of_dlat(c)))
+    out += [(d, priestley_of_dlat(d))
+            for d in map(lower_set_lattice, all_posets_up_to(4))]
+    return out
+
+
+def test_spectrum_topologies_are_their_closed_forms():
+    """The patch space of every spectrum is the one the general generator
+    builds from the basic sets, and so is every Stone (or witness) space."""
+    kinds = set()
+    for c, res in _spectra_of_the_corpora():
+        basics = SetFamily(res.n_points, res.embedding)
+        assert res.space.space == patch_space(res.point_labels, basics)
+        stone = generate_topology(res.point_labels, basics)
+        assert stone.minimal == res.space.preorder.up
+        for aux in res.auxiliary.values():
+            assert aux == stone
+        if "stone" in res.auxiliary:
+            assert stone_spectrum(c) == stone
+        kinds.update(res.auxiliary)
+    assert kinds == {"A", "stone"}
+
+
+def test_spectrum_topologies_check_the_bound_first():
+    # 2^4 has four prime filters, one more than the bound allows
+    d = powerset_structure(4)
+    message = r"^topology generation needs carrier <= 3, got 4$"
+    for build in (priestley_of_dlat, stone_spectrum, roundtrip_check):
+        with pytest.raises(CarrierTooLarge, match=message):
+            build(d, 3)
+    assert priestley_of_dlat(d, 4).n_points == 4
+
+
 # ------------------------------------------------------------ back and forth
 
 def test_clopen_uppers_of_discrete_order_space():
@@ -137,16 +194,16 @@ def test_roundtrip_iso_is_an_order_isomorphism_on_shuffled_lattices(seed):
 def test_roundtrip_rejects_an_embedding_that_breaks_order(monkeypatch):
     d = chain(3)
     assert roundtrip_check(d)[0]
-    real = dualities.priestley_of_dlat
+    real = dualities._patch_spectrum
 
-    def swapped(s, bound=None):
+    def swapped(s, duality, bound):
         # still a bijection onto the clopen uppers, but bottom and top trade places
-        res = real(s, bound)
+        res = real(s, duality, bound)
         emb = list(res.embedding)
         emb[0], emb[-1] = emb[-1], emb[0]
         return DualityResult(res.space, res.point_filters, res.point_labels, emb)
 
-    monkeypatch.setattr(dualities, "priestley_of_dlat", swapped)
+    monkeypatch.setattr(dualities, "_patch_spectrum", swapped)
     ok, result, iso = roundtrip_check(d)
     assert not ok and iso is None and result.n == d.n
 

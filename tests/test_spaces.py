@@ -5,10 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_clopen_uppers, brute_upper_sets, brute_weakly_indecomposable
+from conftest import (
+    brute_clopen_uppers,
+    brute_cover_pairs,
+    brute_upper_sets,
+    brute_weakly_indecomposable,
+)
 from ordua import spaces, structures
 from ordua.corpus import all_preorders, all_posets_up_to
-from ordua.dualities import coherent_of_priestley, extended_image_check
+from ordua.dualities import (
+    coherent_of_priestley,
+    extended_image_check,
+    priestley_of_coherent,
+)
 from ordua.errors import CarrierTooLarge, InputFormatError, NotPriestley, NotT0
 from ordua.spaces import (
     FiniteSpace,
@@ -27,7 +36,7 @@ from ordua.spaces import (
     upper_open_reduct,
     weakly_indecomposable_clopen_uppers,
 )
-from ordua.structures import SetFamily, validate_poset
+from ordua.structures import SetFamily, cover_pairs, validate_poset
 
 
 def sierpinski() -> FiniteSpace:
@@ -356,6 +365,13 @@ def test_frame_pullback_requires_t0():
         check_frame_pullback(indiscrete(2))
 
 
+def test_not_t0_names_two_points_with_the_same_opens():
+    space = FiniteSpace(["a", "b", "c"], [0b000, 0b001, 0b111])
+    for call in (check_frame_pullback, priestley_of_coherent):
+        with pytest.raises(NotT0, match=r"^not a T0 space \(pair \('b', 'c'\)\)$"):
+            call(space)
+
+
 # ------------------------------------------------ patch boolean algebra
 
 def test_priestley_boolean_algebra_of_single_set():
@@ -382,6 +398,18 @@ def alexandrov_spaces(max_n: int) -> list[FiniteSpace]:
     """Every finite space on at most max_n labelled points, from its rows."""
     return [FiniteSpace.from_rows([f"x{i}" for i in range(n)], rows)
             for n in range(max_n + 1) for rows in all_preorders(n)]
+
+
+def test_a_space_is_the_preorder_of_its_rows():
+    for n in range(5):
+        labels = [f"x{i}" for i in range(n)]
+        for rows in all_preorders(n):
+            pre, sp = Preorder(labels, rows), FiniteSpace.from_rows(labels, rows)
+            assert isinstance(sp, Preorder) and sp.up == sp.minimal == pre.up
+            assert sp.is_t0() == (pre.antisymmetry_failure() is None)
+            assert cover_pairs(rows) == brute_cover_pairs(rows)
+            # same rows, different kinds of object
+            assert sp != pre and pre != sp
 
 
 def test_space_from_rows_equals_space_from_its_opens():
