@@ -47,6 +47,7 @@ from ordua.spaces import (
     FiniteSpace,
     Preorder,
     PreorderedSpace,
+    _discrete,
     alexandrov_space,
     check_frame_pullback,
     check_patch_characterization,
@@ -69,6 +70,7 @@ from ordua.structures import (
     prime_filters,
     structure_from_closed_masks,
     structure_isomorphism,
+    upper_sets,
     validate_poset,
 )
 
@@ -128,7 +130,8 @@ def _read_document(path: str, shown: str):
             return json.load(fh)
     except OSError as e:
         raise InputFormatError(f"cannot read {shown}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # also bytes not in UTF-8, too many digits, too deep nesting
         raise InputFormatError(f"invalid JSON in {shown}: {e}") from e
 
 
@@ -212,22 +215,22 @@ def _filters_as_labels(s_labels, masks) -> list[list[str]]:
 
 
 def _spectrum_report(s: Structure, res: DualityResult, duality: str) -> dict:
-    order_pairs = sorted(
-        [res.point_labels[i], res.point_labels[j]]
-        for i, j in cover_pairs(res.space.preorder.up))
+    sp = res.spectrum
     report = {
         "duality": duality,
-        "points": [{"label": res.point_labels[k], "filter": members}
+        "points": [{"label": sp.labels[k], "filter": members}
                    for k, members in enumerate(
-                       _filters_as_labels(s.labels, res.point_filters.masks))],
-        "order-covers": order_pairs,
+                       _filters_as_labels(s.labels, sp.points.masks))],
+        "order-covers": sorted([sp.labels[i], sp.labels[j]]
+                               for i, j in cover_pairs(sp.order)),
         "patch-opens": len(res.space.space.opens),
-        "embedding": {s.labels[i]:
-                      sorted(res.point_labels[k] for k in bits(res.embedding[i]))
+        "embedding": {s.labels[i]: sorted(sp.labels[k] for k in bits(sp.basics[i]))
                       for i in range(s.n)},
     }
-    for key, aux in res.auxiliary.items():
-        report[f"{key}-opens"] = len(aux.opens)
+    # the Stone (dlat) and witness (poset) spaces are the up-sets of inclusion
+    aux = {"dlat": "stone-opens", "poset": "A-opens"}.get(duality)
+    if aux is not None:
+        report[aux] = len(upper_sets(sp.order))
     return report
 
 
@@ -244,17 +247,18 @@ def _duality_for_kind(s: Structure) -> str:
 def _free_report(fr: FreeResult) -> dict:
     # a size above the interpreter's int-to-str digit limit (0: none) cannot print
     limit = sys.get_int_max_str_digits()
+    npts = len(fr.spectrum.points)
     if limit and fr.size >= 10 ** limit:
-        digits = math.floor(len(fr.points) * math.log10(2)) + 1
+        digits = math.floor(npts * math.log10(2)) + 1
         raise CarrierTooLarge(
-            f"free algebra size 2^{len(fr.points)} has {digits} decimal digits; "
+            f"free algebra size 2^{npts} has {digits} decimal digits; "
             f"the int-to-str digit limit is {limit}")
     report = {
         "model-class": fr.kind,
-        "points": len(fr.points),
+        "points": npts,
         "size": fr.size,
         "unit": {fr.source.labels[i]:
-                 sorted(fr.point_labels[k] for k in bits(fr.unit_masks[i]))
+                 sorted(fr.spectrum.labels[k] for k in bits(fr.unit_masks[i]))
                  for i in range(fr.source.n)},
     }
     return report
@@ -262,11 +266,9 @@ def _free_report(fr: FreeResult) -> dict:
 
 def _discrete_priestley(s: Structure, bound: int) -> PreorderedSpace:
     """The order of s with the discrete topology: always a Priestley space."""
-    n = s.n
-    if n > bound:
-        raise CarrierTooLarge(f"carrier {n} exceeds bound {bound}")
-    space = FiniteSpace.from_rows(s.labels, [1 << i for i in range(n)])
-    return PreorderedSpace(space, Preorder.from_poset(s.base))
+    if s.n > bound:
+        raise CarrierTooLarge(f"carrier {s.n} exceeds bound {bound}")
+    return PreorderedSpace(_discrete(s.labels, bound), Preorder.from_poset(s.base))
 
 
 def selftest(seed: int, bound: int) -> dict:
@@ -308,7 +310,7 @@ def selftest(seed: int, bound: int) -> dict:
         ok_round = ok_round and good
         res = priestley_of_dlat(lat, bound)
         lhs, rhs, _w = check_patch_characterization(
-            res.space, SetFamily(res.n_points, res.embedding), bound)
+            res.space, SetFamily(res.n_points, res.spectrum.basics), bound)
         ok_patch = ok_patch and lhs and rhs
     record("roundtrip-random", ok_round)
     record("patch-characterization", ok_patch)
@@ -395,7 +397,7 @@ def run_command(command: str, files: list[str], bound: int, oracle_bound: int,
         else:
             raise KindMismatch("free-dlat needs a meet-semilattice or stronger")
         report = {"command": command, **_free_report(fr),
-                  "elements": [sorted(fr.point_labels[k] for k in bits(m))
+                  "elements": [sorted(fr.spectrum.labels[k] for k in bits(m))
                                for m in fr.element_masks]}
         return 0, report, fr
     if command == "free-frame":

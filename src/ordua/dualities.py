@@ -12,11 +12,12 @@ topology they generate alone is the Alexandrov topology of inclusion.
 from __future__ import annotations
 
 from ordua.errors import InputFormatError
-from ordua.free import _HOM_KIND_OF, free_boolean
+from ordua.free import _HOM_KIND_OF, FreeResult
 from ordua.spaces import (
     FiniteSpace,
     Preorder,
     PreorderedSpace,
+    _discrete,
     _require_priestley,
     _require_t0,
     is_continuous,
@@ -25,10 +26,9 @@ from ordua.spaces import (
     upper_open_reduct,
     weakly_indecomposable_clopen_uppers,
 )
-from ordua.spectra import inverse_image_map, spectrum
+from ordua.spectra import Spectrum, inverse_image_map, spectrum
 from ordua.structures import (
     Poset,
-    SetFamily,
     Structure,
     StructureMorphism,
     Subset,
@@ -36,7 +36,6 @@ from ordua.structures import (
     bits,
     check_carrier,
     classify,
-    inclusion_rows,
     structure_from_closed_masks,
     upper_sets,
 )
@@ -47,21 +46,20 @@ _DUAL_HOM_KIND = {"poset": "flat", **_HOM_KIND_OF}
 
 
 class DualityResult:
-    """A spectrum: preordered patch space, point filters, and the embedding."""
+    """A spectrum with its preordered patch space."""
 
-    __slots__ = ("space", "point_filters", "point_labels", "embedding", "auxiliary")
+    __slots__ = ("spectrum", "space")
 
-    def __init__(self, space: PreorderedSpace, point_filters: SetFamily,
-                 point_labels, embedding):
+    def __init__(self, spectrum: Spectrum, space: PreorderedSpace):
+        self.spectrum = spectrum
         self.space = space
-        self.point_filters = point_filters
-        self.point_labels = tuple(point_labels)
-        self.embedding = tuple(embedding)
-        self.auxiliary: dict[str, FiniteSpace] = {}
+
+    # the spectrum's points, under the name that perfbench reads
+    point_filters = property(lambda self: self.spectrum.points)
 
     @property
     def n_points(self) -> int:
-        return len(self.point_labels)
+        return len(self.spectrum.labels)
 
     def __repr__(self) -> str:
         return f"DualityResult({self.n_points} points)"
@@ -83,35 +81,12 @@ class SpaceMap:
         return f"SpaceMap({self.source.n}->{self.target.n})"
 
 
-class OrderedBoolean:
-    """A Boolean algebra with the trace order on its prime filter spectrum."""
-
-    __slots__ = ("algebra", "spec_order", "traces", "free")
-
-    def __init__(self, algebra: Structure, spec_order: Poset, traces, free):
-        self.algebra = algebra
-        self.spec_order = spec_order
-        self.traces = tuple(traces)
-        self.free = free
-
-    def __repr__(self) -> str:
-        return f"OrderedBoolean(n={self.algebra.n}, {self.spec_order.n} primes)"
-
-
-def _discrete(labels, bound: int | None) -> FiniteSpace:
-    """The patch space of a family that separates the points: every set is
-    open, so each point is its own minimal open."""
-    check_carrier(len(labels), bound, "topology generation")
-    return FiniteSpace.from_rows(labels, [1 << k for k in range(len(labels))])
-
-
 def _patch_spectrum(c: Structure, duality: str, bound: int | None
                     ) -> DualityResult:
     # distinct points are distinct filters, so the basic sets separate them
     sp = spectrum(c, "poset-flat" if duality == "poset" else duality, bound)
     space = _discrete(sp.labels, bound)
-    return DualityResult(PreorderedSpace(space, Preorder(sp.labels, sp.order)),
-                         sp.points, sp.labels, sp.basics)
+    return DualityResult(sp, PreorderedSpace(space, Preorder(sp.labels, sp.order)))
 
 
 def stone_spectrum(d: Structure, bound: int | None = None) -> FiniteSpace:
@@ -125,12 +100,9 @@ def stone_spectrum(d: Structure, bound: int | None = None) -> FiniteSpace:
 
 
 def priestley_of_dlat(d: Structure, bound: int | None = None) -> DualityResult:
-    """Prime filter spectrum with patch topology and inclusion order; the
-    Stone topology generated by the basic sets is auxiliary 'stone'."""
-    res = _patch_spectrum(d, "dlat", bound)
-    res.auxiliary["stone"] = FiniteSpace.from_rows(res.point_labels,
-                                                   res.space.preorder.up)
-    return res
+    """Prime filter spectrum with patch topology and inclusion order; its
+    coherent reduct is the Stone space."""
+    return _patch_spectrum(d, "dlat", bound)
 
 
 def dlat_of_priestley(ps: PreorderedSpace) -> Structure:
@@ -155,14 +127,12 @@ def priestley_of_coherent(space: FiniteSpace, bound: int | None = None
 
 
 def poset_spectrum(p: Poset, bound: int | None = None) -> DualityResult:
-    """Filter spectrum of a poset: the open-set space on lower-set witnesses
-    (auxiliary 'A') and the patch-plus-inclusion ordered space.
+    """Filter spectrum of a poset with the patch topology and inclusion order.
 
-    A filter ^x meets a lower set u iff x is in u, so the opens of A (the
-    filters meeting u, for each u) are the up-sets of the inclusion order."""
-    res = _patch_spectrum(classify(p), "poset", bound)
-    res.auxiliary["A"] = FiniteSpace.from_rows(res.point_labels, res.space.preorder.up)
-    return res
+    A filter ^x meets a lower set u iff x is in u, so the open-set space on
+    lower-set witnesses (the filters meeting u, for each u) is the coherent
+    reduct: the up-sets of the inclusion order."""
+    return _patch_spectrum(classify(p), "poset", bound)
 
 
 def msl_spectrum(m: Structure, bound: int | None = None) -> DualityResult:
@@ -195,8 +165,8 @@ def dual_morphism(f: StructureMorphism, duality: str, bound: int | None = None
     _require_kind(f.map, f.source, f.target, _DUAL_HOM_KIND[duality])
     res_src = spectrum_for(f.source, duality, bound)
     res_tgt = spectrum_for(f.target, duality, bound)
-    mapping = inverse_image_map(f, res_src.point_filters.masks,
-                                res_tgt.point_filters.masks)
+    mapping = inverse_image_map(f, res_src.spectrum.points.masks,
+                                res_tgt.spectrum.points.masks)
     return SpaceMap(res_tgt.space, res_src.space, mapping)
 
 
@@ -227,29 +197,15 @@ def extended_image_check(ps: PreorderedSpace, variant: str
     return True, None
 
 
-def ordered_boolean_of(c: Structure, kind: str, bound: int | None = None
-                       ) -> OrderedBoolean:
-    """The free Boolean algebra on c with the trace order on its primes.
+def upper_elements(fr: FreeResult) -> Subset:
+    """Elements b of a free Boolean algebra with: b in P and P <= P' imply
+    b in P', for primes ordered by their traces.
 
-    The primes of the free algebra correspond to the spectrum points, and the
-    trace of a prime is exactly the point's filter, so the order is inclusion
-    of points.
+    The trace of the prime at point k is the point, and b is in it iff bit k
+    of b's powerset mask, its element index in the materialized algebra, is
+    set; so these are the up-sets of the spectrum's inclusion order.
     """
-    fr = free_boolean(c, kind, bound)
-    algebra = fr.structure
-    pts = fr.points.masks
-    spec_order = Poset(fr.point_labels, inclusion_rows(pts))
-    return OrderedBoolean(algebra, spec_order, pts, fr)
-
-
-def upper_elements(ob: OrderedBoolean) -> Subset:
-    """Elements b with: b in P and P <= P' imply b in P'.
-
-    Membership of b in the prime at point k is bit k of b's powerset mask,
-    which equals its element index in the materialized free algebra, so these
-    are the up-sets of the trace order.
-    """
-    return Subset(ob.algebra.n, sum(1 << x for x in upper_sets(ob.spec_order.up)))
+    return Subset(fr.structure.n, sum(1 << x for x in upper_sets(fr.spectrum.order)))
 
 
 def roundtrip_check(d: Structure, bound: int | None = None
@@ -263,14 +219,14 @@ def roundtrip_check(d: Structure, bound: int | None = None
     uppers = _require_priestley(res.space).clopen_uppers.masks
     result = structure_from_closed_masks(res.space.labels, uppers)
     index = {m: i for i, m in enumerate(uppers)}
-    iso = tuple(index.get(m) for m in res.embedding)
+    iso = tuple(index.get(m) for m in res.spectrum.basics)
     if d.n != result.n or None in iso or len(set(iso)) != d.n:
         return False, result, None
     # iso is a bijection, so it is an order isomorphism iff x <= y exactly
     # when every prime filter holding x holds y: x's up-row is the meet of
     # the prime filters containing x
-    primes = res.point_filters.masks
-    for x, m in enumerate(res.embedding):
+    primes = res.spectrum.points.masks
+    for x, m in enumerate(res.spectrum.basics):
         row = d.base.full
         for k in bits(m):
             row &= primes[k]

@@ -5,8 +5,8 @@ realized concretely on the spectrum of c: the points are the two-valued
 models of the class, each generator c embeds as the set of points containing
 it, and since distinct points are separated by the generators the generated
 Boolean subalgebra of the powerset is the whole powerset of the spectrum.
-FreeResult therefore keeps the points and the generator images; the 2^points
-operation tables are only materialized below a size cap.
+FreeResult therefore keeps the spectrum and the generator images; the
+2^points operation tables are only materialized below a size cap.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from ordua.errors import (
     NotInjective,
     OracleBoundExceeded,
 )
-from ordua.spectra import inverse_image_map, spectrum
+from ordua.spectra import Spectrum, inverse_image_map, spectrum
 from ordua.structures import (
     Poset,
     SetFamily,
@@ -51,32 +51,34 @@ _HOM_KIND_OF = {"msl": "meet-hom", "dlat": "lattice-hom", "ddlat": "disjunctive-
 
 
 class FreeResult:
-    """A free structure presented on a point set.
+    """A free structure presented on the points of a spectrum.
 
-    points are subsets of the source carrier; unit_masks[i] is the image of
-    source element i as a subset of the points. For Boolean frees the carrier
-    is the full powerset of the points (element_masks None); the lattice and
-    frame constructions list their element masks explicitly.
+    unit_masks[i] is the image of source element i as a subset of the points,
+    the basic set of i unless given. For Boolean frees the carrier is the full
+    powerset of the points (element_masks None); the lattice and frame
+    constructions list their element masks explicitly.
     """
 
-    __slots__ = ("source", "kind", "points", "point_labels", "unit_masks",
-                 "element_masks", "_structure")
+    __slots__ = ("source", "kind", "spectrum", "unit_masks", "element_masks",
+                 "_structure")
 
-    def __init__(self, source: Structure, kind: str, points: SetFamily,
-                 point_labels, unit_masks, element_masks=None):
+    def __init__(self, source: Structure, kind: str, spectrum: Spectrum,
+                 unit_masks=None, element_masks=None):
         self.source = source
         self.kind = kind
-        self.points = points
-        self.point_labels = tuple(point_labels)
-        self.unit_masks = tuple(unit_masks)
+        self.spectrum = spectrum
+        self.unit_masks = spectrum.basics if unit_masks is None else tuple(unit_masks)
         self.element_masks = None if element_masks is None else tuple(element_masks)
         self._structure = None
+
+    # the spectrum's points, under the name that perfbench reads
+    points = property(lambda self: self.spectrum.points)
 
     @property
     def size(self) -> int:
         if self.element_masks is not None:
             return len(self.element_masks)
-        return 1 << len(self.points)
+        return 1 << len(self.spectrum.points)
 
     @property
     def structure(self) -> Structure:
@@ -86,8 +88,8 @@ class FreeResult:
                     f"free structure has {self.size} elements; cap is {MATERIALIZE_CAP}")
             masks = self.element_masks
             if masks is None:
-                masks = range(1 << len(self.points))
-            self._structure = structure_from_closed_masks(self.point_labels, masks)
+                masks = range(self.size)
+            self._structure = structure_from_closed_masks(self.spectrum.labels, masks)
         return self._structure
 
     @property
@@ -104,7 +106,8 @@ class FreeResult:
         return StructureMorphism(self.source, self.structure, self.unit, hom_kind)
 
     def __repr__(self) -> str:
-        return f"FreeResult({self.kind}, {len(self.points)} points, size {self.size})"
+        npts = len(self.spectrum.points)
+        return f"FreeResult({self.kind}, {npts} points, size {self.size})"
 
 
 def free_boolean(c: Structure, kind: str, bound: int | None = None) -> FreeResult:
@@ -114,8 +117,7 @@ def free_boolean(c: Structure, kind: str, bound: int | None = None) -> FreeResul
     to 2), filters (flat models and meet-homs), prime filters (lattice homs),
     or disjunctive filters (disjunctive homs).
     """
-    sp = spectrum(c, kind, bound)
-    return FreeResult(c, kind, sp.points, sp.labels, sp.basics)
+    return FreeResult(c, kind, spectrum(c, kind, bound))
 
 
 def _flat_model_test(src: Structure, b: Structure):
@@ -159,7 +161,7 @@ def universal_property_check(fr: FreeResult, atom_bound: int = 3
     correspond to maps from the k atoms to the spectrum points; composing with
     the unit must hit each class morphism c -> B exactly once.
     """
-    c, npts = fr.source, len(fr.points)
+    c, npts = fr.source, len(fr.spectrum.points)
     level = [(0,) * c.n]
     for k in range(1, atom_bound + 1):
         b = powerset_structure(k)
@@ -187,11 +189,12 @@ def induced_boolean_hom(f: StructureMorphism, fr_src: FreeResult,
                         fr_tgt: FreeResult) -> tuple[int, ...]:
     """The Boolean hom Free(source) -> Free(target) induced by f, as a map of
     powerset masks (valid whenever both frees stay un-materialized too)."""
-    if len(fr_src.points) > 12:
+    src, tgt = fr_src.spectrum.points, fr_tgt.spectrum.points
+    if len(src) > 12:
         raise CarrierTooLarge("induced hom table would exceed 2^12 entries")
-    pm = inverse_image_map(f, fr_src.points.masks, fr_tgt.points.masks)
+    pm = inverse_image_map(f, src.masks, tgt.masks)
     return tuple(sum(1 << q for q, k in enumerate(pm) if s >> k & 1)
-                 for s in range(1 << len(fr_src.points)))
+                 for s in range(1 << len(src)))
 
 
 def _uppers_substructure(b: Structure, trace_rows: list[int], primes: list[int]
@@ -252,26 +255,15 @@ def recognize_free_boolean(i: StructureMorphism, duality_kind: str
     }
 
 
-class ClosureFamily:
-    """A family of rule-closed upward-closed subsets of P_fin(doubled carrier),
-    each member encoded as one big int with a bit per ground subset."""
-
-    __slots__ = ("members",)
-
-    def __init__(self, members):
-        self.members = tuple(members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 class OracleResult:
-    """Presented frame from the generators-and-relations oracle."""
+    """Presented frame from the generators-and-relations oracle. family holds
+    its members, the rule-closed upward-closed subsets of P_fin(doubled
+    carrier), each encoded as one big int with a bit per ground subset."""
 
     __slots__ = ("family", "structure", "unit")
 
-    def __init__(self, family: ClosureFamily, structure: Structure, unit):
-        self.family = family
+    def __init__(self, family, structure: Structure, unit):
+        self.family = tuple(family)
         self.structure = structure
         self.unit = tuple(unit)
 
@@ -352,7 +344,7 @@ def thm22_oracle(d: Structure, bound: int | None = None) -> OracleResult:
     labels = [f"m{k}" for k in range(len(members))]
     structure = classify(Poset(labels, inclusion_rows(members)))
     unit = [members.index(gens[e]) for e in range(nn)]
-    return OracleResult(ClosureFamily(members), structure, unit)
+    return OracleResult(members, structure, unit)
 
 
 def _free_dlat(s: Structure, kind: str, bound: int | None) -> FreeResult:
@@ -363,8 +355,7 @@ def _free_dlat(s: Structure, kind: str, bound: int | None) -> FreeResult:
     element_masks = upper_sets(sp.order, MATERIALIZE_CAP + 1)
     if len(element_masks) > MATERIALIZE_CAP:
         raise CarrierTooLarge("free distributive lattice exceeds the size cap")
-    return FreeResult(s, f"dlat-on-{kind}", sp.points, sp.labels, sp.basics,
-                      element_masks)
+    return FreeResult(s, f"dlat-on-{kind}", sp, element_masks=element_masks)
 
 
 def free_dlat_on_msl(m: Structure, bound: int | None = None) -> FreeResult:
@@ -386,10 +377,8 @@ def free_frame_on_poset(p: Poset, bound: int | None = None) -> FreeResult:
     element_masks = upper_sets(p.dn, MATERIALIZE_CAP + 1)
     if len(element_masks) > MATERIALIZE_CAP:
         raise CarrierTooLarge("free frame exceeds the size cap")
-    pts = [1 << i for i in range(p.n)]
-    unit_masks = [p.dn[i] for i in range(p.n)]
-    return FreeResult(classify(p), "frame-on-poset", SetFamily(p.n, pts),
-                      list(p.labels), unit_masks, element_masks)
+    singletons = Spectrum(SetFamily(p.n, [1 << i for i in range(p.n)]), p.labels)
+    return FreeResult(classify(p), "frame-on-poset", singletons, p.dn, element_masks)
 
 
 def frame_supercompacts(fr: FreeResult) -> list[int]:

@@ -271,6 +271,13 @@ def _with_complements(family: SetFamily) -> SetFamily:
     return SetFamily(family.n, list(family.masks) + [full ^ m for m in family.masks])
 
 
+def _discrete(labels, bound: int | None) -> FiniteSpace:
+    """The patch space of a family that separates the points: every set is
+    open, so each point is its own minimal open."""
+    check_carrier(len(labels), bound, "topology generation")
+    return FiniteSpace.from_rows(labels, [1 << k for k in range(len(labels))])
+
+
 def specialization_preorder(space: FiniteSpace) -> Preorder:
     """x <= y iff every open containing x contains y: the space's own rows."""
     return Preorder(space.labels, space.up)
@@ -396,9 +403,10 @@ def _require_t0(space: FiniteSpace) -> None:
 def check_frame_pullback(space: FiniteSpace, bound: int | None = None) -> bool:
     """For a T0 space: opens = patch opens that are specialization-upper."""
     _require_t0(space)
-    # the minimal opens generate the same patch topology as all the opens,
-    # and the patch opens that are upper are the up-sets of both preorders
-    patch = patch_space(space.labels, SetFamily(space.n, space.up), bound)
+    # the minimal opens of a T0 space separate its points, so their patch
+    # topology is discrete; the patch opens that are upper are the up-sets of
+    # both preorders
+    patch = _discrete(space.labels, bound)
     rows = transitive_closure(m | u for m, u in zip(patch.up, space.up))
     return tuple(rows) == space.up
 

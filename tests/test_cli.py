@@ -218,6 +218,47 @@ def test_missing_file_is_an_input_error(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+MALFORMED = {
+    "not-utf8": b"\xff\xfe",
+    "long-integer": b'{"elements": ' + b"7" * 5000 + b', "leq": []}',
+    "deep-nesting": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "recognize"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_undecodable_document_is_an_input_error(capsys, tmp_path, name, command):
+    # as a structure (validate) and as a morphism document (recognize); the
+    # long integer is over the interpreter's default int-to-str digit limit
+    path = tmp_path / "doc.json"
+    path.write_bytes(MALFORMED[name])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, command, str(path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ordua: error: invalid JSON in {path}: ")
+
+
+def test_validate_fuzz_never_escapes(capsys, tmp_path):
+    # seeded random byte strings, raw or from JSON's alphabet: validate exits
+    # 0 or prints an error, and any other exception would escape main
+    rng = random.Random(5)
+    path = tmp_path / "doc.json"
+    alphabet = b'[]{}",:0123456789.eE-+ aeflnrstu\\\xc3\xa9\xff'
+    for k in range(300):
+        size = rng.randint(0, 40)
+        data = (rng.randbytes(size) if k % 2 else
+                bytes(rng.choice(alphabet) for _ in range(size)))
+        path.write_bytes(data)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code in (0, 1, 2, 3), data
+        if code:
+            assert out == "" and err.startswith("ordua: error:"), data
+
+
 def test_kind_hint_upgrade_is_rejected(capsys, tmp_path):
     src = write_json(tmp_path, "hinted.json", {
         "elements": ["p", "q"], "leq": [],

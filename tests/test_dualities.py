@@ -16,7 +16,6 @@ from ordua.dualities import (
     dual_morphism,
     extended_image_check,
     msl_spectrum,
-    ordered_boolean_of,
     poset_spectrum,
     priestley_of_coherent,
     priestley_of_dlat,
@@ -25,7 +24,7 @@ from ordua.dualities import (
     stone_spectrum,
     upper_elements,
 )
-from ordua.free import free_boolean
+from ordua.free import FREE_KINDS, MATERIALIZE_CAP, free_boolean
 from ordua.spaces import (
     FiniteSpace,
     Preorder,
@@ -34,11 +33,13 @@ from ordua.spaces import (
     patch_space,
     priestley_check,
 )
+from ordua.spectra import Spectrum
 from ordua.structures import (
     KIND_RANK,
     SetFamily,
     StructureMorphism,
     classify,
+    inclusion_rows,
     powerset_structure,
     prime_filters,
     validate_poset,
@@ -70,7 +71,7 @@ def test_stone_spectrum_of_three_chain():
 def test_priestley_of_three_chain_embedding():
     res = priestley_of_dlat(chain(3))
     assert res.n_points == 2
-    assert res.embedding == (0b00, 0b10, 0b11)  # 0 -> {}, mid -> one point, 1 -> all
+    assert res.spectrum.basics == (0b00, 0b10, 0b11)  # 0 -> {}, mid -> one point, 1 -> all
     assert priestley_check(res.space).ok
 
 
@@ -78,7 +79,7 @@ def test_spectra_carry_inclusion_order():
     for p in all_posets_up_to(3):
         c = classify(p)
         res = poset_spectrum(p)
-        pts = res.point_filters.masks
+        pts = res.spectrum.points.masks
         for i in range(len(pts)):
             for j in range(len(pts)):
                 assert res.space.preorder.leq(i, j) == (not pts[i] & ~pts[j])
@@ -98,45 +99,46 @@ def test_embedding_reflects_order():
         res = priestley_of_dlat(d)
         for i in range(d.n):
             for j in range(d.n):
-                inc = not res.embedding[i] & ~res.embedding[j]
+                inc = not res.spectrum.basics[i] & ~res.spectrum.basics[j]
                 assert d.leq(i, j) == inc
 
 
 def _spectra_of_the_corpora():
-    """(structure, duality result) for every poset of at most 5 points and
+    """(structure, duality, result) for every poset of at most 5 points and
     every msl, dd-lattice and distributive lattice among them, plus the
     down-set lattices of the posets of at most 4 points."""
     out = []
     for p in all_posets_up_to(5):
         c = classify(p)
-        out.append((c, poset_spectrum(p)))
+        out.append((c, "poset", poset_spectrum(p)))
         rank = KIND_RANK[c.kind]
         if rank >= KIND_RANK["meet-semilattice"]:
-            out.append((c, msl_spectrum(c)))
+            out.append((c, "msl", msl_spectrum(c)))
         if rank >= KIND_RANK["dd-lattice"]:
-            out.append((c, ddlat_spectrum(c)))
+            out.append((c, "ddlat", ddlat_spectrum(c)))
         if rank >= KIND_RANK["distributive-lattice"]:
-            out.append((c, priestley_of_dlat(c)))
-    out += [(d, priestley_of_dlat(d))
+            out.append((c, "dlat", priestley_of_dlat(c)))
+    out += [(d, "dlat", priestley_of_dlat(d))
             for d in map(lower_set_lattice, all_posets_up_to(4))]
     return out
 
 
 def test_spectrum_topologies_are_their_closed_forms():
     """The patch space of every spectrum is the one the general generator
-    builds from the basic sets, and so is every Stone (or witness) space."""
+    builds from the basic sets, and so is every Stone (or witness) space:
+    the coherent reduct of the patch space."""
     kinds = set()
-    for c, res in _spectra_of_the_corpora():
-        basics = SetFamily(res.n_points, res.embedding)
-        assert res.space.space == patch_space(res.point_labels, basics)
-        stone = generate_topology(res.point_labels, basics)
+    for c, duality, res in _spectra_of_the_corpora():
+        sp = res.spectrum
+        basics = SetFamily(res.n_points, sp.basics)
+        assert res.space.space == patch_space(sp.labels, basics)
+        stone = generate_topology(sp.labels, basics)
         assert stone.minimal == res.space.preorder.up
-        for aux in res.auxiliary.values():
-            assert aux == stone
-        if "stone" in res.auxiliary:
+        assert coherent_of_priestley(res.space) == stone
+        if duality == "dlat":
             assert stone_spectrum(c) == stone
-        kinds.update(res.auxiliary)
-    assert kinds == {"A", "stone"}
+        kinds.add(duality)
+    assert kinds == {"poset", "msl", "ddlat", "dlat"}
 
 
 def test_spectrum_topologies_check_the_bound_first():
@@ -199,9 +201,11 @@ def test_roundtrip_rejects_an_embedding_that_breaks_order(monkeypatch):
     def swapped(s, duality, bound):
         # still a bijection onto the clopen uppers, but bottom and top trade places
         res = real(s, duality, bound)
-        emb = list(res.embedding)
+        sp = Spectrum(res.spectrum.points, res.spectrum.labels)
+        emb = list(sp.basics)
         emb[0], emb[-1] = emb[-1], emb[0]
-        return DualityResult(res.space, res.point_filters, res.point_labels, emb)
+        sp.basics = tuple(emb)
+        return DualityResult(sp, res.space)
 
     monkeypatch.setattr(dualities, "_patch_spectrum", swapped)
     ok, result, iso = roundtrip_check(d)
@@ -304,34 +308,44 @@ def test_extended_image_check_requires_priestley():
 # ------------------------------------------------- ordered Boolean envelope
 
 def test_ordered_boolean_of_chain_as_lattice():
-    ob = ordered_boolean_of(chain(3), "dlat")
-    assert ob.algebra.n == 4
-    assert ob.algebra.kind == "boolean-algebra"
-    assert ob.spec_order.up == (0b11, 0b10)  # two primes forming a chain
-    assert upper_elements(ob).members() == (0, 2, 3)
+    fr = free_boolean(chain(3), "dlat")
+    assert fr.structure.n == 4
+    assert fr.structure.kind == "boolean-algebra"
+    assert fr.spectrum.order == (0b11, 0b10)  # two primes forming a chain
+    assert upper_elements(fr).members() == (0, 2, 3)
 
 
 def test_ordered_boolean_of_chain_as_msl():
-    ob = ordered_boolean_of(chain(3).with_kind("meet-semilattice"), "msl")
-    assert ob.algebra.n == 8
-    assert ob.spec_order.up == (0b111, 0b110, 0b100)  # three filters, a chain
-    assert upper_elements(ob).members() == (0, 4, 6, 7)
+    fr = free_boolean(chain(3).with_kind("meet-semilattice"), "msl")
+    assert fr.structure.n == 8
+    assert fr.spectrum.order == (0b111, 0b110, 0b100)  # three filters, a chain
+    assert upper_elements(fr).members() == (0, 4, 6, 7)
 
 
-@given(st.sampled_from(all_posets_up_to(3)))
-@settings(max_examples=20)
-def test_upper_elements_against_definition(p):
-    ob = ordered_boolean_of(classify(p), "poset-monotone")
-    got = set(upper_elements(ob).members())
-    for x in range(ob.algebra.n):
-        expected = all(x >> k2 & 1
-                       for k in bits(x) for k2 in bits(ob.spec_order.up[k]))
-        assert (x in got) == expected
-
-
-def test_ordered_boolean_traces_are_the_points():
-    ob = ordered_boolean_of(chain(3), "dlat")
-    assert ob.traces == ob.free.points.masks
+def test_upper_elements_against_definition():
+    """Every free kind on every corpus structure of that kind with at most 4
+    points; a free algebra above the size cap is never materialized."""
+    least = {"poset-monotone": "poset", "poset-flat": "poset",
+             "msl": "meet-semilattice", "dlat": "distributive-lattice",
+             "ddlat": "dd-lattice"}
+    kinds = set()
+    for c in map(classify, all_posets_up_to(4)):
+        for kind in FREE_KINDS:
+            if c.rank() < KIND_RANK[least[kind]]:
+                continue
+            kinds.add(kind)
+            fr = free_boolean(c, kind)
+            assert fr.spectrum.order == tuple(inclusion_rows(fr.points.masks))
+            if fr.size > MATERIALIZE_CAP:
+                with pytest.raises(CarrierTooLarge):
+                    upper_elements(fr)
+                continue
+            got = set(upper_elements(fr).members())
+            for x in range(fr.structure.n):
+                expected = all(x >> k2 & 1
+                               for k in bits(x) for k2 in bits(fr.spectrum.order[k]))
+                assert (x in got) == expected
+    assert kinds == set(FREE_KINDS)
 
 
 def test_spectrum_for_dispatch():
@@ -346,7 +360,7 @@ def test_poset_spectrum_auxiliary_open_space():
     a2 = validate_poset(["p", "q"], [])
     res = poset_spectrum(a2)
     # lower-set witnesses: {}, {p}, {q}, {p,q} give opens {}, {F_p}, {F_q}, all
-    assert sorted(res.auxiliary["A"].opens) == [0b00, 0b01, 0b10, 0b11]
+    assert sorted(coherent_of_priestley(res.space).opens) == [0b00, 0b01, 0b10, 0b11]
 
 
 def test_poset_spectrum_open_space_is_the_lower_set_witnesses():
@@ -356,9 +370,9 @@ def test_poset_spectrum_open_space_is_the_lower_set_witnesses():
         for u in brute_upper_sets(p.dn):  # the lower sets of p
             f_u = 0
             for i in bits(u):
-                f_u |= res.embedding[i]
+                f_u |= res.spectrum.basics[i]
             witnesses.add(f_u)
-        assert res.auxiliary["A"].opens.masks == tuple(sorted(witnesses))
+        assert coherent_of_priestley(res.space).opens.masks == tuple(sorted(witnesses))
 
 
 def test_lattice_path_builds_no_tables(monkeypatch):

@@ -192,7 +192,7 @@ def distributive_lattices(n: int):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_oracle_members_match_the_full_scan(n):
     for d in distributive_lattices(n):
-        assert list(thm22_oracle(d, 5).family.members) == brute_oracle_members(d)
+        assert list(thm22_oracle(d, 5).family) == brute_oracle_members(d)
 
 
 def test_oracle_matches_free_on_six_element_lattices():
@@ -222,7 +222,7 @@ def test_oracle_uses_no_spectrum(monkeypatch):
     for name in ("spectrum", "prime_filters", "free_boolean"):
         monkeypatch.setattr(free, name, refuse)
     for d in (chain(4), diamond()):
-        assert list(thm22_oracle(d, 4).family.members) == brute_oracle_members(d)
+        assert list(thm22_oracle(d, 4).family) == brute_oracle_members(d)
 
 
 def test_oracle_default_bound():
@@ -247,7 +247,7 @@ def test_universal_property_detects_a_tampered_unit():
     fr = free_boolean(chain(3), "dlat")
     swapped = list(fr.unit_masks)
     swapped[1], swapped[2] = swapped[2], swapped[1]
-    tampered = type(fr)(fr.source, fr.kind, fr.points, fr.point_labels, swapped)
+    tampered = type(fr)(fr.source, fr.kind, fr.spectrum, swapped)
     ok, witness = universal_property_check(tampered)
     assert not ok
     assert witness == {"atoms": 1, "missing": [[0, 0, 1]], "extra": [[0, 1, 0]]}
@@ -257,7 +257,7 @@ def test_universal_property_detects_inseparable_points():
     # both points contain exactly the images of "1" and "2", so the two
     # atom maps to 2 compose to the same map
     fr = free_boolean(chain(3), "dlat")
-    merged = type(fr)(fr.source, fr.kind, fr.points, fr.point_labels, [0, 3, 3])
+    merged = type(fr)(fr.source, fr.kind, fr.spectrum, [0, 3, 3])
     assert universal_property_check(merged) == (
         False, {"atoms": 1, "duplicate": [0, 1, 1]})
 

@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private top-level name of a module is read somewhere in the package.
 
-The package ``__init__`` is exempt: its imports are the public surface.
+The package ``__init__`` is exempt from the import check: its imports are
+the public surface.
 """
 
 import ast
@@ -10,8 +12,8 @@ import pytest
 
 import ordua
 
-MODULES = sorted(p for p in Path(ordua.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(ordua.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +41,38 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The top-level _private functions, classes and constants of the modules
+    in sources (module name -> source) that no expression in any of them reads."""
+    defined, read = [], set()
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {"a": "_X = 1\n_Y: int = 2\ndef _f(): return _X\nclass _C: pass\n",
+               "b": "from a import _f\nimport a\nprint(_f(), a._C)\n"}
+    assert unread_private_names(sources) == ["a._Y"]
+
+
+def test_package_reads_every_private_name():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unread_private_names(sources) == []

@@ -365,6 +365,26 @@ def test_frame_pullback_requires_t0():
         check_frame_pullback(indiscrete(2))
 
 
+def test_frame_pullback_builds_no_patch_space(monkeypatch):
+    # the minimal opens of a T0 space separate its points, so their patch
+    # topology is discrete and needs no generating
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a patch topology from a family")
+
+    for name in ("patch_space", "minimal_opens"):
+        monkeypatch.setattr(spaces, name, refuse)
+    for space in alexandrov_spaces(4):
+        if not space.is_t0():
+            with pytest.raises(NotT0):
+                check_frame_pullback(space)
+            continue
+        assert check_frame_pullback(space)
+        if space.n:
+            message = rf"^topology generation needs carrier <= {space.n - 1}, got {space.n}$"
+            with pytest.raises(CarrierTooLarge, match=message):
+                check_frame_pullback(space, space.n - 1)
+
+
 def test_not_t0_names_two_points_with_the_same_opens():
     space = FiniteSpace(["a", "b", "c"], [0b000, 0b001, 0b111])
     for call in (check_frame_pullback, priestley_of_coherent):
