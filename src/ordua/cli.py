@@ -223,7 +223,7 @@ def _spectrum_report(s: Structure, res: DualityResult, duality: str) -> dict:
                        _filters_as_labels(s.labels, sp.points.masks))],
         "order-covers": sorted([sp.labels[i], sp.labels[j]]
                                for i, j in cover_pairs(sp.order)),
-        "patch-opens": len(res.space.space.opens),
+        "patch-opens": 1 << len(sp.points),  # the patch space is discrete
         "embedding": {s.labels[i]: sorted(sp.labels[k] for k in bits(sp.basics[i]))
                       for i in range(s.n)},
     }

@@ -70,31 +70,27 @@ def cover_pairs(up) -> list[tuple[int, int]]:
 
 def upper_sets(up, limit: int | None = None) -> list[int]:
     """All up-sets of the preorder with up-rows up, in ascending mask order;
-    only the first limit of them if limit is given."""
-    return list(itertools.islice(_upper_sets(up), limit))
-
-
-def _upper_sets(up):
-    """Yield the up-sets of the preorder with up-rows up, ascending.
-
-    Branch on the highest undecided point: out with its down-row (first, so
-    the output ascends) or in with its up-row. Every branch ends in a distinct
-    up-set, so the work is O(n) per up-set; the explicit stack makes no cycles.
+    only the first limit of them if limit is given. Points are added from the
+    highest index down: an up-set of p+1..n-1 extends without p iff it holds
+    no point below p, and with p iff it holds every point above p. Restriction
+    keeps mask order, so cutting each round to limit sets gives the first
+    limit overall, in O(n * limit) work.
     """
-    n = len(up)
-    dn = [0] * n
-    for i, row in enumerate(up):
-        for j in bits(row):
-            dn[j] |= 1 << i
-    stack = [(0, (1 << n) - 1)]  # (inside, undecided)
-    while stack:
-        inside, rest = stack.pop()
-        if not rest:
-            yield inside
-            continue
-        p = rest.bit_length() - 1
-        stack.append((inside | up[p], rest & ~up[p]))
-        stack.append((inside, rest & ~dn[p]))
+    family, seen = [0], []  # seen: (bit, row) of the points already added
+    for p in reversed(range(len(up))):
+        bit, row = 1 << p, up[p]
+        above = row & -(bit << 1)
+        below = 0
+        for q, r in seen:
+            if r & bit:
+                below |= q
+        seen.append((bit, row))
+        kept = [u for u in family if not u & below] if below else family
+        family = kept + [u | bit for u in family if u & above == above]
+        family.sort()  # merges the two ascending runs
+        if limit is not None:
+            del family[limit:]
+    return family
 
 
 class Subset:
@@ -556,10 +552,17 @@ def structure_from_closed_masks(point_labels, masks) -> Structure:
                      len(masks) - 1, 0, comp if boolean else None)
 
 
-def powerset_structure(k: int, point_labels=None) -> Structure:
-    if point_labels is None:
-        point_labels = [f"p{i}" for i in range(k)]
-    return structure_from_closed_masks(point_labels, range(1 << k))
+def powerset_structure(k: int) -> Structure:
+    """The Boolean algebra of the subsets of p0..p(k-1), element i the set
+    with mask i. Each point b doubles the rows: sets without b, then with b."""
+    up, dn = [1], [1]
+    for half in [1 << b for b in range(k)]:
+        up = [r | r << half for r in up] + [r << half for r in up]
+        dn += [r | r << half for r in dn]
+    full, labels = (1 << k) - 1, [f"p{i}" for i in range(k)]
+    base = Poset._of_order([_set_label(labels, m) for m in range(full + 1)], up, dn)
+    return Structure(base, "boolean-algebra", full, 0,
+                     tuple(m ^ full for m in range(full + 1)))
 
 
 def chain_structure(n: int) -> Structure:
@@ -603,15 +606,12 @@ def disjunctive_filters(s: Structure) -> SetFamily:
     joining above it as soon as this holds for every disjoint pair.
     """
     s.require("dd-lattice", "disjunctive_filters")
-    bot, meet, join = s.bottom, s.meet, s.join
-    pairs = [(a, b, join[a][b]) for a in range(s.n) for b in range(a + 1, s.n)
-             if bot not in (a, b) and meet[a][b] == bot]
-    out = []
-    for x in range(s.n):
-        if x != bot and all(not s.leq(x, j) or s.leq(x, a) or s.leq(x, b)
-                            for a, b, j in pairs):
-            out.append(s.base.up[x])
-    return SetFamily(s.n, out)
+    bot, meet, join, dn = s.bottom, s.meet, s.join, s.base.dn
+    bad = 1 << bot
+    for a, b in itertools.combinations(range(s.n), 2):
+        if bot not in (a, b) and meet[a][b] == bot:
+            bad |= dn[join[a][b]] & ~(dn[a] | dn[b])
+    return SetFamily(s.n, [s.base.up[x] for x in bits(s.base.full & ~bad)])
 
 
 def indecomposable_elements(s: Structure) -> Subset:

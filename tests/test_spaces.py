@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from conftest import (
     brute_upper_sets,
     brute_weakly_indecomposable,
 )
+import ordua
 from ordua import spaces, structures
 from ordua.corpus import all_preorders, all_posets_up_to
 from ordua.dualities import (
@@ -265,10 +268,15 @@ def test_priestley_layer_lists_no_upper_sets(monkeypatch):
     # the axioms, the weakly indecomposable sets, the coherent reduct and the
     # extended images are decided on the n least clopen upper sets, never on
     # the 2^40 clopen uppers of the discrete antichain
-    def refuse(up):
+    def refuse(up, limit=None):
         raise AssertionError("upper sets listed")
 
-    monkeypatch.setattr(structures, "_upper_sets", refuse)
+    for name in [m.name for m in pkgutil.iter_modules(ordua.__path__)
+                 if m.name != "__main__"]:
+        module = importlib.import_module(f"ordua.{name}")
+        if hasattr(module, "upper_sets"):
+            monkeypatch.setattr(module, "upper_sets", refuse)
+    assert structures.upper_sets is spaces.upper_sets is refuse
     n = 40
     labels = [f"x{i}" for i in range(n)]
     points = FiniteSpace.from_rows(labels, [1 << i for i in range(n)])

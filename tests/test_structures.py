@@ -64,6 +64,7 @@ from ordua.structures import (
     powerset_structure,
     prime_filters,
     structure_from_closed_masks,
+    transitive_closure,
     upper_sets,
     validate_poset,
 )
@@ -172,6 +173,16 @@ def test_classify_known_kinds():
 def test_classify_powerset_is_boolean():
     for k in range(4):
         assert powerset_structure(k).kind == "boolean-algebra"
+
+
+def test_powerset_structure_matches_its_closed_family():
+    for k in range(7):
+        got = powerset_structure(k)
+        want = structure_from_closed_masks([f"p{i}" for i in range(k)], range(1 << k))
+        assert (got.labels, got.base.up, got.base.dn, got.kind, got.top, got.bottom,
+                got.complement, got.meet, got.join) == (
+            want.labels, want.base.up, want.base.dn, want.kind, want.top,
+            want.bottom, want.complement, want.meet, want.join)
 
 
 def test_chain_structure_kinds():
@@ -746,6 +757,31 @@ def test_upper_sets_stop_at_the_limit():
         every = brute_upper_sets(up)
         for limit in (1, 2, len(every) - 1, len(every), len(every) + 1):
             assert upper_sets(up, limit) == every[:limit]
+
+
+@given(seeds)
+@settings(max_examples=60)
+def test_upper_sets_stop_at_the_limit_on_relabelled_preorders(seed):
+    # relabelled at random, so that index order is not a linear extension
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    density = rng.random() / 2
+    rows = transitive_closure([
+        1 << i | sum(1 << j for j in range(n) if rng.random() < density)
+        for i in range(n)])
+    perm = rng.sample(range(n), n)
+    up = [0] * n
+    for i, row in enumerate(rows):
+        up[perm[i]] = sum(1 << perm[j] for j in bits(row))
+    every = brute_upper_sets(up)
+    for limit in (1, 2, len(every) - 1, len(every), len(every) + 1):
+        assert upper_sets(up, limit) == every[:limit]
+
+
+def test_upper_sets_cut_every_round_at_the_limit():
+    # the 40-point antichain has 2^40 up-sets; its first 1025 are the masks
+    # 0..1024, built without listing the others
+    assert upper_sets([1 << i for i in range(40)], 1025) == list(range(1025))
 
 
 def test_upper_sets_leave_no_reference_cycles():
