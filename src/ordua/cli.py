@@ -227,10 +227,12 @@ def _spectrum_report(s: Structure, res: DualityResult, duality: str) -> dict:
         "embedding": {s.labels[i]: sorted(sp.labels[k] for k in bits(sp.basics[i]))
                       for i in range(s.n)},
     }
-    # the Stone (dlat) and witness (poset) spaces are the up-sets of inclusion
-    aux = {"dlat": "stone-opens", "poset": "A-opens"}.get(duality)
-    if aux is not None:
-        report[aux] = len(upper_sets(sp.order))
+    # the Stone (dlat) and witness (poset) spaces are the up-sets of inclusion;
+    # the Stone opens are the down-sets of J(s), one per element (Birkhoff)
+    if duality == "dlat":
+        report["stone-opens"] = s.n
+    elif duality == "poset":
+        report["A-opens"] = len(upper_sets(sp.order))
     return report
 
 

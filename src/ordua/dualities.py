@@ -59,7 +59,7 @@ class DualityResult:
 
     @property
     def n_points(self) -> int:
-        return len(self.spectrum.labels)
+        return len(self.spectrum.points)
 
     def __repr__(self) -> str:
         return f"DualityResult({self.n_points} points)"

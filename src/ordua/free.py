@@ -54,12 +54,13 @@ class FreeResult:
     """A free structure presented on the points of a spectrum.
 
     unit_masks[i] is the image of source element i as a subset of the points,
-    the basic set of i unless given. For Boolean frees the carrier is the full
-    powerset of the points (element_masks None); the lattice and frame
-    constructions list their element masks explicitly.
+    the basic set of i unless given (read from the spectrum only when asked).
+    For Boolean frees the carrier is the full powerset of the points
+    (element_masks None); the lattice and frame constructions list their
+    element masks explicitly.
     """
 
-    __slots__ = ("source", "kind", "spectrum", "unit_masks", "element_masks",
+    __slots__ = ("source", "kind", "spectrum", "_unit_masks", "element_masks",
                  "_structure")
 
     def __init__(self, source: Structure, kind: str, spectrum: Spectrum,
@@ -67,12 +68,18 @@ class FreeResult:
         self.source = source
         self.kind = kind
         self.spectrum = spectrum
-        self.unit_masks = spectrum.basics if unit_masks is None else tuple(unit_masks)
+        self._unit_masks = None if unit_masks is None else tuple(unit_masks)
         self.element_masks = None if element_masks is None else tuple(element_masks)
         self._structure = None
 
     # the spectrum's points, under the name that perfbench reads
     points = property(lambda self: self.spectrum.points)
+
+    @property
+    def unit_masks(self) -> tuple[int, ...]:
+        if self._unit_masks is None:
+            return self.spectrum.basics
+        return self._unit_masks
 
     @property
     def size(self) -> int:
@@ -377,7 +384,8 @@ def free_frame_on_poset(p: Poset, bound: int | None = None) -> FreeResult:
     element_masks = upper_sets(p.dn, MATERIALIZE_CAP + 1)
     if len(element_masks) > MATERIALIZE_CAP:
         raise CarrierTooLarge("free frame exceeds the size cap")
-    singletons = Spectrum(SetFamily(p.n, [1 << i for i in range(p.n)]), p.labels)
+    singletons = Spectrum(SetFamily(p.n, [1 << i for i in range(p.n)]),
+                          lambda m: p.labels[m.bit_length() - 1])
     return FreeResult(classify(p), "frame-on-poset", singletons, p.dn, element_masks)
 
 

@@ -148,7 +148,7 @@ class FiniteSpace(Preorder):
     @property
     def opens(self) -> SetFamily:
         if self._opens is None:
-            self._opens = SetFamily(self.n, upper_sets(self.up))
+            self._opens = SetFamily._of_sorted(self.n, upper_sets(self.up))
         return self._opens
 
     @property
@@ -233,7 +233,7 @@ class PriestleyReport:
 
     @property
     def clopen_uppers(self) -> SetFamily:
-        return SetFamily(len(self.rows), upper_sets(self.rows))
+        return SetFamily._of_sorted(len(self.rows), upper_sets(self.rows))
 
     @property
     def ok(self) -> bool:

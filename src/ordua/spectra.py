@@ -26,23 +26,36 @@ from ordua.structures import (
 class Spectrum:
     """Points of a structure for one model class, in ascending mask order.
 
-    basics[i] is the set of points containing carrier element i, as a mask
-    over the point indices; order[k] is the mask of points containing point
-    k. The order is built on first use: free Boolean algebras need only the
-    points and basic sets, and can have thousands of points.
+    name(m) is the label of the point with mask m; basics[i] is the set of
+    points containing carrier element i, as a mask over the point indices;
+    order[k] is the mask of points containing point k. Only the points are
+    built up front, the labels, basic sets and order on first read: a free
+    Boolean algebra can have thousands of points, and a caller may read only
+    how many there are.
     """
 
-    __slots__ = ("points", "labels", "basics", "_order")
+    __slots__ = ("points", "_name", "_labels", "_basics", "_order")
 
-    def __init__(self, points: SetFamily, labels) -> None:
-        basics = [0] * points.n
-        for k, m in enumerate(points.masks):
-            for i in bits(m):
-                basics[i] |= 1 << k
+    def __init__(self, points: SetFamily, name) -> None:
         self.points = points
-        self.labels = tuple(labels)
-        self.basics = tuple(basics)
-        self._order = None
+        self._name = name
+        self._labels = self._basics = self._order = None
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        if self._labels is None:
+            self._labels = tuple(map(self._name, self.points.masks))
+        return self._labels
+
+    @property
+    def basics(self) -> tuple[int, ...]:
+        if self._basics is None:
+            basics = [0] * self.points.n
+            for k, m in enumerate(self.points.masks):
+                for i in bits(m):
+                    basics[i] |= 1 << k
+            self._basics = tuple(basics)
+        return self._basics
 
     @property
     def order(self) -> tuple[int, ...]:
@@ -60,8 +73,8 @@ def spectrum(s: Structure, kind: str, bound: int | None = None) -> Spectrum:
     bound limits the carrier of the upper-set and filter enumerations.
     """
     if kind == "poset-monotone":
-        points = SetFamily(s.n, s.base.upper_set_masks(bound))
-        return Spectrum(points, [_set_label(s.labels, m) for m in points])
+        points = SetFamily._of_sorted(s.n, s.base.upper_set_masks(bound))
+        return Spectrum(points, lambda m: _set_label(s.labels, m))
     if kind == "msl":
         s.require("meet-semilattice", "msl spectrum")
     if kind in ("poset-flat", "msl"):
@@ -74,7 +87,7 @@ def spectrum(s: Structure, kind: str, bound: int | None = None) -> Spectrum:
         raise InputFormatError(f"unknown free kind {kind!r}")
     # every point of these kinds is a principal up-row ^x
     least = {row: x for x, row in enumerate(s.base.up)}
-    return Spectrum(points, ["^" + s.labels[least[m]] for m in points])
+    return Spectrum(points, lambda m: "^" + s.labels[least[m]])
 
 
 def inverse_image_map(f: StructureMorphism, src_points, tgt_points

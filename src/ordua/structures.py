@@ -145,6 +145,14 @@ class SetFamily:
         self.n = n
         self.masks = tuple(seen)
 
+    @classmethod
+    def _of_sorted(cls, n: int, masks) -> "SetFamily":
+        """The family of masks, which must already be ascending, distinct and
+        below 2^n (as upper_sets lists them): nothing is checked."""
+        family = object.__new__(cls)
+        family.n, family.masks = n, tuple(masks)
+        return family
+
     def __iter__(self):
         return iter(self.masks)
 
@@ -630,16 +638,11 @@ def _components_below(s: Structure, d: int) -> list[int]:
     meet = s.meet
     unseen = set(bits(join_irreducible_mask(s.base) & s.base.dn[d]))
     while unseen:
-        seed = unseen.pop()
-        block = [seed]
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            linked = [w for w in unseen if meet[v][w] != s.bottom]
-            for w in linked:
-                unseen.remove(w)
-                block.append(w)
-                frontier.append(w)
+        block = [unseen.pop()]
+        for v in block:  # grows while it is read
+            linked = {w for w in unseen if meet[v][w] != s.bottom}
+            unseen -= linked
+            block += linked
         comps.append(s.join_of(block))
     return comps
 
@@ -815,17 +818,13 @@ def _law_test(src: Structure, tgt: Structure, kind: str):
                       and all(m[s] == op[m[a]][m[b]] for s, a, b, op in laws))
 
 
-def _satisfies_kind(map, src: Structure, tgt: Structure, kind: str) -> bool:
-    return (_is_monotone(map, src.base.up, tgt.base.up) is None
-            and _law_test(src, tgt, kind)(map))
-
-
 def is_homomorphism(f: StructureMorphism) -> bool:
     """True iff f satisfies the laws of its declared kind."""
     reason = _hom_compatible(f.source, f.target, f.kind)
     if reason is not None:
         raise KindMismatch(reason)
-    return _satisfies_kind(f.map, f.source, f.target, f.kind)
+    return (_is_monotone(f.map, f.source.base.up, f.target.base.up) is None
+            and _law_test(f.source, f.target, f.kind)(f.map))
 
 
 def _require_kind(map, src: Structure, tgt: Structure, kind: str) -> None:
@@ -894,8 +893,7 @@ def _refine_colors(p: Poset) -> list[int]:
                 for i in range(p.n)]
         order = sorted(set(sigs))
         nxt = [order.index(s) for s in sigs]
-        if len(set(nxt)) == len(set(colors)):
-            colors = nxt
+        if nxt == colors:  # no class split, so the renumbering is the same
             break
         colors = nxt
     return colors

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import package_env
-from ordua.cli import _BUILTIN_SPECS, export_structure_document, main
-from ordua.structures import powerset_structure
+from conftest import brute_upper_sets, package_env
+from ordua.cli import _BUILTIN_SPECS, _spectrum_report, export_structure_document, main
+from ordua.corpus import all_posets_up_to
+from ordua.dualities import priestley_of_dlat
+from ordua.structures import KIND_RANK, classify, powerset_structure
 
 
 def run(capsys, *argv):
@@ -58,6 +60,18 @@ def test_spectrum_of_builtin(capsys):
     doc = json.loads(out)
     assert doc["duality"] == "dlat"
     assert len(doc["points"]) == 2
+
+
+def test_stone_opens_are_the_lattice_elements():
+    # the Stone opens, the up-sets of the prime filters under inclusion, are
+    # the down-sets of the join-irreducibles: one per element (Birkhoff)
+    lattices = [s for s in map(classify, all_posets_up_to(5))
+                if s.rank() >= KIND_RANK["distributive-lattice"]]
+    assert len(lattices) == 1 + 1 + 1 + 2 + 3  # on 1..5 elements (OEIS A006982)
+    for s in lattices + [powerset_structure(k) for k in range(5)]:
+        res = priestley_of_dlat(s)
+        listed = len(brute_upper_sets(res.spectrum.order))
+        assert _spectrum_report(s, res, "dlat")["stone-opens"] == listed == s.n
 
 
 def test_free_bool_reports_frozen_sizes(capsys):

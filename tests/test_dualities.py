@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_upper_sets, lower_set_lattice, shuffled
-from ordua import dualities, structures
+from ordua import dualities, spectra, structures
 from ordua.corpus import all_posets, all_posets_up_to, random_poset
 from ordua.errors import CarrierTooLarge, KindMismatch, NotPriestley
 from ordua.dualities import (
@@ -24,7 +24,7 @@ from ordua.dualities import (
     stone_spectrum,
     upper_elements,
 )
-from ordua.free import FREE_KINDS, MATERIALIZE_CAP, free_boolean
+from ordua.free import FREE_KINDS, MATERIALIZE_CAP, free_boolean, free_frame_on_poset
 from ordua.spaces import (
     FiniteSpace,
     Preorder,
@@ -33,7 +33,7 @@ from ordua.spaces import (
     patch_space,
     priestley_check,
 )
-from ordua.spectra import Spectrum
+from ordua.spectra import Spectrum, spectrum
 from ordua.structures import (
     KIND_RANK,
     SetFamily,
@@ -48,6 +48,11 @@ from ordua.structures import bits
 
 posets_small = st.sampled_from(all_posets_up_to(4))
 posets_5 = st.sampled_from(all_posets(5))
+
+# the least structure kind each free kind needs
+LEAST_KIND = {"poset-monotone": "poset", "poset-flat": "poset",
+              "msl": "meet-semilattice", "dlat": "distributive-lattice",
+              "ddlat": "dd-lattice"}
 
 
 def chain(n: int):
@@ -101,6 +106,59 @@ def test_embedding_reflects_order():
             for j in range(d.n):
                 inc = not res.spectrum.basics[i] & ~res.spectrum.basics[j]
                 assert d.leq(i, j) == inc
+
+
+def test_spectrum_views_built_on_first_read_equal_eager_ones():
+    """Labels and basic sets, built on first read, against references
+    computed here from the points, for every kind each corpus structure of
+    at most 5 elements supports, and for the free frame's singletons."""
+    kinds = set()
+    for c in map(classify, all_posets_up_to(5)):
+        for kind in FREE_KINDS:
+            if c.rank() < KIND_RANK[LEAST_KIND[kind]]:
+                continue
+            kinds.add(kind)
+            sp = spectrum(c, kind)
+            masks = sp.points.masks
+            if kind == "poset-monotone":
+                labels = ["{" + ",".join(c.labels[i] for i in bits(m)) + "}"
+                          for m in masks]
+            else:
+                labels = ["^" + c.labels[c.base.up.index(m)] for m in masks]
+            basics = [sum(1 << k for k, m in enumerate(masks) if m >> i & 1)
+                      for i in range(c.n)]
+            assert sp.labels == tuple(labels) and sp.basics == tuple(basics)
+        frame = free_frame_on_poset(c.base)
+        assert frame.spectrum.labels == c.labels
+        assert frame.spectrum.basics == tuple(1 << i for i in range(c.n))
+    assert kinds == set(FREE_KINDS)
+
+
+def test_point_counts_build_no_labels(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("labelled a point")
+
+    monkeypatch.setattr(spectra, "_set_label", refuse)
+    p = random_poset(random.Random(8), 10, 0.3)
+    fr = free_boolean(classify(p), "poset-monotone", 10)
+    assert len(fr.points) == len(brute_upper_sets(p.up))
+    assert fr.size == 1 << len(fr.points)
+    with pytest.raises(AssertionError, match="labelled a point"):
+        fr.spectrum.labels
+
+
+def test_priestley_dual_and_free_boolean_build_no_basic_sets(monkeypatch):
+    def refuse(self):
+        raise AssertionError("built the basic sets")
+
+    monkeypatch.setattr(Spectrum, "basics", property(refuse))
+    d = lower_set_lattice(random_poset(random.Random(8), 8, 0.3))
+    res = priestley_of_dlat(d)
+    fr = free_boolean(d, "dlat")
+    assert res.n_points == len(fr.points) == 8
+    assert len(res.space.space.opens) == fr.size == 1 << 8
+    with pytest.raises(AssertionError, match="built the basic sets"):
+        fr.unit_masks
 
 
 def _spectra_of_the_corpora():
@@ -198,14 +256,19 @@ def test_roundtrip_rejects_an_embedding_that_breaks_order(monkeypatch):
     assert roundtrip_check(d)[0]
     real = dualities._patch_spectrum
 
-    def swapped(s, duality, bound):
+    class Swapped(Spectrum):
         # still a bijection onto the clopen uppers, but bottom and top trade places
+        __slots__ = ()
+
+        @property
+        def basics(self):
+            emb = list(super().basics)
+            emb[0], emb[-1] = emb[-1], emb[0]
+            return tuple(emb)
+
+    def swapped(s, duality, bound):
         res = real(s, duality, bound)
-        sp = Spectrum(res.spectrum.points, res.spectrum.labels)
-        emb = list(sp.basics)
-        emb[0], emb[-1] = emb[-1], emb[0]
-        sp.basics = tuple(emb)
-        return DualityResult(sp, res.space)
+        return DualityResult(Swapped(res.spectrum.points, str), res.space)
 
     monkeypatch.setattr(dualities, "_patch_spectrum", swapped)
     ok, result, iso = roundtrip_check(d)
@@ -325,13 +388,10 @@ def test_ordered_boolean_of_chain_as_msl():
 def test_upper_elements_against_definition():
     """Every free kind on every corpus structure of that kind with at most 4
     points; a free algebra above the size cap is never materialized."""
-    least = {"poset-monotone": "poset", "poset-flat": "poset",
-             "msl": "meet-semilattice", "dlat": "distributive-lattice",
-             "ddlat": "dd-lattice"}
     kinds = set()
     for c in map(classify, all_posets_up_to(4)):
         for kind in FREE_KINDS:
-            if c.rank() < KIND_RANK[least[kind]]:
+            if c.rank() < KIND_RANK[LEAST_KIND[kind]]:
                 continue
             kinds.add(kind)
             fr = free_boolean(c, kind)

@@ -76,3 +76,15 @@ def test_the_check_sees_an_unread_private_name():
 def test_package_reads_every_private_name():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unread_private_names(sources) == []
+
+
+MAX_MODULE_LINES = 989
+
+
+def test_no_module_exceeds_the_line_budget():
+    """Every fresh interpreter compiles the whole package (bytecode is not
+    cached where PYTHONDONTWRITEBYTECODE is set), and compiling a long module
+    raises the peak RSS: structures.py at 989 lines costs about 3 MB. No
+    module may grow past that size; split one that would."""
+    sizes = {p.name: len(p.read_text(encoding="utf-8").splitlines()) for p in PACKAGE}
+    assert {name: n for name, n in sizes.items() if n > MAX_MODULE_LINES} == {}

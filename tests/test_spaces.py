@@ -39,7 +39,13 @@ from ordua.spaces import (
     upper_open_reduct,
     weakly_indecomposable_clopen_uppers,
 )
-from ordua.structures import SetFamily, cover_pairs, validate_poset
+from ordua.structures import (
+    SetFamily,
+    cover_pairs,
+    transitive_closure,
+    upper_sets,
+    validate_poset,
+)
 
 
 def sierpinski() -> FiniteSpace:
@@ -438,6 +444,26 @@ def test_a_space_is_the_preorder_of_its_rows():
             assert cover_pairs(rows) == brute_cover_pairs(rows)
             # same rows, different kinds of object
             assert sp != pre and pre != sp
+
+
+def test_built_families_equal_their_validated_families():
+    # opens and clopen_uppers wrap upper_sets' output without SetFamily's
+    # checks, so it must already be the family those checks would build
+    rng = random.Random(16)
+    cases = [rows for n in range(5) for rows in all_preorders(n)]
+    cases += [transitive_closure(1 << i | rng.getrandbits(n) & rng.getrandbits(n)
+                                 for i in range(n))
+              for n in range(5, 9) for _ in range(25)]
+    for rows in cases:
+        n = len(rows)
+        labels = [f"x{i}" for i in range(n)]
+        space = FiniteSpace.from_rows(labels, rows)
+        assert space.opens == SetFamily(n, upper_sets(rows))
+        points = FiniteSpace.from_rows(labels, [1 << i for i in range(n)])
+        for ps in (PreorderedSpace(space, Preorder(labels, rows)),
+                   PreorderedSpace(points, Preorder(labels, rows))):
+            report = priestley_check(ps)
+            assert report.clopen_uppers == SetFamily(n, upper_sets(report.rows))
 
 
 def test_space_from_rows_equals_space_from_its_opens():
