@@ -10,35 +10,23 @@ _POSET_CACHE: dict[int, list[Poset]] = {}
 _PREORDER_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
 
-def _labelled_down_rows(n: int) -> list[tuple[int, ...]]:
-    """Down-set rows of all naturally labelled posets on 0..n-1 (element k is
-    maximal when inserted, so every poset appears in at least one labelling)."""
-    out = [()]
-    for k in range(n):
-        nxt = []
-        for rows in out:
-            # choose a down-closed set of predecessors for the new element
-            for m in upper_sets(rows):
-                nxt.append(rows + (m | 1 << k,))
-        out = nxt
-    return out
-
-
 def all_posets(n: int) -> list[Poset]:
     """All posets with exactly n elements, one per isomorphism class: the
-    first labelled poset of each class, in generation order."""
+    first naturally labelled poset of each class (point k maximal on 0..k),
+    labellings listed by their prefix on 0..n-2, then by the down-set of
+    n-1 in ascending mask order. A prefix isomorphic by s to an earlier one
+    Q extends by D to a copy of Q extended by s(D), which comes earlier; so
+    only the representatives on n-1 points are extended."""
     if n not in _POSET_CACHE:
-        labels = [f"x{i}" for i in range(n)]
+        labels = tuple(f"x{i}" for i in range(n))
+        prefixes = [(p.up, p.dn) for p in all_posets(n - 1)] if n > 1 else [((), ())]
         seen = {}
-        for rows in _labelled_down_rows(n):
-            up = [0] * n
-            for j, dn in enumerate(rows):
-                for i in bits(dn):
-                    up[i] |= 1 << j
-            p = Poset(labels, up)
-            key = canonical_form(p)
-            if key not in seen:
-                seen[key] = p
+        for up, dn in prefixes:
+            point = 1 << len(up)
+            for d in upper_sets(dn):  # the down-sets of the prefix
+                ext = tuple(r | point if d >> i & 1 else r for i, r in enumerate(up))
+                p = Poset._of_order(labels, ext + (point,), dn + (d | point,))
+                seen.setdefault(canonical_form(p), p)
         _POSET_CACHE[n] = list(seen.values())
     return _POSET_CACHE[n]
 

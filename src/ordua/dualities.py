@@ -86,7 +86,7 @@ def _patch_spectrum(c: Structure, duality: str, bound: int | None
     # distinct points are distinct filters, so the basic sets separate them
     sp = spectrum(c, "poset-flat" if duality == "poset" else duality, bound)
     space = _discrete(sp.labels, bound)
-    return DualityResult(sp, PreorderedSpace(space, Preorder(sp.labels, sp.order)))
+    return DualityResult(sp, PreorderedSpace(space, Preorder._of_rows(sp.labels, sp.order)))
 
 
 def stone_spectrum(d: Structure, bound: int | None = None) -> FiniteSpace:

@@ -53,8 +53,18 @@ class Preorder:
         self.up = up
 
     @classmethod
+    def _of_rows(cls, labels, up) -> "Preorder":
+        """The preorder on labels with up-rows up, which must already be
+        reflexive and transitive: only the labels are checked."""
+        pre = object.__new__(cls)
+        pre.labels, pre.up = tuple(labels), tuple(up)
+        if len(set(pre.labels)) != len(pre.up):
+            raise InputFormatError("bad preorder carrier")
+        return pre
+
+    @classmethod
     def from_poset(cls, p: Poset) -> "Preorder":
-        return cls(p.labels, p.up)
+        return cls._of_rows(p.labels, p.up)
 
     @property
     def n(self) -> int:
@@ -136,8 +146,7 @@ class FiniteSpace(Preorder):
     @classmethod
     def from_rows(cls, labels, rows) -> "FiniteSpace":
         """The space whose minimal opens are rows, which must be a preorder."""
-        space = cls.__new__(cls)
-        Preorder.__init__(space, labels, rows)
+        space = cls._of_rows(labels, rows)
         space._opens = None
         return space
 
@@ -280,7 +289,7 @@ def _discrete(labels, bound: int | None) -> FiniteSpace:
 
 def specialization_preorder(space: FiniteSpace) -> Preorder:
     """x <= y iff every open containing x contains y: the space's own rows."""
-    return Preorder(space.labels, space.up)
+    return Preorder._of_rows(space.labels, space.up)
 
 
 def alexandrov_space(pre: Preorder, bound: int | None = None) -> FiniteSpace:
@@ -298,7 +307,7 @@ def upper_open_reduct(ps: PreorderedSpace) -> FiniteSpace:
 
 def preorder_coreflection(ps: PreorderedSpace) -> Preorder:
     """Intersect the order with the specialization preorder of the topology."""
-    return Preorder(ps.labels, [o & s for o, s in zip(ps.preorder.up, ps.space.up)])
+    return Preorder._of_rows(ps.labels, [o & s for o, s in zip(ps.preorder.up, ps.space.up)])
 
 
 def priestley_boolean_algebra(labels, family: SetFamily,

@@ -400,10 +400,11 @@ class Structure:
 
 def _bounds(p: Poset) -> tuple[int | None, int | None]:
     top = bottom = None
+    full = p.full
     for i in range(p.n):
-        if p.dn[i] == p.full:
+        if p.dn[i] == full:
             top = i
-        if p.up[i] == p.full:
+        if p.up[i] == full:
             bottom = i
     return top, bottom
 

@@ -54,6 +54,17 @@ def brute_upper_sets(up) -> list[int]:
                    for j in range(n) if up[i] >> j & 1)]
 
 
+def labelled_down_rows(n: int) -> list[tuple[int, ...]]:
+    """Down-set rows of every naturally labelled poset on 0..n-1 (point k is
+    maximal on 0..k, so every poset has such a labelling), listed by their
+    rows on 0..n-2, then by the down-set of n-1 in ascending mask order."""
+    out = [()]
+    for k in range(n):
+        # the down-sets of the prefix are the up-sets of its transpose
+        out = [rows + (m | 1 << k,) for rows in out for m in brute_upper_sets(rows)]
+    return out
+
+
 def brute_cover_pairs(up) -> list[tuple[int, int]]:
     """Pairs (i, j), i != j, with i <= j and no k other than i and j such
     that i <= k <= j, in the preorder with up-rows up, by definition."""

@@ -29,9 +29,12 @@ from ordua.spaces import (
     FiniteSpace,
     Preorder,
     PreorderedSpace,
+    alexandrov_space,
     generate_topology,
     patch_space,
+    preorder_coreflection,
     priestley_check,
+    specialization_preorder,
 )
 from ordua.spectra import Spectrum, spectrum
 from ordua.structures import (
@@ -197,6 +200,26 @@ def test_spectrum_topologies_are_their_closed_forms():
             assert stone_spectrum(c) == stone
         kinds.add(duality)
     assert kinds == {"poset", "msl", "ddlat", "dlat"}
+
+
+def test_built_preorders_pass_the_checked_constructor():
+    """Spectrum spaces and orders, Alexandrov spaces, coherent reducts,
+    specialization preorders and coreflections are built without the
+    constructor's checks, so their rows must already pass them unchanged."""
+    built = []
+    for c, duality, res in _spectra_of_the_corpora():
+        space = res.space.space
+        built += [space, res.space.preorder, specialization_preorder(space),
+                  coherent_of_priestley(res.space), preorder_coreflection(res.space),
+                  alexandrov_space(Preorder.from_poset(c.base), c.n)]
+        if duality == "dlat":
+            stone = stone_spectrum(c)
+            ps = priestley_of_coherent(stone)
+            built += [stone, ps.space, ps.preorder]
+    for pre in built:
+        checked = Preorder(pre.labels, pre.up)
+        assert (checked.labels, checked.up) == (pre.labels, pre.up)
+    assert len(built) == 918
 
 
 def test_spectrum_topologies_check_the_bound_first():

@@ -1,3 +1,4 @@
+import collections
 import functools
 import gc
 import itertools
@@ -21,12 +22,13 @@ from conftest import (
     brute_prime_filters,
     brute_tables,
     brute_upper_sets,
+    labelled_down_rows,
     lower_set_lattice,
     shuffled,
     warshall_poset,
 )
+from ordua import corpus
 from ordua.corpus import (
-    _labelled_down_rows,
     all_posets,
     all_posets_up_to,
     all_preorders,
@@ -577,15 +579,17 @@ def test_non_isomorphic_posets_rejected():
 
 
 @functools.cache
-def labelled_posets(n: int) -> list[tuple[Poset, tuple]]:
-    """Every naturally labelled poset on n points, in generation order, with
-    its brute-force certificate."""
-    out = []
-    for rows in _labelled_down_rows(n):
-        up = [sum(1 << j for j in range(n) if rows[j] >> i & 1) for i in range(n)]
-        p = Poset([f"x{i}" for i in range(n)], up)
-        out.append((p, brute_canonical(p)))
-    return out
+def labelled_posets(n: int) -> list[Poset]:
+    """Every naturally labelled poset on n points, in generation order."""
+    labels = [f"x{i}" for i in range(n)]
+    return [Poset(labels, [sum(1 << j for j in range(n) if rows[j] >> i & 1)
+                           for i in range(n)])
+            for rows in labelled_down_rows(n)]
+
+
+@functools.cache
+def brute_certificates(n: int) -> list[tuple]:
+    return [brute_canonical(p) for p in labelled_posets(n)]
 
 
 def crowns(*sizes: int) -> Poset:
@@ -602,7 +606,7 @@ def crowns(*sizes: int) -> Poset:
 @pytest.mark.parametrize("n", range(1, 6))
 def test_canonical_form_partitions_like_brute_force(n):
     # the pairs form a bijection between the two sets of keys
-    keys = {(canonical_form(p), brute) for p, brute in labelled_posets(n)}
+    keys = set(zip(map(canonical_form, labelled_posets(n)), brute_certificates(n)))
     assert len(keys) == len({a for a, _ in keys}) == len({b for _, b in keys})
 
 
@@ -643,7 +647,7 @@ def test_canonical_form_is_invariant_under_relabelling(p):
 
 def test_poset_counts():
     # OEIS A000112
-    assert [len(all_posets(n)) for n in range(1, 7)] == [1, 2, 5, 16, 63, 318]
+    assert [len(all_posets(n)) for n in range(1, 8)] == [1, 2, 5, 16, 63, 318, 2045]
 
 
 def test_all_preorders_match_the_relation_scan():
@@ -660,12 +664,35 @@ def test_preorders_on_five_points():
         assert all(not r[j] & ~r[i] for i in range(5) for j in bits(r[i]))
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_all_posets_keeps_the_first_labelled_poset_of_each_class(n):
+    # brute_canonical on 4,824 six-point posets is too slow for every run;
+    # there the classes are keyed by canonical_form, checked against it above
+    keys = brute_certificates(n) if n <= 5 else map(canonical_form, labelled_posets(n))
     first = {}
-    for p, brute in labelled_posets(n):
-        first.setdefault(brute, p)
-    assert [p.up for p in all_posets(n)] == [p.up for p in first.values()]
+    for p, key in zip(labelled_posets(n), keys):
+        first.setdefault(key, p)
+    assert ([(p.labels, p.up, p.dn) for p in all_posets(n)]
+            == [(p.labels, p.up, p.dn) for p in first.values()])
+
+
+def test_all_posets_extends_only_the_class_representatives(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(p):
+        calls[p.n] += 1
+        return canonical_form(p)
+
+    def validate(self, labels, up):
+        raise AssertionError("a candidate poset was validated again")
+
+    monkeypatch.setattr(corpus, "_POSET_CACHE", {})
+    monkeypatch.setattr(corpus, "canonical_form", counted)
+    monkeypatch.setattr(Poset, "__init__", validate)
+    assert len(all_posets(6)) == 318
+    # each representative on k - 1 points, extended by each of its down-sets
+    assert [calls[k] for k in range(1, 7)] == [1, 2, 7, 28, 135, 766]
+    assert sum(calls.values()) == 939
 
 
 # ------------------------------------------------------ recovery ingredients
