@@ -53,6 +53,7 @@ from ordua.spaces import (
     check_patch_characterization,
     priestley_check,
 )
+from ordua.setlattices import _lattice_of_upsets
 from ordua.structures import (
     DEFAULT_ENUMERATION_BOUND,
     KIND_RANK,
@@ -64,13 +65,12 @@ from ordua.structures import (
     StructureMorphism,
     bits,
     classify,
+    count_upper_sets,
     cover_pairs,
     disjunctive_filters,
     filters,
     prime_filters,
-    structure_from_closed_masks,
     structure_isomorphism,
-    upper_sets,
     validate_poset,
 )
 
@@ -232,7 +232,7 @@ def _spectrum_report(s: Structure, res: DualityResult, duality: str) -> dict:
     if duality == "dlat":
         report["stone-opens"] = s.n
     elif duality == "poset":
-        report["A-opens"] = len(upper_sets(sp.order))
+        report["A-opens"] = count_upper_sets(sp.order)
     return report
 
 
@@ -307,7 +307,7 @@ def selftest(seed: int, bound: int) -> dict:
     rng = random.Random(seed)
     for _ in range(6):
         p = random_poset(rng, 5)
-        lat = structure_from_closed_masks(p.labels, p.lower_set_masks(bound))
+        lat = _lattice_of_upsets(p.labels, p.lower_set_masks(bound))
         good, _result, _iso = roundtrip_check(lat, bound)
         ok_round = ok_round and good
         res = priestley_of_dlat(lat, bound)

@@ -26,6 +26,7 @@ from ordua.spaces import (
     upper_open_reduct,
     weakly_indecomposable_clopen_uppers,
 )
+from ordua.setlattices import _and_fold, _lattice_of_upsets
 from ordua.spectra import Spectrum, inverse_image_map, spectrum
 from ordua.structures import (
     Poset,
@@ -36,7 +37,6 @@ from ordua.structures import (
     bits,
     check_carrier,
     classify,
-    structure_from_closed_masks,
     upper_sets,
 )
 
@@ -108,7 +108,7 @@ def priestley_of_dlat(d: Structure, bound: int | None = None) -> DualityResult:
 def dlat_of_priestley(ps: PreorderedSpace) -> Structure:
     """The lattice of clopen upper sets of a Priestley space."""
     report = _require_priestley(ps)
-    return structure_from_closed_masks(ps.labels, report.clopen_uppers.masks)
+    return _lattice_of_upsets(ps.labels, report.clopen_uppers.masks)
 
 
 def coherent_of_priestley(ps: PreorderedSpace) -> FiniteSpace:
@@ -217,19 +217,16 @@ def roundtrip_check(d: Structure, bound: int | None = None
     """
     res = _patch_spectrum(d, "dlat", bound)
     uppers = _require_priestley(res.space).clopen_uppers.masks
-    result = structure_from_closed_masks(res.space.labels, uppers)
+    result = _lattice_of_upsets(res.space.labels, uppers)
     index = {m: i for i, m in enumerate(uppers)}
-    iso = tuple(index.get(m) for m in res.spectrum.basics)
+    basics = res.spectrum.basics
+    iso = tuple(index.get(m) for m in basics)
     if d.n != result.n or None in iso or len(set(iso)) != d.n:
         return False, result, None
     # iso is a bijection, so it is an order isomorphism iff x <= y exactly
     # when every prime filter holding x holds y: x's up-row is the meet of
     # the prime filters containing x
-    primes = res.spectrum.points.masks
-    for x, m in enumerate(res.spectrum.basics):
-        row = d.base.full
-        for k in bits(m):
-            row &= primes[k]
-        if row != d.base.up[x]:
-            return False, result, None
+    meet_of_primes = _and_fold(res.spectrum.points.masks, d.base.full)
+    if tuple(map(meet_of_primes, basics)) != d.base.up:
+        return False, result, None
     return True, result, iso

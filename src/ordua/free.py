@@ -18,6 +18,7 @@ from ordua.errors import (
     NotInjective,
     OracleBoundExceeded,
 )
+from ordua.setlattices import _lattice_of_upsets, powerset_structure
 from ordua.spectra import Spectrum, inverse_image_map, spectrum
 from ordua.structures import (
     Poset,
@@ -37,9 +38,7 @@ from ordua.structures import (
     inclusion_rows,
     indecomposable_elements,
     popcount,
-    powerset_structure,
     prime_filters,
-    structure_from_closed_masks,
     upper_sets,
 )
 
@@ -96,7 +95,7 @@ class FreeResult:
             masks = self.element_masks
             if masks is None:
                 masks = range(self.size)
-            self._structure = structure_from_closed_masks(self.spectrum.labels, masks)
+            self._structure = _lattice_of_upsets(self.spectrum.labels, masks)
         return self._structure
 
     @property
@@ -216,7 +215,7 @@ def _uppers_substructure(b: Structure, trace_rows: list[int], primes: list[int]
     """
     atom = {row: x for x, row in enumerate(b.base.up)}
     ups = upper_sets(trace_rows)
-    sub = structure_from_closed_masks([f"t{k}" for k in range(len(primes))], ups)
+    sub = _lattice_of_upsets([f"t{k}" for k in range(len(primes))], ups)
     return sub, [b.join_of(atom[primes[k]] for k in bits(u)) for u in ups]
 
 

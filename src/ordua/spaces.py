@@ -17,6 +17,7 @@ from ordua.errors import (
     NotPriestley,
     NotT0,
 )
+from ordua.setlattices import _lattice_of_upsets
 from ordua.structures import (
     DEFAULT_ENUMERATION_BOUND,
     Poset,
@@ -25,7 +26,6 @@ from ordua.structures import (
     _is_monotone,
     bits,
     check_carrier,
-    structure_from_closed_masks,
     transitive_closure,
     upper_sets,
 )
@@ -327,7 +327,7 @@ def priestley_boolean_algebra(labels, family: SetFamily,
     if len(set(cells)) > b:
         raise CarrierTooLarge(
             f"pattern algebra would have 2^{len(set(cells))} elements")
-    return structure_from_closed_masks(labels, upper_sets(cells))
+    return _lattice_of_upsets(labels, upper_sets(cells))
 
 
 def priestley_check(ps: PreorderedSpace) -> PriestleyReport:

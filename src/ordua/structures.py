@@ -93,6 +93,31 @@ def upper_sets(up, limit: int | None = None) -> list[int]:
     return family
 
 
+def count_upper_sets(up) -> int:
+    """The number of up-sets of the preorder with up-rows up, without
+    listing them. An up-set of the points in rest either misses a point p
+    of rest, and is then an up-set of rest without the points below p, or
+    holds p, and is then the points above p joined with an up-set of rest
+    without them. Counts are kept per rest, and p is a point of rest with
+    the most comparables in it, which leaves the least behind.
+    """
+    dn = [0] * len(up)
+    for i, row in enumerate(up):
+        for j in bits(row):
+            dn[j] |= 1 << i
+    return _count_upper((1 << len(up)) - 1, up, dn, {0: 1})
+
+
+def _count_upper(rest: int, up, dn, memo: dict[int, int]) -> int:
+    count = memo.get(rest)
+    if count is None:
+        p = max(bits(rest), key=lambda x: popcount((up[x] | dn[x]) & rest))
+        count = (_count_upper(rest & ~dn[p], up, dn, memo)
+                 + _count_upper(rest & ~up[p], up, dn, memo))
+        memo[rest] = count
+    return count
+
+
 class Subset:
     """A subset of an n-element carrier, stored as a bitmask."""
 
@@ -269,29 +294,30 @@ def _label_index(labels: tuple[str, ...]) -> dict[str, int]:
 def validate_poset(labels, pairs) -> Poset:
     """Close a raw relation reflexively-transitively and certify it is a poset.
 
-    One pass in a topological order of the pairs' graph (Kahn) ORs each
-    point's successors' up-rows and its predecessors' down-rows. Raises
-    DuplicateLabel / UnknownLabel / AntisymmetryViolation (with a cycle
-    witness) as appropriate.
+    Each point lists its successors once (its succ mask drops repeated
+    pairs). One pass in a topological order of the pairs' graph (Kahn) ORs
+    each point's successors' up-rows into its own, and one pushes each
+    point's down-row into its successors'. Raises DuplicateLabel /
+    UnknownLabel / AntisymmetryViolation (with a cycle witness) as
+    appropriate.
     """
     labels = tuple(str(x) for x in labels)
     index = _label_index(labels)
     n = len(labels)
-    succ, pred = [0] * n, [0] * n
+    succ, nexts, indegree = [0] * n, [[] for _ in range(n)], [0] * n
     for a, b in pairs:
-        a, b = str(a), str(b)
-        if a not in index:
-            raise UnknownLabel(f"unknown label {a!r} in order pair")
-        if b not in index:
-            raise UnknownLabel(f"unknown label {b!r} in order pair")
-        i, j = index[a], index[b]
-        if i != j:
+        i, j = index.get(str(a)), index.get(str(b))
+        if i is None:
+            raise UnknownLabel(f"unknown label {str(a)!r} in order pair")
+        if j is None:
+            raise UnknownLabel(f"unknown label {str(b)!r} in order pair")
+        if i != j and not succ[i] >> j & 1:
             succ[i] |= 1 << j
-            pred[j] |= 1 << i
-    indegree = [popcount(r) for r in pred]
+            nexts[i].append(j)
+            indegree[j] += 1
     order = [i for i in range(n) if not indegree[i]]
     for i in order:  # grows while it is read
-        for j in bits(succ[i]):
+        for j in nexts[i]:
             indegree[j] -= 1
             if not indegree[j]:
                 order.append(j)
@@ -303,11 +329,14 @@ def validate_poset(labels, pairs) -> Poset:
                 raise AntisymmetryViolation(sorted(labels[x] for x in cycle))
     up, dn = [1 << i for i in range(n)], [1 << i for i in range(n)]
     for i in reversed(order):
-        for j in bits(succ[i]):
-            up[i] |= up[j]
+        row = up[i]
+        for j in nexts[i]:
+            row |= up[j]
+        up[i] = row
     for i in order:
-        for j in bits(pred[i]):
-            dn[i] |= dn[j]
+        row = dn[i]
+        for j in nexts[i]:
+            dn[j] |= row
     return Poset._of_order(labels, up, dn)
 
 
@@ -515,63 +544,6 @@ def inclusion_rows(masks) -> list[int]:
                 row |= 1 << k
         rows.append(row)
     return rows
-
-
-def structure_from_closed_masks(point_labels, masks) -> Structure:
-    """Structure on a family of subsets closed under union and intersection.
-
-    The family must contain the empty set and the full set; meets/joins are
-    then set intersection/union, the lattice is distributive (a sublattice of a
-    powerset), and it is Boolean exactly when closed under set complement.
-
-    Decided per point: the members are up-sets of the preorder least[x] =
-    meet of the members holding x, and the family is closed iff they are all
-    of them. The members above m hold every point of m, those below it no
-    point outside it.
-    """
-    point_labels = tuple(str(x) for x in point_labels)
-    masks = tuple(sorted(set(int(m) for m in masks)))
-    full = (1 << len(point_labels)) - 1
-    # sorted, so every mask lies in the carrier once the ends are empty and full
-    if not masks or masks[0] != 0 or masks[-1] != full:
-        raise InputFormatError("closed family must contain the empty and full sets")
-    least = [full] * len(point_labels)
-    holders = [0] * len(point_labels)  # index masks of the members holding x
-    for k, m in enumerate(masks):
-        for x in bits(m):
-            least[x] &= m
-            holders[x] |= 1 << k
-    if upper_sets(least, len(masks) + 1) != list(masks):
-        raise InputFormatError("set family is not closed under union/intersection")
-    every = (1 << len(masks)) - 1
-    up, dn = [], []
-    for m in masks:
-        above = below = every
-        for x in bits(m):
-            above &= holders[x]
-        for x in bits(full ^ m):
-            below &= ~holders[x]
-        up.append(above)
-        dn.append(below)
-    idx = {m: i for i, m in enumerate(masks)}
-    comp = tuple(idx.get(full ^ m) for m in masks)
-    boolean = None not in comp
-    base = Poset._of_order([_set_label(point_labels, m) for m in masks], up, dn)
-    return Structure(base, "boolean-algebra" if boolean else "distributive-lattice",
-                     len(masks) - 1, 0, comp if boolean else None)
-
-
-def powerset_structure(k: int) -> Structure:
-    """The Boolean algebra of the subsets of p0..p(k-1), element i the set
-    with mask i. Each point b doubles the rows: sets without b, then with b."""
-    up, dn = [1], [1]
-    for half in [1 << b for b in range(k)]:
-        up = [r | r << half for r in up] + [r << half for r in up]
-        dn += [r | r << half for r in dn]
-    full, labels = (1 << k) - 1, [f"p{i}" for i in range(k)]
-    base = Poset._of_order([_set_label(labels, m) for m in range(full + 1)], up, dn)
-    return Structure(base, "boolean-algebra", full, 0,
-                     tuple(m ^ full for m in range(full + 1)))
 
 
 def chain_structure(n: int) -> Structure:
@@ -884,16 +856,17 @@ def is_coherent_poset(p: Poset) -> tuple[bool, dict]:
 def _refine_colors(p: Poset) -> list[int]:
     # Iterated neighborhood refinement with canonical renumbering, so color
     # ids are comparable across different posets.
-    colors = [(popcount(p.dn[i]), popcount(p.up[i])) for i in range(p.n)]
-    order = sorted(set(colors))
-    colors = [order.index(c) for c in colors]
-    for _ in range(p.n):
+    n, dn, up = p.n, p.dn, p.up
+    colors = [(popcount(dn[i]), popcount(up[i])) for i in range(n)]
+    rank = {c: k for k, c in enumerate(sorted(set(colors)))}
+    colors = [rank[c] for c in colors]
+    for _ in range(n):
         sigs = [(colors[i],
-                 tuple(sorted(colors[j] for j in bits(p.dn[i]) if j != i)),
-                 tuple(sorted(colors[j] for j in bits(p.up[i]) if j != i)))
-                for i in range(p.n)]
-        order = sorted(set(sigs))
-        nxt = [order.index(s) for s in sigs]
+                 tuple(sorted([colors[j] for j in bits(dn[i] ^ 1 << i)])),
+                 tuple(sorted([colors[j] for j in bits(up[i] ^ 1 << i)])))
+                for i in range(n)]
+        rank = {s: k for k, s in enumerate(sorted(set(sigs)))}
+        nxt = [rank[s] for s in sigs]
         if nxt == colors:  # no class split, so the renumbering is the same
             break
         colors = nxt
@@ -986,3 +959,11 @@ def canonical_form(p: Poset) -> tuple:
         if best is None or key < best:
             best = key
     return (n, tuple(sorted(colors)), best)
+
+
+def __getattr__(name: str):
+    # the lattices of sets live in ordua.setlattices, which imports this module
+    if name in ("powerset_structure", "structure_from_closed_masks"):
+        from ordua import setlattices
+        return getattr(setlattices, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

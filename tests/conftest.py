@@ -14,6 +14,7 @@ from pathlib import Path
 
 import ordua
 from ordua.corpus import random_poset
+from ordua.errors import AntisymmetryViolation, UnknownLabel
 from ordua.structures import (
     MORPHISM_KINDS,
     Poset,
@@ -22,6 +23,7 @@ from ordua.structures import (
     bits,
     is_flat_map,
     structure_from_closed_masks,
+    transitive_closure,
 )
 
 
@@ -265,6 +267,47 @@ def brute_closed_family(n_points: int, masks):
     return [sum(1 << k for k, b in enumerate(masks) if not a & ~b) for a in masks]
 
 
+def closure_reference(labels, pairs):
+    """What validate_poset must give for labels and pairs, compared as
+    strings: ("poset", up, dn), or (exception type, detail) with detail the
+    unknown label or the cycle witness (the sorted labels of the points on a
+    cycle through the least point that lies on one). The pairs are closed
+    by structures.transitive_closure over the pair rows."""
+    labels = [str(x) for x in labels]
+    n = len(labels)
+    rows = [1 << i for i in range(n)]
+    for a, b in pairs:
+        for x in (str(a), str(b)):
+            if x not in labels:
+                return UnknownLabel, x
+        rows[labels.index(str(a))] |= 1 << labels.index(str(b))
+    up = transitive_closure(rows)
+    for i in range(n):
+        cycle = [x for x in range(n) if up[i] >> x & 1 and up[x] >> i & 1]
+        if len(cycle) > 1:
+            return AntisymmetryViolation, sorted(labels[x] for x in cycle)
+    dn = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    return "poset", up, dn
+
+
+def random_set_family(rng):
+    """A random family of subsets of up to 5 points, usually with the empty
+    and full sets added, and closed under union and intersection about half
+    of the time."""
+    npts = rng.randint(0, 5)
+    full = (1 << npts) - 1
+    family = {rng.randrange(1 << npts) for _ in range(rng.randint(0, 6))}
+    if rng.random() < 0.9:
+        family |= {0, full}
+    if rng.random() < 0.5:
+        grown = None
+        while grown != family:
+            grown = set(family)
+            family |= {a | b for a in grown for b in grown}
+            family |= {a & b for a in grown for b in grown}
+    return [f"x{i}" for i in range(npts)], sorted(family)
+
+
 def warshall_poset(labels, pairs):
     """(up-rows, None) of the reflexive-transitive closure of a relation
     (Warshall on a boolean matrix), or (None, cycle) if it has one: the sorted
@@ -294,6 +337,26 @@ def shuffled(p: Poset, rng) -> Poset:
     new = {o: k for k, o in enumerate(old)}
     up = [sum(1 << new[j] for j in range(p.n) if p.leq(o, j)) for o in old]
     return Poset([p.labels[o] for o in old], up)
+
+
+def listed_refined_colors(p: Poset) -> list[int]:
+    """Colour refinement numbering each round's signatures by their place in
+    the sorted list of distinct signatures (list.index): the colours that
+    structures._refine_colors must give."""
+    colors = [(bin(p.dn[i]).count("1"), bin(p.up[i]).count("1")) for i in range(p.n)]
+    order = sorted(set(colors))
+    colors = [order.index(c) for c in colors]
+    for _ in range(p.n):
+        sigs = [(colors[i],
+                 tuple(sorted(colors[j] for j in range(p.n) if j != i and p.leq(j, i))),
+                 tuple(sorted(colors[j] for j in range(p.n) if j != i and p.leq(i, j))))
+                for i in range(p.n)]
+        order = sorted(set(sigs))
+        nxt = [order.index(s) for s in sigs]
+        if nxt == colors:
+            break
+        colors = nxt
+    return colors
 
 
 def brute_canonical(p: Poset) -> tuple:

@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import json
+import pkgutil
 import random
 import re
 import subprocess
@@ -9,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from conftest import brute_upper_sets, package_env
+import ordua
+from ordua import structures
 from ordua.cli import _BUILTIN_SPECS, _spectrum_report, export_structure_document, main
-from ordua.corpus import all_posets_up_to
-from ordua.dualities import priestley_of_dlat
+from ordua.corpus import all_posets_up_to, random_poset
+from ordua.dualities import poset_spectrum, priestley_of_dlat
 from ordua.structures import KIND_RANK, classify, powerset_structure
 
 
@@ -72,6 +76,39 @@ def test_stone_opens_are_the_lattice_elements():
         res = priestley_of_dlat(s)
         listed = len(brute_upper_sets(res.spectrum.order))
         assert _spectrum_report(s, res, "dlat")["stone-opens"] == listed == s.n
+
+
+def test_spectrum_counts_the_a_opens_without_listing_them(capsys, monkeypatch, tmp_path):
+    """On a poset, `spectrum` prints as A-opens the number of up-sets of the
+    filter inclusion order, counted with no module listing up-sets."""
+    rng = random.Random(4)
+    posets = [random_poset(rng, rng.randint(2, 8), rng.random() * 0.6) for _ in range(8)]
+    posets.append(structures.Poset([f"a{i}" for i in range(18)], [1 << i for i in range(18)]))
+    cases = []
+    for k, p in enumerate(posets):
+        if classify(p).kind != "poset":
+            continue
+        order = poset_spectrum(p, 18).spectrum.order
+        want = len(brute_upper_sets(order)) if p.n <= 8 else 1 << 18
+        doc = {"elements": list(p.labels),
+               "leq": [[p.labels[i], p.labels[j]] for i, row in enumerate(p.up)
+                       for j in structures.bits(row) if i != j]}
+        path = write_json(tmp_path, f"p{k}.json", doc)
+        code, out, _ = run(capsys, "spectrum", path, "--bound", "18")
+        assert code == 0 and json.loads(out)["A-opens"] == want
+        cases.append((path, out))
+    assert len(cases) >= 5
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("listed up-sets")
+
+    for info in pkgutil.iter_modules(ordua.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"ordua.{info.name}")
+            if hasattr(module, "upper_sets"):
+                monkeypatch.setattr(module, "upper_sets", refuse)
+    for path, out in cases:
+        assert run(capsys, "spectrum", path, "--bound", "18") == (0, out, "")
 
 
 def test_free_bool_reports_frozen_sizes(capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_upper_sets, lower_set_lattice, shuffled
-from ordua import dualities, spectra, structures
+from ordua import dualities, setlattices, spectra, structures
 from ordua.corpus import all_posets, all_posets_up_to, random_poset
 from ordua.errors import CarrierTooLarge, KindMismatch, NotPriestley
 from ordua.dualities import (
@@ -296,6 +296,34 @@ def test_roundtrip_rejects_an_embedding_that_breaks_order(monkeypatch):
     monkeypatch.setattr(dualities, "_patch_spectrum", swapped)
     ok, result, iso = roundtrip_check(d)
     assert not ok and iso is None and result.n == d.n
+
+
+def test_roundtrip_reads_no_rebuilt_rows_or_labels(monkeypatch):
+    """The round trip decides the isomorphism from the clopen uppers' masks
+    and the prime filters alone: the rebuilt lattice's rows and labels are
+    not built, and read later they match the element map."""
+    rng = random.Random(8)
+    lattices = [powerset_structure(8)]
+    lattices += [classify(shuffled(lower_set_lattice(
+        random_poset(rng, rng.randint(1, 8), rng.random() * 0.5)).base, rng))
+        for _ in range(12)]
+
+    def refuse(*args):
+        raise AssertionError("built the rebuilt lattice's rows or labels")
+
+    monkeypatch.setattr(setlattices, "_family_rows", refuse)
+    monkeypatch.setattr(setlattices, "_set_label", refuse)
+    rebuilt = []
+    for d in lattices:
+        ok, result, iso = roundtrip_check(d)
+        assert ok and result.n == d.n and sorted(iso) == list(range(d.n))
+        assert result.kind == d.kind
+        rebuilt.append((d, result, iso))
+    monkeypatch.undo()
+    for d, result, iso in rebuilt:
+        for i in range(d.n):
+            assert result.base.up[iso[i]] == sum(1 << iso[j] for j in bits(d.base.up[i]))
+        assert len(set(result.labels)) == d.n
 
 
 def test_coherent_reduct_recovers_stone_topology():

@@ -22,8 +22,11 @@ from conftest import (
     brute_prime_filters,
     brute_tables,
     brute_upper_sets,
+    closure_reference,
     labelled_down_rows,
+    listed_refined_colors,
     lower_set_lattice,
+    random_set_family,
     shuffled,
     warshall_poset,
 )
@@ -48,11 +51,13 @@ from ordua.structures import (
     StructureMorphism,
     Subset,
     _hom_compatible,
+    _refine_colors,
     bits,
     canonical_form,
     chain_structure,
     classify,
     compose,
+    count_upper_sets,
     disjunctive_filters,
     disjunctively_compact_elements,
     enumerate_homomorphisms,
@@ -151,6 +156,53 @@ def test_validate_poset_matches_warshall(block):
         assert list(p.dn) == [sum(1 << i for i in range(p.n) if up[i] >> j & 1)
                               for j in range(p.n)]
     assert outcomes == {True, False}
+
+
+def _messy_relation(rng):
+    """Labels, some of them not strings, and pairs that name a label by its
+    object or by its string, along a hidden order and now and then against
+    it (closing cycles), with self-pairs, repeated pairs and, rarely, a
+    label outside the carrier."""
+    pool = list(range(12)) + [f"v{i}" for i in range(12)] + [1.5, (1, 2), None]
+    labels = rng.sample(pool, rng.randint(1, 9))
+    n = len(labels)
+
+    def name(i):
+        return labels[i] if rng.random() < 0.5 else str(labels[i])
+
+    pairs = [(name(i), name(j)) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.3]
+    pairs += [(name(j), name(i)) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < 0.02]
+    pairs += [(name(i), name(i)) for i in range(n) if rng.random() < 0.2]
+    pairs += [rng.choice(pairs) for _ in range(len(pairs) // 3)] if pairs else []
+    if rng.random() < 0.1:
+        pairs.append(rng.choice([("w", name(0)), (name(0), "w")]))
+    rng.shuffle(pairs)
+    return labels, pairs
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_validate_poset_closes_like_transitive_closure(block):
+    rng = random.Random(500 + block)
+    outcomes = collections.Counter()
+    for _ in range(60):
+        labels, pairs = _messy_relation(rng)
+        want = closure_reference(labels, pairs)
+        outcomes[want[0]] += 1
+        if want[0] == "poset":
+            p = validate_poset(labels, pairs)
+            assert p.labels == tuple(map(str, labels))
+            assert (list(p.up), list(p.dn)) == (want[1], want[2])
+            continue
+        with pytest.raises(want[0]) as err:
+            validate_poset(labels, pairs)
+        assert type(err.value) is want[0]
+        if want[0] is AntisymmetryViolation:
+            assert err.value.cycle == want[1]
+        else:
+            assert str(err.value) == f"unknown label {want[1]!r} in order pair"
+    assert outcomes["poset"] and outcomes[AntisymmetryViolation]
 
 
 def test_poset_requires_nonempty_carrier():
@@ -269,30 +321,12 @@ def test_structure_from_closed_masks_rejects_bad_families(labels, masks, message
         structure_from_closed_masks(labels, masks)
 
 
-def _random_family(rng):
-    """A random family of subsets of up to 5 points, usually with the empty
-    and full sets added, and closed under union and intersection about half
-    of the time."""
-    npts = rng.randint(0, 5)
-    full = (1 << npts) - 1
-    family = {rng.randrange(1 << npts) for _ in range(rng.randint(0, 6))}
-    if rng.random() < 0.9:
-        family |= {0, full}
-    if rng.random() < 0.5:
-        grown = None
-        while grown != family:
-            grown = set(family)
-            family |= {a | b for a in grown for b in grown}
-            family |= {a & b for a in grown for b in grown}
-    return [f"x{i}" for i in range(npts)], sorted(family)
-
-
 @pytest.mark.parametrize("block", range(10))
 def test_structure_from_closed_masks_matches_pairwise_reference(block):
     rng = random.Random(100 + block)
     outcomes = set()
     for _ in range(30):
-        labels, masks = _random_family(rng)
+        labels, masks = random_set_family(rng)
         expected = brute_closed_family(len(labels), masks)
         outcomes.add(isinstance(expected, str))
         if isinstance(expected, str):
@@ -625,6 +659,17 @@ def test_canonical_form_separates_like_brute_force_on_random_pairs(seed):
         assert (canonical_form(q) == key) == (brute_canonical(q) == brute)
 
 
+def test_refined_colors_are_numbered_as_by_list_index():
+    rng = random.Random(6)
+    cases = all_posets_up_to(5) + [crowns(4), crowns(2, 2)]
+    cases += [shuffled(random_poset(rng, rng.randint(6, 20), rng.random() * 0.4), rng)
+              for _ in range(40)]
+    cases += [shuffled(lower_set_lattice(random_poset(rng, 5, 0.3)).base, rng)
+              for _ in range(10)]
+    for p in cases:
+        assert _refine_colors(p) == listed_refined_colors(p)
+
+
 def test_canonical_form_separates_posets_colors_cannot():
     one, two = crowns(4), crowns(2, 2)
     assert canonical_form(one)[:2] == canonical_form(two)[:2]
@@ -825,3 +870,35 @@ def test_upper_sets_leave_no_reference_cycles():
     finally:
         gc.enable()
     assert found == 0
+
+
+DEDEKIND = [2, 3, 6, 20, 168, 7581]  # M(0)..M(5), OEIS A000372
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_count_upper_sets_on_every_small_preorder(n):
+    for up in brute_preorders(n):
+        assert count_upper_sets(up) == len(brute_upper_sets(up))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_count_upper_sets_on_random_preorders(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 11)
+    density = rng.random() * 0.4
+    rows = [1 << i | sum(1 << j for j in range(n) if rng.random() < density)
+            for i in range(n)]
+    up = transitive_closure(rows)
+    assert count_upper_sets(up) == len(brute_upper_sets(up))
+
+
+def test_count_upper_sets_gives_the_dedekind_numbers():
+    # the up-sets of the Boolean lattice 2^k are its monotone Boolean functions
+    for k, m in enumerate(DEDEKIND):
+        assert count_upper_sets(powerset_structure(k).base.up) == m
+
+
+def test_count_upper_sets_counts_wide_orders_without_listing():
+    assert count_upper_sets([1 << i for i in range(40)]) == 1 << 40
+    chain = [((1 << 40) - 1) ^ ((1 << i) - 1) for i in range(40)]
+    assert count_upper_sets(chain) == 41
