@@ -18,8 +18,10 @@ import sys
 
 from ordua.corpus import all_preorders, random_poset
 from ordua.dualities import (
+    DUALITY_KINDS,
     DualityResult,
     dlat_of_priestley,
+    duality_class,
     extended_image_check,
     priestley_of_dlat,
     roundtrip_check,
@@ -33,6 +35,7 @@ from ordua.errors import (
     OrduaError,
 )
 from ordua.free import (
+    _ALGEBRA_KINDS,
     FreeResult,
     free_boolean,
     free_dlat_on_ddlat,
@@ -54,6 +57,7 @@ from ordua.spaces import (
     priestley_check,
 )
 from ordua.setlattices import _lattice_of_upsets
+from ordua.spectra import MODEL_CLASSES
 from ordua.structures import (
     DEFAULT_ENUMERATION_BOUND,
     KIND_RANK,
@@ -236,14 +240,11 @@ def _spectrum_report(s: Structure, res: DualityResult, duality: str) -> dict:
     return report
 
 
-def _duality_for_kind(s: Structure) -> str:
-    if s.rank() >= KIND_RANK["distributive-lattice"]:
-        return "dlat"
-    if s.kind == "dd-lattice":
-        return "ddlat"
-    if s.kind == "meet-semilattice":
-        return "msl"
-    return "poset"
+def _strongest(s: Structure, kinds, class_of=lambda kind: kind) -> str | None:
+    """The first of kinds whose model class needs the strongest structure
+    kind that s has; None if s has the kind of none of them."""
+    rank = {k: KIND_RANK[MODEL_CLASSES[class_of(k)].needs] for k in kinds}
+    return max([k for k in kinds if rank[k] <= s.rank()], key=rank.get, default=None)
 
 
 def _free_report(fr: FreeResult) -> dict:
@@ -346,8 +347,8 @@ def run_command(command: str, files: list[str], bound: int, oracle_bound: int,
         raise InputFormatError(f"{command} expects exactly one input file")
     if command == "recognize":
         f = load_morphism(files[0])
-        duality = {"meet-hom": "msl", "lattice-hom": "dlat",
-                   "disjunctive-hom": "ddlat"}.get(f.kind)
+        duality = next((k for k in _ALGEBRA_KINDS
+                        if MODEL_CLASSES[k].hom_kind == f.kind), None)
         if duality is None:
             raise KindMismatch(
                 f"recognition needs a meet-hom, lattice-hom, or disjunctive-hom, "
@@ -370,7 +371,7 @@ def run_command(command: str, files: list[str], bound: int, oracle_bound: int,
                   "is-lattice": s.is_lattice()}
         return 0, report, s
     if command == "spectrum":
-        duality = _duality_for_kind(s)
+        duality = _strongest(s, DUALITY_KINDS, duality_class)
         res = spectrum_for(s, duality, bound)
         report = {"command": command, **_spectrum_report(s, res, duality)}
         return 0, report, res.space
@@ -387,17 +388,16 @@ def run_command(command: str, files: list[str], bound: int, oracle_bound: int,
                   "elements": list(d.labels)}
         return 0, report, d
     if command == "free-bool":
-        duality = _duality_for_kind(s)
-        fr = free_boolean(s, "poset-monotone" if duality == "poset" else duality, bound)
+        kind = _strongest(s, ("poset-monotone", "msl", "dlat", "ddlat"))
+        fr = free_boolean(s, kind, bound)
         report = {"command": command, **_free_report(fr)}
         return 0, report, fr if fr.size <= 64 else None
     if command == "free-dlat":
-        if s.rank() >= KIND_RANK["dd-lattice"]:
-            fr = free_dlat_on_ddlat(s, bound)
-        elif s.kind == "meet-semilattice":
-            fr = free_dlat_on_msl(s, bound)
-        else:
+        kind = _strongest(s, ("msl", "ddlat"))
+        if kind is None:
             raise KindMismatch("free-dlat needs a meet-semilattice or stronger")
+        # the per-class wrappers are the names perfbench traces
+        fr = (free_dlat_on_msl if kind == "msl" else free_dlat_on_ddlat)(s, bound)
         report = {"command": command, **_free_report(fr),
                   "elements": [sorted(fr.spectrum.labels[k] for k in bits(m))
                                for m in fr.element_masks]}

@@ -12,7 +12,7 @@ topology they generate alone is the Alexandrov topology of inclusion.
 from __future__ import annotations
 
 from ordua.errors import InputFormatError
-from ordua.free import _HOM_KIND_OF, FreeResult
+from ordua.free import FreeResult
 from ordua.spaces import (
     FiniteSpace,
     Preorder,
@@ -27,7 +27,7 @@ from ordua.spaces import (
     weakly_indecomposable_clopen_uppers,
 )
 from ordua.setlattices import _and_fold, _lattice_of_upsets
-from ordua.spectra import Spectrum, inverse_image_map, spectrum
+from ordua.spectra import FREE_KINDS, Spectrum, inverse_image_map, model_class, spectrum
 from ordua.structures import (
     Poset,
     Structure,
@@ -40,9 +40,9 @@ from ordua.structures import (
     upper_sets,
 )
 
-DUALITY_KINDS = ("poset", "msl", "dlat", "ddlat")
-
-_DUAL_HOM_KIND = {"poset": "flat", **_HOM_KIND_OF}
+# each model class with principal points has a duality; the flat one's is the posets'
+_CLASS_OF = {k.removesuffix("-flat"): k for k in FREE_KINDS if model_class(k).principal}
+DUALITY_KINDS = tuple(_CLASS_OF)
 
 
 class DualityResult:
@@ -81,10 +81,17 @@ class SpaceMap:
         return f"SpaceMap({self.source.n}->{self.target.n})"
 
 
+def duality_class(duality: str) -> str:
+    """The kind of the model class whose spectrum is the duality's."""
+    if duality not in DUALITY_KINDS:
+        raise InputFormatError(f"unknown duality kind {duality!r}")
+    return _CLASS_OF[duality]
+
+
 def _patch_spectrum(c: Structure, duality: str, bound: int | None
                     ) -> DualityResult:
     # distinct points are distinct filters, so the basic sets separate them
-    sp = spectrum(c, "poset-flat" if duality == "poset" else duality, bound)
+    sp = spectrum(c, duality_class(duality), bound)
     space = _discrete(sp.labels, bound)
     return DualityResult(sp, PreorderedSpace(space, Preorder._of_rows(sp.labels, sp.order)))
 
@@ -145,24 +152,15 @@ def ddlat_spectrum(d: Structure, bound: int | None = None) -> DualityResult:
 
 def spectrum_for(c: Structure, duality: str, bound: int | None = None
                  ) -> DualityResult:
-    if duality == "poset":
-        return poset_spectrum(c.base, bound)
-    if duality == "msl":
-        return msl_spectrum(c, bound)
-    if duality == "dlat":
-        return priestley_of_dlat(c, bound)
-    if duality == "ddlat":
-        return ddlat_spectrum(c, bound)
-    raise InputFormatError(f"unknown duality kind {duality!r}")
+    """The spectrum of c for a duality in DUALITY_KINDS, with its patch space."""
+    return _patch_spectrum(c, duality, bound)
 
 
 def dual_morphism(f: StructureMorphism, duality: str, bound: int | None = None
                   ) -> SpaceMap:
     """The spectrum map induced by f: point G of the target spectrum maps to
     the inverse image f^-1(G), which must be a point of the source spectrum."""
-    if duality not in DUALITY_KINDS:
-        raise InputFormatError(f"unknown duality kind {duality!r}")
-    _require_kind(f.map, f.source, f.target, _DUAL_HOM_KIND[duality])
+    _require_kind(f.map, f.source, f.target, model_class(duality_class(duality)).hom_kind)
     res_src = spectrum_for(f.source, duality, bound)
     res_tgt = spectrum_for(f.target, duality, bound)
     mapping = inverse_image_map(f, res_src.spectrum.points.masks,

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from ordua.errors import (
     CarrierTooLarge,
-    InputFormatError,
     KindMismatch,
     NotInjective,
     OracleBoundExceeded,
 )
 from ordua.setlattices import _lattice_of_upsets, powerset_structure
-from ordua.spectra import Spectrum, inverse_image_map, spectrum
+from ordua.spectra import FREE_KINDS, Spectrum, inverse_image_map, model_class, spectrum
 from ordua.structures import (
     Poset,
     SetFamily,
@@ -44,9 +43,8 @@ from ordua.structures import (
 
 MATERIALIZE_CAP = 1024
 
-FREE_KINDS = ("poset-monotone", "poset-flat", "msl", "dlat", "ddlat")
-
-_HOM_KIND_OF = {"msl": "meet-hom", "dlat": "lattice-hom", "ddlat": "disjunctive-hom"}
+# the classes of algebras, whose free Boolean algebras recognize_free_boolean decides
+_ALGEBRA_KINDS = tuple(k for k in FREE_KINDS if model_class(k).needs != "poset")
 
 
 class FreeResult:
@@ -117,12 +115,8 @@ class FreeResult:
 
 
 def free_boolean(c: Structure, kind: str, bound: int | None = None) -> FreeResult:
-    """The free Boolean algebra on c for the given model class.
-
-    Points are the two-valued models of the class: upper sets (monotone maps
-    to 2), filters (flat models and meet-homs), prime filters (lattice homs),
-    or disjunctive filters (disjunctive homs).
-    """
+    """The free Boolean algebra on c for the model class of kind, on the
+    points of its spectrum."""
     return FreeResult(c, kind, spectrum(c, kind, bound))
 
 
@@ -146,17 +140,13 @@ def _class_test(src: Structure, tgt: Structure, kind: str):
     """The laws of the class beyond monotonicity, as a test of monotone maps
     src -> tgt; raises KindMismatch at once if the kinds do not support the
     class's homomorphisms."""
-    if kind == "poset-monotone":
-        return _law_test(src, tgt, "monotone")
-    if kind == "poset-flat":
+    hom_kind = model_class(kind).hom_kind
+    if hom_kind == "flat":
         return _flat_model_test(src, tgt)
-    if kind in _HOM_KIND_OF:
-        hom_kind = _HOM_KIND_OF[kind]
-        reason = _hom_compatible(src, tgt, hom_kind)
-        if reason is not None:
-            raise KindMismatch(reason)
-        return _law_test(src, tgt, hom_kind)
-    raise InputFormatError(f"unknown free kind {kind!r}")
+    reason = _hom_compatible(src, tgt, hom_kind)
+    if reason is not None:
+        raise KindMismatch(reason)
+    return _law_test(src, tgt, hom_kind)
 
 
 def universal_property_check(fr: FreeResult, atom_bound: int = 3
@@ -228,9 +218,10 @@ def recognize_free_boolean(i: StructureMorphism, duality_kind: str
     (msl), all upper elements (dlat), or upper elements whose upper covers
     admit disjoint upper refinements (ddlat).
     """
-    if duality_kind not in _HOM_KIND_OF:
-        raise KindMismatch(f"recognition supports msl/dlat/ddlat, not {duality_kind!r}")
-    hom_kind = _HOM_KIND_OF[duality_kind]
+    if duality_kind not in _ALGEBRA_KINDS:
+        raise KindMismatch(
+            f"recognition supports {'/'.join(_ALGEBRA_KINDS)}, not {duality_kind!r}")
+    hom_kind = model_class(duality_kind).hom_kind
     b = i.target
     if b.kind != "boolean-algebra":
         raise KindMismatch("recognition target must be a boolean algebra")

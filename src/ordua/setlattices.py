@@ -19,6 +19,7 @@ from ordua.structures import (
     _label_index,
     _set_label,
     bits,
+    transpose,
     upper_sets,
 )
 
@@ -54,10 +55,7 @@ def _family_rows(npts: int, masks) -> tuple[tuple[int, ...], tuple[int, ...]]:
     points: the members above m are those holding every point of m, the
     members below it those holding no point outside it."""
     every = (1 << len(masks)) - 1
-    holders = [0] * npts  # index masks of the members holding each point
-    for k, m in enumerate(masks):
-        for x in bits(m):
-            holders[x] |= 1 << k
+    holders = transpose(npts, masks)  # index masks of the members holding each point
     above = _and_fold(holders, every)
     within = _and_fold([every ^ h for h in holders], every)
     full = (1 << npts) - 1
@@ -123,6 +121,16 @@ def _lattice_of_upsets(point_labels, masks) -> Structure:
     return Structure(base, "boolean-algebra", n - 1, 0, tuple(range(n - 1, -1, -1)))
 
 
+def minimal_opens(n: int, masks) -> tuple[int, ...]:
+    """Row p: the intersection of the masks containing p (all n points if
+    none does), the least open around p in the topology they generate."""
+    rows = [(1 << n) - 1] * n
+    for m in masks:
+        for p in bits(m):
+            rows[p] &= m
+    return tuple(rows)
+
+
 def structure_from_closed_masks(point_labels, masks) -> Structure:
     """Structure on a family of subsets closed under union and intersection.
 
@@ -130,9 +138,9 @@ def structure_from_closed_masks(point_labels, masks) -> Structure:
     then set intersection/union, the lattice is distributive (a sublattice of a
     powerset), and it is Boolean exactly when closed under set complement.
 
-    Decided per point: the members are up-sets of the preorder least[x] =
-    meet of the members holding x, and the family is closed iff they are all
-    of them.
+    Decided per point: the members are up-sets of the preorder whose row x is
+    the meet of the members holding x, and the family is closed iff they are
+    all of them.
     """
     point_labels = tuple(str(x) for x in point_labels)
     masks = tuple(sorted(set(int(m) for m in masks)))
@@ -140,23 +148,12 @@ def structure_from_closed_masks(point_labels, masks) -> Structure:
     # sorted, so every mask lies in the carrier once the ends are empty and full
     if not masks or masks[0] != 0 or masks[-1] != full:
         raise InputFormatError("closed family must contain the empty and full sets")
-    least = [full] * len(point_labels)
-    for m in masks:
-        for x in bits(m):
-            least[x] &= m
-    if upper_sets(least, len(masks) + 1) != list(masks):
+    if upper_sets(minimal_opens(len(point_labels), masks), len(masks) + 1) != list(masks):
         raise InputFormatError("set family is not closed under union/intersection")
     return _lattice_of_upsets(point_labels, masks)
 
 
 def powerset_structure(k: int) -> Structure:
     """The Boolean algebra of the subsets of p0..p(k-1), element i the set
-    with mask i. Each point b doubles the rows: sets without b, then with b."""
-    up, dn = [1], [1]
-    for half in [1 << b for b in range(k)]:
-        up = [r | r << half for r in up] + [r << half for r in up]
-        dn += [r | r << half for r in dn]
-    full, labels = (1 << k) - 1, [f"p{i}" for i in range(k)]
-    base = Poset._of_order([_set_label(labels, m) for m in range(full + 1)], up, dn)
-    return Structure(base, "boolean-algebra", full, 0,
-                     tuple(m ^ full for m in range(full + 1)))
+    with mask i: all the up-sets of the discrete order, ascending."""
+    return _lattice_of_upsets([f"p{i}" for i in range(k)], range(1 << k))

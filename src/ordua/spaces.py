@@ -17,7 +17,7 @@ from ordua.errors import (
     NotPriestley,
     NotT0,
 )
-from ordua.setlattices import _lattice_of_upsets
+from ordua.setlattices import _lattice_of_upsets, minimal_opens
 from ordua.structures import (
     DEFAULT_ENUMERATION_BOUND,
     Poset,
@@ -27,6 +27,7 @@ from ordua.structures import (
     bits,
     check_carrier,
     transitive_closure,
+    transpose,
     upper_sets,
 )
 
@@ -98,23 +99,9 @@ class Preorder:
         return f"Preorder(n={self.n})"
 
 
-def minimal_opens(n: int, masks) -> tuple[int, ...]:
-    """Row p: the intersection of the masks containing p (all n points if
-    none does), the least open around p in the topology they generate."""
-    rows = [(1 << n) - 1] * n
-    for m in masks:
-        for p in bits(m):
-            rows[p] &= m
-    return tuple(rows)
-
-
 def _components(rows) -> list[int]:
     """Row p: the connected component of p in the graph of the rows."""
-    link = list(rows)
-    for i, row in enumerate(rows):
-        for j in bits(row):
-            link[j] |= 1 << i
-    return transitive_closure(link)
+    return transitive_closure(map(int.__or__, rows, transpose(len(rows), rows)))
 
 
 class FiniteSpace(Preorder):

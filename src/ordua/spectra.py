@@ -3,10 +3,10 @@
 The points are the two-valued models of the class, each kept as the subset
 of the carrier it sends to 1: upper sets (monotone maps to 2), filters (flat
 models and meet-homs), prime filters (lattice homs) or disjunctive filters
-(disjunctive homs). The basic set of an element is the set of points
-containing it, and the order is inclusion of points. Dualities put the patch
-topology of the basic sets on the points; free Boolean algebras are the
-powerset of the points.
+(disjunctive homs). MODEL_CLASSES is the one table of the classes. The basic
+set of an element is the set of points containing it, and the order is
+inclusion of points. Dualities put the patch topology of the basic sets on
+the points; free Boolean algebras are the powerset of the points.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from ordua.structures import (
     Structure,
     StructureMorphism,
     _set_label,
-    bits,
     inclusion_rows,
+    transpose,
 )
 
 
@@ -50,11 +50,7 @@ class Spectrum:
     @property
     def basics(self) -> tuple[int, ...]:
         if self._basics is None:
-            basics = [0] * self.points.n
-            for k, m in enumerate(self.points.masks):
-                for i in bits(m):
-                    basics[i] |= 1 << k
-            self._basics = tuple(basics)
+            self._basics = tuple(transpose(self.points.n, self.points.masks))
         return self._basics
 
     @property
@@ -67,25 +63,56 @@ class Spectrum:
         return f"Spectrum({len(self.points)} points)"
 
 
+class ModelClass:
+    """A class of two-valued models: the least structure kind it needs, the
+    kind of its morphisms, and points(s, bound), its models on s as a
+    SetFamily of the subsets they send to 1. Every model but a monotone map
+    to 2 is a filter, so principal: an up-row ^x."""
+
+    __slots__ = ("needs", "hom_kind", "points")
+
+    def __init__(self, needs: str, hom_kind: str, points) -> None:
+        self.needs, self.hom_kind, self.points = needs, hom_kind, points
+
+    principal = property(lambda self: self.hom_kind != "monotone")
+
+
+def _semilattice_filters(s: Structure, bound: int | None) -> SetFamily:
+    s.require("meet-semilattice", "msl spectrum")
+    return structures.filters(s, bound)
+
+
+# structures' point builders are looked up per call, so wrapping them sees every call
+MODEL_CLASSES = {
+    "poset-monotone": ModelClass("poset", "monotone", lambda s, bound: SetFamily._of_sorted(
+        s.n, s.base.upper_set_masks(bound))),
+    "poset-flat": ModelClass("poset", "flat", lambda s, bound: structures.filters(s, bound)),
+    "msl": ModelClass("meet-semilattice", "meet-hom", _semilattice_filters),
+    "dlat": ModelClass("distributive-lattice", "lattice-hom",
+                       lambda s, bound: structures.prime_filters(s)),
+    "ddlat": ModelClass("dd-lattice", "disjunctive-hom",
+                        lambda s, bound: structures.disjunctive_filters(s)),
+}
+
+FREE_KINDS = tuple(MODEL_CLASSES)
+
+
+def model_class(kind: str) -> ModelClass:
+    """The row of MODEL_CLASSES for kind."""
+    if kind not in FREE_KINDS:
+        raise InputFormatError(f"unknown free kind {kind!r}")
+    return MODEL_CLASSES[kind]
+
+
 def spectrum(s: Structure, kind: str, bound: int | None = None) -> Spectrum:
-    """The spectrum of s for a model class in free.FREE_KINDS.
+    """The spectrum of s for the model class of kind, a key of MODEL_CLASSES.
 
     bound limits the carrier of the upper-set and filter enumerations.
     """
-    if kind == "poset-monotone":
-        points = SetFamily._of_sorted(s.n, s.base.upper_set_masks(bound))
+    mc = model_class(kind)
+    points = mc.points(s, bound)
+    if not mc.principal:
         return Spectrum(points, lambda m: _set_label(s.labels, m))
-    if kind == "msl":
-        s.require("meet-semilattice", "msl spectrum")
-    if kind in ("poset-flat", "msl"):
-        points = structures.filters(s, bound)
-    elif kind == "dlat":
-        points = structures.prime_filters(s)
-    elif kind == "ddlat":
-        points = structures.disjunctive_filters(s)
-    else:
-        raise InputFormatError(f"unknown free kind {kind!r}")
-    # every point of these kinds is a principal up-row ^x
     least = {row: x for x, row in enumerate(s.base.up)}
     return Spectrum(points, lambda m: "^" + s.labels[least[m]])
 
@@ -97,10 +124,7 @@ def inverse_image_map(f: StructureMorphism, src_points, tgt_points
     index = {m: k for k, m in enumerate(src_points)}
     out = []
     for m in tgt_points:
-        pre = 0
-        for i, y in enumerate(f.map):
-            if m >> y & 1:
-                pre |= 1 << i
+        pre = sum([1 << i for i, y in enumerate(f.map) if m >> y & 1])
         if pre not in index:
             raise NotAFilterImage(
                 "inverse image of a spectrum point is not a spectrum point")

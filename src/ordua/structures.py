@@ -61,6 +61,16 @@ def transitive_closure(rows) -> list[int]:
     return rows
 
 
+def transpose(n: int, rows) -> list[int]:
+    """The columns of a bit matrix whose rows are masks over n bits: column i
+    is the mask of the rows that hold bit i."""
+    cols = [0] * n
+    for k, row in enumerate(rows):
+        for i in bits(row):
+            cols[i] |= 1 << k
+    return cols
+
+
 def cover_pairs(up) -> list[tuple[int, int]]:
     """Pairs i <= j, i != j, of a preorder with up-rows up, with no third
     point k between them: i <= k <= j."""
@@ -101,11 +111,7 @@ def count_upper_sets(up) -> int:
     without them. Counts are kept per rest, and p is a point of rest with
     the most comparables in it, which leaves the least behind.
     """
-    dn = [0] * len(up)
-    for i, row in enumerate(up):
-        for j in bits(row):
-            dn[j] |= 1 << i
-    return _count_upper((1 << len(up)) - 1, up, dn, {0: 1})
+    return _count_upper((1 << len(up)) - 1, up, transpose(len(up), up), {0: 1})
 
 
 def _count_upper(rest: int, up, dn, memo: dict[int, int]) -> int:
@@ -959,11 +965,3 @@ def canonical_form(p: Poset) -> tuple:
         if best is None or key < best:
             best = key
     return (n, tuple(sorted(colors)), best)
-
-
-def __getattr__(name: str):
-    # the lattices of sets live in ordua.setlattices, which imports this module
-    if name in ("powerset_structure", "structure_from_closed_masks"):
-        from ordua import setlattices
-        return getattr(setlattices, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

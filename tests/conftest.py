@@ -15,6 +15,7 @@ from pathlib import Path
 import ordua
 from ordua.corpus import random_poset
 from ordua.errors import AntisymmetryViolation, UnknownLabel
+from ordua.setlattices import structure_from_closed_masks
 from ordua.structures import (
     MORPHISM_KINDS,
     Poset,
@@ -22,7 +23,6 @@ from ordua.structures import (
     StructureMorphism,
     bits,
     is_flat_map,
-    structure_from_closed_masks,
     transitive_closure,
 )
 

@@ -33,6 +33,7 @@ from ordua.free import (
     thm22_oracle,
     universal_property_check,
 )
+from ordua.setlattices import powerset_structure
 from ordua.spaces import (
     Preorder,
     PreorderedSpace,
@@ -56,7 +57,6 @@ from ordua.structures import (
     enumerate_homomorphisms,
     indecomposable_elements,
     order_isomorphism,
-    powerset_structure,
     validate_poset,
 )
 from conftest import lower_set_lattice, package_env

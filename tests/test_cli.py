@@ -13,10 +13,18 @@ import pytest
 from conftest import brute_upper_sets, package_env
 import ordua
 from ordua import structures
-from ordua.cli import _BUILTIN_SPECS, _spectrum_report, export_structure_document, main
+from ordua.cli import (
+    _BUILTIN_SPECS,
+    COMMANDS,
+    _spectrum_report,
+    builtin_structure,
+    export_structure_document,
+    main,
+)
 from ordua.corpus import all_posets_up_to, random_poset
 from ordua.dualities import poset_spectrum, priestley_of_dlat
-from ordua.structures import KIND_RANK, classify, powerset_structure
+from ordua.setlattices import powerset_structure
+from ordua.structures import KIND_RANK, KINDS, classify
 
 
 def run(capsys, *argv):
@@ -253,6 +261,67 @@ def test_recognize_fuzz_never_escapes(capsys, tmp_path):
                 assert code in (0, 1, 2), (source, target, kind)
                 if code == 2:
                     assert err.startswith("ordua: error:"), (source, target, kind)
+
+
+# ------------------------------------------------------ kind-hinted inputs
+
+# The classes the CLI takes for a structure of each kind: spectrum's
+# duality, free-bool's model class and free-dlat's (None: it exits 2).
+CLASS_FOR_KIND = {
+    "poset": ("poset", "poset-monotone", None),
+    "meet-semilattice": ("msl", "msl", "dlat-on-msl"),
+    "dd-lattice": ("ddlat", "ddlat", "dlat-on-ddlat"),
+    "distributive-lattice": ("dlat", "dlat", "dlat-on-ddlat"),
+    "boolean-algebra": ("dlat", "dlat", "dlat-on-ddlat"),
+}
+
+
+def hinted_builtins(tmp_path) -> list[tuple[str, str]]:
+    """(hint, path) of a document for every built-in with every kind-hint up
+    to its classified kind."""
+    docs = []
+    for name, (elements, pairs) in _BUILTIN_SPECS.items():
+        for hint in KINDS[:builtin_structure(name).rank() + 1]:
+            docs.append((hint, write_json(tmp_path, f"{name}-{hint}.json", {
+                "elements": elements, "leq": [list(p) for p in pairs],
+                "kind-hint": hint})))
+    return docs
+
+
+def test_the_class_taken_for_each_kind_hint(capsys, tmp_path):
+    docs = hinted_builtins(tmp_path)
+    assert len(docs) == 29
+    for hint, path in docs:
+        duality, free_class, dlat_class = CLASS_FOR_KIND[hint]
+        code, out, _ = run(capsys, "spectrum", path)
+        assert (code, json.loads(out)["duality"]) == (0, duality), path
+        code, out, _ = run(capsys, "free-bool", path)
+        assert (code, json.loads(out)["model-class"]) == (0, free_class), path
+        code, out, err = run(capsys, "free-dlat", path)
+        if dlat_class is None:
+            assert (code, out, err) == (
+                2, "", "ordua: error: free-dlat needs a meet-semilattice or stronger\n"), path
+        else:
+            assert (code, json.loads(out)["model-class"]) == (0, dlat_class), path
+
+
+def test_kind_hinted_runs_never_escape(capsys, tmp_path):
+    # every structure command in every format on every kind-hinted built-in:
+    # a failure is an exit 2 or 3 with only an error line, never a traceback
+    runs = 0
+    for hint, path in hinted_builtins(tmp_path):
+        for command in COMMANDS:
+            if command in ("selftest", "recognize"):
+                continue
+            for fmt in ("json", "dot", "text"):
+                code, out, err = run(capsys, command, path, "--format", fmt)
+                assert code in (0, 1, 2, 3), (command, path, fmt)
+                if code in (2, 3):
+                    assert out == "" and err.startswith("ordua: error:"), (command, path, fmt)
+                else:
+                    assert err == "", (command, path, fmt)
+                runs += 1
+    assert runs == 1044
 
 
 # ----------------------------------------------------------- error handling

@@ -29,6 +29,7 @@ from ordua.free import (
     thm22_oracle,
     universal_property_check,
 )
+from ordua.setlattices import powerset_structure
 from ordua.spectra import spectrum
 from ordua.structures import (
     KIND_RANK,
@@ -41,7 +42,6 @@ from ordua.structures import (
     is_homomorphism,
     indecomposable_elements,
     order_isomorphism,
-    powerset_structure,
     structure_isomorphism,
     upper_sets,
     validate_poset,

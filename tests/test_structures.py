@@ -45,6 +45,7 @@ from ordua.errors import (
     KindMismatch,
     UnknownLabel,
 )
+from ordua.setlattices import powerset_structure, structure_from_closed_masks
 from ordua.structures import (
     MORPHISM_KINDS,
     Poset,
@@ -68,10 +69,9 @@ from ordua.structures import (
     is_homomorphism,
     join_irreducible_mask,
     order_isomorphism,
-    powerset_structure,
     prime_filters,
-    structure_from_closed_masks,
     transitive_closure,
+    transpose,
     upper_sets,
     validate_poset,
 )
@@ -870,6 +870,20 @@ def test_upper_sets_leave_no_reference_cycles():
     finally:
         gc.enable()
     assert found == 0
+
+
+def test_transpose_matches_its_definition():
+    # column i holds bit k exactly when row k holds bit i; empty rows, no
+    # rows, and more columns than rows included
+    rng = random.Random(13)
+    cases = [(0, []), (4, []), (3, [0, 0]), (6, [0b101, 0, 0b11]), (1, [1, 0, 1])]
+    cases += [(n, [rng.getrandbits(n) for _ in range(rng.randint(0, 12))])
+              for n in (rng.randint(0, 12) for _ in range(60))]
+    for n, rows in cases:
+        cols = transpose(n, rows)
+        assert cols == [sum(1 << k for k, row in enumerate(rows) if row >> i & 1)
+                        for i in range(n)], (n, rows)
+        assert transpose(len(rows), cols) == rows
 
 
 DEDEKIND = [2, 3, 6, 20, 168, 7581]  # M(0)..M(5), OEIS A000372
