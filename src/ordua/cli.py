@@ -474,16 +474,23 @@ def render_report(report: dict, fmt: str, dot_obj) -> str:
     raise InputFormatError(f"unknown format {fmt!r}")
 
 
+def _nonnegative(value: int, name: str) -> int:
+    if value < 0:
+        raise InputFormatError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def _resolve_bound(arg: int | None) -> int:
     if arg is not None:
-        return arg
+        return _nonnegative(arg, "--bound")
     env = os.environ.get("ORDUA_BOUND")
     if env is None:
         return DEFAULT_ENUMERATION_BOUND
     try:
-        return int(env)
+        value = int(env)
     except ValueError:
         raise InputFormatError(f"ORDUA_BOUND must be an integer, got {env!r}")
+    return _nonnegative(value, "ORDUA_BOUND")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -508,8 +515,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         bound = _resolve_bound(args.bound)
+        oracle_bound = _nonnegative(args.oracle_bound, "--oracle-bound")
         code, report, dot_obj = run_command(
-            args.command, args.files, bound, args.oracle_bound, args.seed)
+            args.command, args.files, bound, oracle_bound, args.seed)
         text = render_report(report, args.format, dot_obj)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -19,6 +19,7 @@ from ordua.structures import (
     _label_index,
     _set_label,
     bits,
+    join_irreducible_mask,
     transpose,
     upper_sets,
 )
@@ -48,6 +49,40 @@ def _and_fold(values, every: int):
         return acc
 
     return fold
+
+
+class Birkhoff:
+    """The join-irreducibles j_t of a poset p (the x whose strict down-set is
+    principal), listed so that their up-rows primes[t] ascend, and the rows
+    c[x] = {t : j_t <= x}, the primes' columns, built on first read. In a
+    distributive lattice the primes are the prime filters, c[x] is the basic
+    set of x and c[j_t] the mask of the primes holding prime t. Poset.birkhoff
+    builds one per poset and keeps it.
+    """
+
+    __slots__ = ("up", "elements", "primes", "_rows")
+
+    def __init__(self, p: Poset) -> None:
+        self.up = up = p.up
+        self.elements = tuple(sorted(bits(join_irreducible_mask(p)), key=up.__getitem__))
+        self.primes = tuple([up[x] for x in self.elements])
+        self._rows = None
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        if self._rows is None:
+            self._rows = tuple(transpose(len(self.up), self.primes))
+        return self._rows
+
+    def is_distributive(self) -> bool:
+        """Whether x -> c[x] maps the poset isomorphically onto the down-sets
+        of its join-irreducibles J, which makes it a distributive lattice
+        (Birkhoff). It is an order embedding iff every up-row is the meet of
+        the primes above x, and then onto iff J has only n down-sets, the
+        up-sets of its reversed order, whose up-rows are the rows c[j]."""
+        n, c = len(self.up), self.rows
+        return (tuple(map(_and_fold(self.primes, (1 << n) - 1), c)) == tuple(self.up)
+                and len(upper_sets([c[j] for j in self.elements], n + 1)) == n)
 
 
 def _family_rows(npts: int, masks) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -81,7 +116,7 @@ class _SetOrder(Poset):
 
     def __init__(self, point_labels: tuple[str, ...], masks: tuple[int, ...]):
         self.point_labels, self.masks = point_labels, masks
-        self._labels = self._at = self._rows = None
+        self._labels = self._at = self._rows = self._birkhoff = None
         if _labels_may_collide(point_labels):
             self._at = _label_index(self.labels)  # raises DuplicateLabel now
 

@@ -31,14 +31,18 @@ class Spectrum:
     order[k] is the mask of points containing point k. Only the points are
     built up front, the labels, basic sets and order on first read: a free
     Boolean algebra can have thousands of points, and a caller may read only
-    how many there are.
+    how many there are. The points of a dlat spectrum are the primes of the
+    Birkhoff data birkhoff, whose rows c are kept on the lattice's poset: the
+    basic set of x is c[x], and the order row of prime k is c[j_k], since
+    prime k2 holds prime k iff j_k2 <= j_k.
     """
 
-    __slots__ = ("points", "_name", "_labels", "_basics", "_order")
+    __slots__ = ("points", "_name", "_birkhoff", "_labels", "_basics", "_order")
 
-    def __init__(self, points: SetFamily, name) -> None:
+    def __init__(self, points: SetFamily, name, birkhoff=None) -> None:
         self.points = points
         self._name = name
+        self._birkhoff = birkhoff
         self._labels = self._basics = self._order = None
 
     @property
@@ -50,13 +54,17 @@ class Spectrum:
     @property
     def basics(self) -> tuple[int, ...]:
         if self._basics is None:
-            self._basics = tuple(transpose(self.points.n, self.points.masks))
+            b = self._birkhoff
+            self._basics = (tuple(transpose(self.points.n, self.points.masks))
+                            if b is None else b.rows)
         return self._basics
 
     @property
     def order(self) -> tuple[int, ...]:
         if self._order is None:
-            self._order = tuple(inclusion_rows(self.points.masks))
+            b = self._birkhoff
+            self._order = (tuple(inclusion_rows(self.points.masks)) if b is None
+                           else tuple([b.rows[j] for j in b.elements]))
         return self._order
 
     def __repr__(self) -> str:
@@ -113,8 +121,11 @@ def spectrum(s: Structure, kind: str, bound: int | None = None) -> Spectrum:
     points = mc.points(s, bound)
     if not mc.principal:
         return Spectrum(points, lambda m: _set_label(s.labels, m))
-    least = {row: x for x, row in enumerate(s.base.up)}
-    return Spectrum(points, lambda m: "^" + s.labels[least[m]])
+    b = s.base.birkhoff if kind == "dlat" else None
+    # the least element of each point ^x, only the primes' for a dlat spectrum
+    least = (dict(zip(b.primes, b.elements)) if b is not None
+             else {row: x for x, row in enumerate(s.base.up)})
+    return Spectrum(points, lambda m: "^" + s.labels[least[m]], b)
 
 
 def inverse_image_map(f: StructureMorphism, src_points, tgt_points

@@ -61,13 +61,25 @@ def transitive_closure(rows) -> list[int]:
     return rows
 
 
+# _SPREAD[v]: v with bit b moved to bit 8b; _SPREAD_BYTES[v] as 8 bytes
+_SPREAD = [sum((v >> b & 1) << 8 * b for b in range(8)) for v in range(256)]
+_SPREAD_BYTES = [v.to_bytes(8, "little") for v in _SPREAD]
+
+
 def transpose(n: int, rows) -> list[int]:
     """The columns of a bit matrix whose rows are masks over n bits: column i
-    is the mask of the rows that hold bit i."""
-    cols = [0] * n
-    for k, row in enumerate(rows):
-        for i in bits(row):
-            cols[i] |= 1 << k
+    is the mask of the rows that hold bit i. Rows go 8 at a time: each is
+    spread a byte at a time (bit b to bit 8b) and shifted by its place k in
+    the group, so byte i of the group's OR holds bit k of column i."""
+    rows, width, cols = list(rows), (n + 7) // 8, [0] * n
+    for g in range(0, len(rows), 8):
+        acc = 0
+        for k, row in enumerate(rows[g:g + 8]):
+            spread = _SPREAD[row] if row < 256 else int.from_bytes(
+                b"".join([_SPREAD_BYTES[v] for v in row.to_bytes(width, "little")]), "little")
+            acc |= spread << k
+        group = acc.to_bytes(8 * width, "little")[:n]
+        cols = [c | b << g for c, b in zip(cols, group)] if g else list(group)
     return cols
 
 
@@ -207,7 +219,7 @@ class SetFamily:
 class Poset:
     """A finite poset: labelled carrier plus reflexive-transitive-antisymmetric order."""
 
-    __slots__ = ("labels", "up", "dn", "_index")
+    __slots__ = ("labels", "up", "dn", "_index", "_birkhoff")
 
     def __init__(self, labels, up) -> None:
         labels = tuple(str(x) for x in labels)
@@ -233,6 +245,7 @@ class Poset:
         self.labels = labels
         self.up = up
         self.dn = tuple(dn)
+        self._birkhoff = None
 
     @classmethod
     def _of_order(cls, labels, up, dn) -> "Poset":
@@ -241,6 +254,7 @@ class Poset:
         p = object.__new__(cls)
         p.labels, p.up, p.dn = tuple(labels), tuple(up), tuple(dn)
         p._index = _label_index(p.labels)
+        p._birkhoff = None
         return p
 
     @property
@@ -259,6 +273,15 @@ class Poset:
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
+
+    @property
+    def birkhoff(self):
+        """The Birkhoff data of this order (setlattices.Birkhoff), built on
+        first read and kept."""
+        if self._birkhoff is None:
+            from ordua.setlattices import Birkhoff  # it imports this module
+            self._birkhoff = Birkhoff(self)
+        return self._birkhoff
 
     def dual(self) -> "Poset":
         return Poset(self.labels, self.dn)
@@ -476,40 +499,19 @@ def join_irreducible_mask(p: Poset) -> int:
     return sum(1 << x for x, r in enumerate(p.dn) if r ^ (1 << x) in principal)
 
 
-def _birkhoff_rows(p: Poset) -> list[int] | None:
-    """Birkhoff rows ji[x] = join-irreducibles below x if x -> ji[x] maps p
-    onto the down-sets of the join-irreducibles isomorphically, i.e. p is a
-    distributive lattice; else None. ji is monotone and a minimal point's row
-    is empty, so it is such an isomorphism iff it is injective and ji[x] | j
-    is the row of some y >= x for every j minimal outside ji[x]: the image is
-    then closed along the covers of the down-sets, and ji^-1 monotone on them.
-    """
-    mask = join_irreducible_mask(p)
-    ji = [r & mask for r in p.dn]
-    element = {r: x for x, r in enumerate(ji)}
-    if len(element) != p.n:
-        return None
-    for x, r in enumerate(ji):
-        for j in bits(mask & ~r):
-            if ji[j] & ~r == 1 << j:
-                y = element.get(r | 1 << j)
-                if y is None or not p.up[x] >> y & 1:
-                    return None
-    return ji
-
-
 def classify(p: Poset) -> Structure:
-    """The strongest kind p supports, decided from its order rows; only the
+    """The strongest kind p supports, decided from its order rows (p is a
+    distributive lattice iff the Birkhoff map is an isomorphism); only the
     dd-lattice test, reached when p is not distributive, reads the tables."""
     top, bottom = _bounds(p)
-    ji = _birkhoff_rows(p)
-    if ji is not None:
+    if top is not None and bottom is not None and p.birkhoff.is_distributive():
+        c = p.birkhoff.rows
         # Boolean iff the join-irreducibles form an antichain, i.e. every
         # subset of them is a down-set
-        if p.n != 1 << popcount(ji[top]):
+        if p.n != 1 << popcount(c[top]):
             return Structure(p, "distributive-lattice", top, bottom, None)
-        element = {r: x for x, r in enumerate(ji)}
-        complement = tuple(element[ji[top] ^ r] for r in ji)
+        element = {r: x for x, r in enumerate(c)}
+        complement = tuple(element[c[top] ^ r] for r in c)
         return Structure(p, "boolean-algebra", top, bottom, complement)
     if top is None or not _closed(p.dn):
         return Structure(p, "poset", top, bottom, None)
@@ -576,11 +578,11 @@ def prime_filters(s: Structure) -> SetFamily:
 
     Finite filters are principal, and in a finite distributive lattice the
     join-primes are exactly the join-irreducibles, so no subset enumeration is
-    needed (the equivalences are covered by the property tests).
+    needed (the equivalences are covered by the property tests). They are the
+    primes of the Birkhoff data kept on s.base, whose rows are not built.
     """
     s.require("distributive-lattice", "prime_filters")
-    ji = join_irreducible_mask(s.base)
-    return SetFamily(s.n, [s.base.up[x] for x in bits(ji)])
+    return SetFamily._of_sorted(s.n, s.base.birkhoff.primes)
 
 
 def disjunctive_filters(s: Structure) -> SetFamily:

@@ -406,6 +406,24 @@ def test_bound_env_variable(capsys, monkeypatch):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "classify", "oracle"])
+def test_negative_bounds_are_malformed_input(capsys, monkeypatch, command):
+    # each source of a bound is checked before any command runs, and the
+    # error names it
+    monkeypatch.delenv("ORDUA_BOUND", raising=False)
+    for flag in ("--bound", "--oracle-bound"):
+        code, out, err = run(capsys, command, "C3", flag, "-1")
+        assert (code, out) == (2, "")
+        assert err == f"ordua: error: {flag} must be >= 0, got -1\n"
+    monkeypatch.setenv("ORDUA_BOUND", "-3")
+    code, out, err = run(capsys, command, "C3")
+    assert (code, out, err) == (2, "", "ordua: error: ORDUA_BOUND must be >= 0, got -3\n")
+    # an explicit bound overrides the environment, and 0 is a bound
+    assert run(capsys, command, "C3", "--bound", "12")[0] == 0
+    monkeypatch.setenv("ORDUA_BOUND", "0")
+    assert run(capsys, "classify", "C3")[0] == 0
+
+
 def test_explicit_bound_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("ORDUA_BOUND", "2")
     code, out, _ = run(capsys, "spectrum", "A3", "--bound", "12")

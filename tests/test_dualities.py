@@ -40,6 +40,7 @@ from ordua.spaces import (
 from ordua.spectra import Spectrum, spectrum
 from ordua.structures import (
     KIND_RANK,
+    Poset,
     SetFamily,
     StructureMorphism,
     classify,
@@ -162,6 +163,38 @@ def test_priestley_dual_and_free_boolean_build_no_basic_sets(monkeypatch):
     assert len(res.space.space.opens) == fr.size == 1 << 8
     with pytest.raises(AssertionError, match="built the basic sets"):
         fr.unit_masks
+
+
+def test_dlat_views_of_a_classified_lattice_read_its_kept_rows(monkeypatch):
+    """Once classify has decided a lattice distributive, its prime filters
+    and their labels, basic sets and order come from the Birkhoff data kept
+    on its poset: the Priestley dual, the round trip and the free Boolean
+    algebra find no join-irreducibles, transpose nothing and compare no
+    points for inclusion. They give what a fresh copy of the lattice gives."""
+    def refuse(*args):
+        raise AssertionError("recomputed the Birkhoff data")
+
+    def summary(d):
+        res = priestley_of_dlat(d)
+        sp = res.spectrum
+        ok, rebuilt, iso = roundtrip_check(d)
+        fr = free_boolean(d, "dlat")
+        return (sp.points, sp.labels, sp.basics, sp.order, res.space.preorder, ok,
+                rebuilt.n, iso, fr.points, fr.spectrum.labels, fr.unit_masks, fr.size)
+
+    rng = random.Random(17)
+    for k in (1, 2, 4, 6, 8):
+        q = shuffled(lower_set_lattice(random_poset(rng, k, 0.3)).base, rng)
+        expected = summary(classify(Poset(q.labels, q.up)))
+        d = classify(Poset(q.labels, q.up))
+        with monkeypatch.context() as m:
+            for module in (structures, setlattices):
+                m.setattr(module, "join_irreducible_mask", refuse)
+            for module, name in ((spectra, "transpose"), (setlattices, "transpose"),
+                                 (spectra, "inclusion_rows")):
+                m.setattr(module, name, refuse)
+            assert summary(d) == expected
+            assert list(prime_filters(d).masks) == list(expected[0].masks)
 
 
 def _spectra_of_the_corpora():

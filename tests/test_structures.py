@@ -45,7 +45,11 @@ from ordua.errors import (
     KindMismatch,
     UnknownLabel,
 )
-from ordua.setlattices import powerset_structure, structure_from_closed_masks
+from ordua.setlattices import (
+    _lattice_of_upsets,
+    powerset_structure,
+    structure_from_closed_masks,
+)
 from ordua.structures import (
     MORPHISM_KINDS,
     Poset,
@@ -361,6 +365,108 @@ def test_classify_matches_brute_force_up_to_6_points(n):
                     kind, top, bottom, complements)
                 assert t.meet == [[meet[a, b] for b in rng] for a in rng]
                 assert t.join == [[join[a, b] for b in rng] for a in rng]
+
+
+def _assert_classify_matches_brute(p):
+    s = classify(p)
+    meet, join = brute_tables(s)
+    rng = range(s.n)
+    kind = brute_kind(s, meet, join)
+    top = next((x for x in rng if all(s.leq(y, x) for y in rng)), None)
+    bottom = next((x for x in rng if all(s.leq(x, y) for y in rng)), None)
+    complements = (tuple(brute_complement(s, a) for a in rng)
+                   if kind == "boolean-algebra" else None)
+    assert (s.kind, s.top, s.bottom, s.complement) == (kind, top, bottom, complements), p
+    return kind
+
+
+def _sub_order(p, keep):
+    """The order p induces on the indices in keep."""
+    return Poset([p.labels[i] for i in keep],
+                 [sum(1 << k for k, j in enumerate(keep) if p.leq(i, j)) for i in keep])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_classify_matches_brute_force_on_near_misses(seed):
+    """A seeded distributive lattice of 7-10 elements (the lower sets of a
+    random poset), with each one element taken out and with each one order
+    pair added between incomparable elements: lattices that are not
+    distributive, and posets that are no lattice at all."""
+    rng = random.Random(seed)
+    lat = lower_set_lattice(random_poset(rng, rng.randint(3, 5), rng.random()))
+    while not 7 <= lat.n <= 10:
+        lat = lower_set_lattice(random_poset(rng, rng.randint(3, 5), rng.random()))
+    p = shuffled(lat.base, rng)
+    kinds = collections.Counter([_assert_classify_matches_brute(p)])
+    for x in range(p.n):
+        kinds[_assert_classify_matches_brute(_sub_order(p, [i for i in range(p.n) if i != x]))] += 1
+    for a, b in itertools.permutations(range(p.n), 2):
+        if not (p.leq(a, b) or p.leq(b, a)):
+            rows = list(p.up)
+            rows[a] |= 1 << b
+            kinds[_assert_classify_matches_brute(Poset(p.labels, transitive_closure(rows)))] += 1
+    assert kinds["distributive-lattice"] + kinds["boolean-algebra"] >= 2
+    assert len(kinds) >= 2
+
+
+def _glued(*names):
+    """The built-in lattices stacked bottom to top, the top of each one
+    identified with the bottom of the next."""
+    labels, pairs, below = [], [], None
+    for k, name in enumerate(names):
+        own, own_pairs = BUILTIN_ORDERS[name]
+        rename = {x: f"{k}{x}" for x in own}
+        rename[own[0]] = below or rename[own[0]]  # own[0] is the bottom
+        labels += [y for y in rename.values() if y not in labels]
+        pairs += [(rename[a], rename[b]) for a, b in own_pairs]
+        below = rename[own[-1]]  # own[-1] is the top
+    return validate_poset(labels, pairs)
+
+
+def _times_chain(name, length):
+    own, own_pairs = BUILTIN_ORDERS[name]
+    labels = [f"{x}{i}" for x in own for i in range(length)]
+    pairs = [(f"{a}{i}", f"{b}{i}") for a, b in own_pairs for i in range(length)]
+    pairs += [(f"{x}{i}", f"{x}{i + 1}") for x in own for i in range(length - 1)]
+    return validate_poset(labels, pairs)
+
+
+@pytest.mark.parametrize("p, kind", [
+    # above an atom, elements are never disjoint: M3 and N5 are no obstacle
+    (_glued("C2", "M3", "C3"), "dd-lattice"),
+    (_glued("D4", "N5"), "dd-lattice"),
+    (_glued("N5", "D4", "M3"), "meet-semilattice"),
+    (_glued("M3", "D4"), "meet-semilattice"),
+    (_times_chain("M3", 2), "meet-semilattice"),
+    (_times_chain("N5", 2), "meet-semilattice"),
+    (_glued("D4", "C3", "D4"), "distributive-lattice"),
+    (_times_chain("D4", 2), "boolean-algebra"),
+])
+def test_classify_matches_brute_force_on_glued_m3_and_n5(p, kind):
+    # the last two are distributive controls; each again without its least
+    # element, index 0
+    assert _assert_classify_matches_brute(p) == kind
+    _assert_classify_matches_brute(_sub_order(p, range(1, p.n)))
+
+
+def test_classify_and_prime_filters_on_every_construction_path():
+    """The kept Birkhoff data starts empty however a poset is made: by
+    Poset, validate_poset, dual, and the lattices of sets. Prime filters
+    are read before and after classify."""
+    q = _product_2x3()
+    ups = upper_sets(q.up)
+    made = [classify(Poset(q.labels, q.up)), classify(q), classify(q.dual()),
+            structure_from_closed_masks(q.labels, ups), powerset_structure(3),
+            _lattice_of_upsets(q.labels, ups)]
+    for s in made:
+        primes = sorted(brute_prime_filters(s))
+        assert list(prime_filters(s).masks) == primes
+        c = classify(s.base)
+        assert c.kind == s.kind == brute_kind(s, *brute_tables(s))
+        assert list(prime_filters(c).masks) == primes
+        fresh = classify(Poset(s.labels, s.base.up))
+        assert (fresh.kind, fresh.top, fresh.bottom, fresh.complement) == (
+            c.kind, c.top, c.bottom, c.complement)
 
 
 def _product_2x3():
@@ -874,11 +980,21 @@ def test_upper_sets_leave_no_reference_cycles():
 
 def test_transpose_matches_its_definition():
     # column i holds bit k exactly when row k holds bit i; empty rows, no
-    # rows, and more columns than rows included
+    # rows, and more columns than rows included. Rows go 8 at a time and a
+    # byte at a time, so widths up to 300 (mostly not a multiple of 8),
+    # 9-40 rows (several groups, the last one short) and rows holding their
+    # highest bits are covered too
     rng = random.Random(13)
     cases = [(0, []), (4, []), (3, [0, 0]), (6, [0b101, 0, 0b11]), (1, [1, 0, 1])]
     cases += [(n, [rng.getrandbits(n) for _ in range(rng.randint(0, 12))])
               for n in (rng.randint(0, 12) for _ in range(60))]
+    cases += [(n, [rng.getrandbits(n) for _ in range(rng.randint(9, 40))])
+              for n in [8, 9, 16, 63, 64, 65, 255, 256, 257, 300]
+              + [rng.randint(13, 300) for _ in range(20)]]
+    cases += [(n, [((1 << n) - 1) ^ rng.getrandbits(n // 4) for _ in range(rows)])
+              for n, rows in [(7, 9), (8, 17), (100, 24), (255, 33), (300, 40)]]
+    cases += [(n, [1 << (n - 1)] * rows + [(1 << n) - 1])
+              for n, rows in [(1, 8), (9, 15), (129, 39)]]
     for n, rows in cases:
         cols = transpose(n, rows)
         assert cols == [sum(1 << k for k, row in enumerate(rows) if row >> i & 1)
