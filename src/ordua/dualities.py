@@ -221,10 +221,11 @@ def roundtrip_check(d: Structure, bound: int | None = None
     iso = tuple(index.get(m) for m in basics)
     if d.n != result.n or None in iso or len(set(iso)) != d.n:
         return False, result, None
-    # iso is a bijection, so it is an order isomorphism iff x <= y exactly
-    # when every prime filter holding x holds y: x's up-row is the meet of
-    # the prime filters containing x
-    meet_of_primes = _and_fold(res.spectrum.points.masks, d.base.full)
-    if tuple(map(meet_of_primes, basics)) != d.base.up:
-        return False, result, None
+    # iso is a bijection, so it is an order isomorphism iff x's up-row is the
+    # meet of the prime filters holding x, as classify found and kept when
+    # they and the basic sets are d's Birkhoff primes and rows
+    b, primes = d.base.birkhoff, res.spectrum.points.masks
+    if (primes, basics) != (b.primes, b.rows) or not b.is_distributive():
+        if tuple(map(_and_fold(primes, d.base.full), basics)) != d.base.up:
+            return False, result, None
     return True, result, iso

@@ -153,31 +153,29 @@ def universal_property_check(fr: FreeResult, atom_bound: int = 3
                              ) -> tuple[bool, dict | None]:
     """Verify the universal property against all powerset targets up to a bound.
 
-    For B = powerset of k atoms, Boolean homs out of the free algebra
-    correspond to maps from the k atoms to the spectrum points; composing with
-    the unit must hit each class morphism c -> B exactly once.
+    For B = 2^k, Boolean homs out of the free algebra are the maps of the k
+    atoms to the spectrum points; composed with the unit they give the k-fold
+    products of the unit's columns, one column per point, and must hit each
+    class morphism c -> B once. Every class law here holds in 2^k coordinate
+    by coordinate, so the class morphisms c -> 2^k are the k-fold products of
+    those c -> 2 (Burris and Sankappanavar, A Course in Universal Algebra,
+    II.7). So k = 1 decides every k: distinct columns that are the class
+    morphisms c -> 2 have distinct products, the class morphisms c -> 2^k;
+    otherwise the check fails at one atom.
     """
-    c, npts = fr.source, len(fr.spectrum.points)
-    level = [(0,) * c.n]
-    for k in range(1, atom_bound + 1):
-        b = powerset_structure(k)
-        member = _class_test(c, b, fr.kind)
-        wanted = sorted(filter(member, _monotone_maps(c, b)))
-        # atom k - 1 sent to point q sets bit k - 1 of the source elements
-        # whose unit mask holds q: column q of the unit masks, shifted
-        cols = [tuple([(u >> q & 1) << (k - 1) for u in fr.unit_masks])
-                for q in range(npts)]
-        level = [tuple(map(int.__or__, g, col)) for g in level for col in cols]
-        got = sorted(level)
-        if len(set(got)) != len(got):
-            dup = next(g for i, g in enumerate(got) if i and got[i - 1] == g)
-            return False, {"atoms": k, "duplicate": list(dup)}
-        if got != wanted:
-            missing = sorted(set(wanted) - set(got))
-            extra = sorted(set(got) - set(wanted))
-            return False, {"atoms": k,
-                           "missing": [list(m) for m in missing],
-                           "extra": [list(m) for m in extra]}
+    if atom_bound < 1:
+        return True, None
+    c, two = fr.source, powerset_structure(1)
+    wanted = sorted(filter(_class_test(c, two, fr.kind), _monotone_maps(c, two)))
+    got = sorted([tuple([u >> q & 1 for u in fr.unit_masks])
+                  for q in range(len(fr.spectrum.points))])
+    if len(set(got)) != len(got):
+        dup = next(g for i, g in enumerate(got) if i and got[i - 1] == g)
+        return False, {"atoms": 1, "duplicate": list(dup)}
+    if got != wanted:
+        return False, {"atoms": 1,
+                       "missing": [list(m) for m in sorted(set(wanted) - set(got))],
+                       "extra": [list(m) for m in sorted(set(got) - set(wanted))]}
     return True, None
 
 

@@ -57,16 +57,16 @@ class Birkhoff:
     c[x] = {t : j_t <= x}, the primes' columns, built on first read. In a
     distributive lattice the primes are the prime filters, c[x] is the basic
     set of x and c[j_t] the mask of the primes holding prime t. Poset.birkhoff
-    builds one per poset and keeps it.
+    builds one per poset and keeps it, and is_distributive keeps its verdict.
     """
 
-    __slots__ = ("up", "elements", "primes", "_rows")
+    __slots__ = ("up", "elements", "primes", "_rows", "_distributive")
 
     def __init__(self, p: Poset) -> None:
         self.up = up = p.up
         self.elements = tuple(sorted(bits(join_irreducible_mask(p)), key=up.__getitem__))
         self.primes = tuple([up[x] for x in self.elements])
-        self._rows = None
+        self._rows = self._distributive = None
 
     @property
     def rows(self) -> tuple[int, ...]:
@@ -80,9 +80,12 @@ class Birkhoff:
         (Birkhoff). It is an order embedding iff every up-row is the meet of
         the primes above x, and then onto iff J has only n down-sets, the
         up-sets of its reversed order, whose up-rows are the rows c[j]."""
-        n, c = len(self.up), self.rows
-        return (tuple(map(_and_fold(self.primes, (1 << n) - 1), c)) == tuple(self.up)
+        if self._distributive is None:
+            n, c = len(self.up), self.rows
+            self._distributive = (
+                tuple(map(_and_fold(self.primes, (1 << n) - 1), c)) == tuple(self.up)
                 and len(upper_sets([c[j] for j in self.elements], n + 1)) == n)
+        return self._distributive
 
 
 def _family_rows(npts: int, masks) -> tuple[tuple[int, ...], tuple[int, ...]]:

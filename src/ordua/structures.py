@@ -323,26 +323,29 @@ def _label_index(labels: tuple[str, ...]) -> dict[str, int]:
 def validate_poset(labels, pairs) -> Poset:
     """Close a raw relation reflexively-transitively and certify it is a poset.
 
-    Each point lists its successors once (its succ mask drops repeated
-    pairs). One pass in a topological order of the pairs' graph (Kahn) ORs
+    Each point lists its successors once (dict.fromkeys drops repeats, if
+    any). One pass in a topological order of the pairs' graph (Kahn) ORs
     each point's successors' up-rows into its own, and one pushes each
     point's down-row into its successors'. Raises DuplicateLabel /
-    UnknownLabel / AntisymmetryViolation (with a cycle witness) as
-    appropriate.
+    UnknownLabel / AntisymmetryViolation (with a cycle witness).
     """
-    labels = tuple(str(x) for x in labels)
-    index = _label_index(labels)
-    n = len(labels)
-    succ, nexts, indegree = [0] * n, [[] for _ in range(n)], [0] * n
+    labels = tuple(map(str, labels))
+    get, n = _label_index(labels).get, len(labels)
+    nexts, indegree = [[] for _ in range(n)], [0] * n
     for a, b in pairs:
-        i, j = index.get(str(a)), index.get(str(b))
-        if i is None:
-            raise UnknownLabel(f"unknown label {str(a)!r} in order pair")
-        if j is None:
-            raise UnknownLabel(f"unknown label {str(b)!r} in order pair")
-        if i != j and not succ[i] >> j & 1:
-            succ[i] |= 1 << j
-            nexts[i].append(j)
+        try:  # a label is looked up as given, and by str() if not found there
+            i, j = get(a), get(b)
+        except TypeError:  # unhashable
+            i = None
+        if i is None or j is None:
+            i, j = get(str(a)), get(str(b))
+            if i is None or j is None:
+                raise UnknownLabel(f"unknown label {str(a if i is None else b)!r} in order pair")
+        nexts[i].append(j)
+    for i, row in enumerate(nexts):
+        if i in row or len(set(row)) < len(row):
+            nexts[i] = row = [j for j in dict.fromkeys(row) if j != i]
+        for j in row:
             indegree[j] += 1
     order = [i for i in range(n) if not indegree[i]]
     for i in order:  # grows while it is read
@@ -351,7 +354,7 @@ def validate_poset(labels, pairs) -> Poset:
             if not indegree[j]:
                 order.append(j)
     if len(order) < n:
-        up = transitive_closure((1 << i) | r for i, r in enumerate(succ))
+        up = transitive_closure((1 << i) | sum(1 << j for j in r) for i, r in enumerate(nexts))
         for i, row in enumerate(up):
             cycle = [x for x in bits(row) if up[x] >> i & 1]
             if len(cycle) > 1:
@@ -457,14 +460,9 @@ class Structure:
 
 
 def _bounds(p: Poset) -> tuple[int | None, int | None]:
-    top = bottom = None
     full = p.full
-    for i in range(p.n):
-        if p.dn[i] == full:
-            top = i
-        if p.up[i] == full:
-            bottom = i
-    return top, bottom
+    return (next((i for i, row in enumerate(p.dn) if row == full), None),
+            next((i for i, row in enumerate(p.up) if row == full), None))
 
 
 def _tables(meet_keys, join_keys) -> tuple[list, list]:

@@ -8,6 +8,7 @@ run the package under test whether or not it is installed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import ordua
 from ordua.corpus import random_poset
 from ordua.errors import AntisymmetryViolation, UnknownLabel
-from ordua.setlattices import structure_from_closed_masks
+from ordua.setlattices import powerset_structure, structure_from_closed_masks
 from ordua.structures import (
     MORPHISM_KINDS,
     Poset,
@@ -159,6 +160,32 @@ def brute_class_maps(c: Structure, b: Structure, kind: str) -> list[tuple[int, .
     b.n ** c.n maps with brute_class_member."""
     return [m for m in itertools.product(range(b.n), repeat=c.n)
             if brute_class_member(m, c, b, kind)]
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_maps_into_powerset(c: Structure, k: int, kind: str) -> list[tuple[int, ...]]:
+    return brute_class_maps(c, powerset_structure(k), kind)
+
+
+def brute_universal_check(fr, atom_bound: int) -> tuple[bool, dict | None]:
+    """The universal property of the free result fr by definition, with the
+    witnesses of free.universal_property_check: for each k up to atom_bound,
+    the maps c -> 2^k of the class (brute_class_maps) against the composite
+    of the unit with every map of the k atoms to the points, where atom j
+    sent to point q sets bit j of the images whose unit mask holds q."""
+    c, units, npts = fr.source, fr.unit_masks, len(fr.spectrum.points)
+    for k in range(1, atom_bound + 1):
+        wanted = _brute_maps_into_powerset(c, k, fr.kind)
+        got = sorted(tuple(sum((u >> q & 1) << j for j, q in enumerate(qs)) for u in units)
+                     for qs in itertools.product(range(npts), repeat=k))
+        dups = [g for i, g in enumerate(got) if i and got[i - 1] == g]
+        if dups:
+            return False, {"atoms": k, "duplicate": list(dups[0])}
+        if got != wanted:
+            return False, {"atoms": k,
+                           "missing": [list(m) for m in sorted(set(wanted) - set(got))],
+                           "extra": [list(m) for m in sorted(set(got) - set(wanted))]}
+    return True, None
 
 
 def brute_clopen_uppers(ps) -> list[int]:

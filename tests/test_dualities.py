@@ -331,6 +331,42 @@ def test_roundtrip_rejects_an_embedding_that_breaks_order(monkeypatch):
     assert not ok and iso is None and result.n == d.n
 
 
+def test_roundtrip_reads_the_kept_fold_and_still_rejects_a_tampered_embedding(monkeypatch):
+    """classify's fold of the Birkhoff rows is read, not made again; basic
+    sets that differ from those rows are folded and a swap is rejected, also
+    when the spectrum keeps the Birkhoff data."""
+    lattices = [chain(3), chain(5), classify(lower_set_lattice(all_posets(3)[1]).base)]
+    for d in lattices:
+        assert d.base.birkhoff.is_distributive()
+
+    def refuse(*args):
+        raise AssertionError("folded the basic sets again")
+
+    monkeypatch.setattr(dualities, "_and_fold", refuse)
+    assert all(roundtrip_check(d)[0] for d in lattices)
+    monkeypatch.undo()
+    real = dualities._patch_spectrum
+
+    class Swapped(Spectrum):
+        __slots__ = ()
+
+        @property
+        def basics(self):
+            emb = list(super().basics)
+            emb[0], emb[-1] = emb[-1], emb[0]
+            return tuple(emb)
+
+    def swapped(s, duality, bound):
+        res = real(s, duality, bound)
+        sp = res.spectrum
+        return DualityResult(Swapped(sp.points, str, s.base.birkhoff), res.space)
+
+    monkeypatch.setattr(dualities, "_patch_spectrum", swapped)
+    for d in lattices:
+        ok, result, iso = roundtrip_check(d)
+        assert not ok and iso is None and result.n == d.n
+
+
 def test_roundtrip_reads_no_rebuilt_rows_or_labels(monkeypatch):
     """The round trip decides the isomorphism from the clopen uppers' masks
     and the prime filters alone: the rebuilt lattice's rows and labels are

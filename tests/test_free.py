@@ -10,6 +10,7 @@ from conftest import (
     brute_class_maps,
     brute_class_member,
     brute_oracle_members,
+    brute_universal_check,
     lower_set_lattice,
 )
 from ordua import free
@@ -30,13 +31,15 @@ from ordua.free import (
     universal_property_check,
 )
 from ordua.setlattices import powerset_structure
-from ordua.spectra import spectrum
+from ordua.spectra import Spectrum, model_class, spectrum
 from ordua.structures import (
     KIND_RANK,
     KINDS,
     MORPHISM_KINDS,
+    SetFamily,
     StructureMorphism,
     _hom_compatible,
+    _monotone_maps,
     classify,
     filters,
     is_homomorphism,
@@ -262,52 +265,51 @@ def test_universal_property_detects_inseparable_points():
         False, {"atoms": 1, "duplicate": [0, 1, 1]})
 
 
-def class_maps_found(fr, atom_bound: int):
-    """universal_property_check's verdict on fr, and the maps its class test
-    accepted for each target 2^k, keyed by the target size."""
-    accepted = {}
-    real = free._class_test
-
-    def recording(src, tgt, kind):
-        assert tgt.n not in accepted, "the class test is built once per target"
-        test, found = real(src, tgt, kind), accepted.setdefault(tgt.n, [])
-
-        def member(m):
-            ok = test(m)
-            if ok:
-                found.append(m)
-            return ok
-        return member
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(free, "_class_test", recording)
-        verdict = universal_property_check(fr, atom_bound)
-    return verdict, accepted
+def product_maps(maps, k: int) -> list[tuple[int, ...]]:
+    """The k-fold products of maps into 2 as maps into 2^k, ascending: the
+    j-th factor gives bit j of every image."""
+    return sorted(tuple(sum(b << j for j, b in enumerate(images)) for images in zip(*factors))
+                  for factors in itertools.product(maps, repeat=k))
 
 
-def assert_search_matches_scan(fr, atom_bound: int):
-    verdict, accepted = class_maps_found(fr, atom_bound)
-    assert verdict == (True, None)
-    for k in range(1, atom_bound + 1):
-        wanted = brute_class_maps(fr.source, powerset_structure(k), fr.kind)
-        assert sorted(accepted[1 << k]) == wanted
+def assert_search_matches_scan(fr):
+    """On every 2^k, k = 1, 2 (and 3 on sources of at most 4 points), the
+    class test on the monotone maps, the brute scan of all maps, and the
+    k-fold products of the brute maps into 2 (the product theorem) agree;
+    and the universal property holds."""
+    c, kind = fr.source, fr.kind
+    assert universal_property_check(fr, 3) == (True, None)
+    into_two = brute_class_maps(c, powerset_structure(1), kind)
+    for k in range(1, 3 if c.n > 4 else 4):
+        b = powerset_structure(k)
+        wanted = brute_class_maps(c, b, kind)
+        assert sorted(filter(free._class_test(c, b, kind), _monotone_maps(c, b))) == wanted
+        assert product_maps(into_two, k) == wanted
+
+
+def corpus_frees(kind: str) -> list:
+    """free_boolean for kind on every classified poset with at most 5 points
+    whose kind its model class accepts."""
+    least = KIND_RANK[model_class(kind).needs]
+    return [free_boolean(s, kind) for s in map(classify, all_posets_up_to(5))
+            if KIND_RANK[s.kind] >= least]
 
 
 @pytest.mark.parametrize("kind", ["poset-monotone", "poset-flat"])
 def test_search_matches_the_map_scan_on_small_posets(kind):
-    for p in all_posets_up_to(5):
-        assert_search_matches_scan(free_boolean(classify(p), kind), 2)
+    for fr in corpus_frees(kind):
+        assert_search_matches_scan(fr)
 
 
 @pytest.mark.parametrize("kind,least", [("msl", "meet-semilattice"),
                                         ("dlat", "distributive-lattice"),
                                         ("ddlat", "dd-lattice")])
 def test_search_matches_the_map_scan_on_small_algebras(kind, least):
-    algebras = [s for s in map(classify, all_posets_up_to(5))
-                if KIND_RANK[s.kind] >= KIND_RANK[least]]
-    assert algebras
-    for s in algebras:
-        assert_search_matches_scan(free_boolean(s, kind), 2)
+    assert model_class(kind).needs == least
+    frees = corpus_frees(kind)
+    assert frees
+    for fr in frees:
+        assert_search_matches_scan(fr)
 
 
 def test_universal_property_check_reads_no_spectrum(monkeypatch):
@@ -317,7 +319,67 @@ def test_universal_property_check_reads_no_spectrum(monkeypatch):
     fr = free_boolean(diamond(), "dlat")
     for name in ("spectrum", "free_boolean"):
         monkeypatch.setattr(free, name, refuse)
-    assert_search_matches_scan(fr, 3)
+    assert universal_property_check(fr, 3) == (True, None)
+    assert_search_matches_scan(fr)
+
+
+def test_universal_property_check_builds_its_class_test_only_into_two(monkeypatch):
+    targets, real = [], free._class_test
+
+    def recording(src, tgt, kind):
+        targets.append(tgt.n)
+        return real(src, tgt, kind)
+
+    monkeypatch.setattr(free, "_class_test", recording)
+    for c, kind in [(antichain(2), "poset-monotone"), (chain(3), "poset-flat"),
+                    (chain(3).with_kind("meet-semilattice"), "msl"),
+                    (diamond(), "dlat"), (diamond().with_kind("dd-lattice"), "ddlat")]:
+        fr = free_boolean(c, kind)
+        for atom_bound in range(5):
+            targets.clear()
+            assert universal_property_check(fr, atom_bound) == (True, None)
+            assert targets == ([2] if atom_bound else [])
+
+
+def mutations(fr) -> list:
+    """fr with its unit changed, as far as fr's size allows: the images of
+    two source elements swapped, the first and last unit columns (points)
+    swapped, the last point merged into the first, and the last point
+    dropped from the spectrum."""
+    units, npts = fr.unit_masks, len(fr.spectrum.points)
+    out = []
+
+    def changed(masks, spec=fr.spectrum):
+        out.append(type(fr)(fr.source, fr.kind, spec, masks))
+
+    if len(set(units)) > 1:
+        i, j = units.index(min(units)), units.index(max(units))
+        swapped = list(units)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        changed(swapped)
+    last = npts - 1
+    if last > 0:
+        changed([u & ~(1 | 1 << last) | u >> last & 1 | (u & 1) << last for u in units])
+        changed([u & ~(1 << last) | (u & 1) << last for u in units])
+    if last >= 0:
+        kept = SetFamily(fr.source.n, fr.spectrum.points.masks[:last])
+        changed([u & ~(1 << last) for u in units], Spectrum(kept, str))
+    return out
+
+
+@pytest.mark.parametrize("kind", FREE_KINDS)
+def test_universal_property_check_matches_the_definition(kind):
+    """Verdict and witness equal brute_universal_check's on every corpus free
+    and on its mutations, at atom bounds 0 to 3 (0 to 2 on 5-point sources,
+    where the brute scan of all 8^5 maps into 2^3 takes about 0.1 s each)."""
+    verdicts = set()
+    for fr in corpus_frees(kind):
+        for case in [fr] + mutations(fr):
+            for atom_bound in range(4 if fr.source.n <= 4 else 3):
+                verdict = universal_property_check(case, atom_bound)
+                assert verdict == brute_universal_check(case, atom_bound)
+                verdicts.add(verdict[0])
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("source,kind", [
@@ -325,11 +387,12 @@ def test_universal_property_check_reads_no_spectrum(monkeypatch):
     (chain(6), "poset-monotone")], ids=["C6", "C7", "2^3", "C6-monotone"])
 def test_universal_property_at_three_atoms_on_larger_sources(source, kind):
     fr = free_boolean(source, kind)
-    start = time.perf_counter()
-    assert universal_property_check(fr, 3) == (True, None)
-    # about 0.01 s for the chains and 0.13 s for 2^3 on a 2-CPU VM; a scan
-    # of all (2^3)^n maps takes 5 s on C7 and minutes on 2^3
-    assert time.perf_counter() - start < 2
+    for atom_bound in (3, 4):
+        start = time.perf_counter()
+        assert universal_property_check(fr, atom_bound) == (True, None)
+        # under 1 ms once the check reads 2^k off 2; a scan of all (2^3)^n
+        # maps takes 5 s on C7 and minutes on 2^3
+        assert time.perf_counter() - start < 2
 
 
 # ----------------------------------------------------------- induced homs

@@ -209,6 +209,22 @@ def test_validate_poset_closes_like_transitive_closure(block):
     assert outcomes["poset"] and outcomes[AntisymmetryViolation]
 
 
+def test_validate_poset_reads_int_labels_and_repeated_pairs_as_strings():
+    # a chain 0 < 1 < 2 < 3 named by ints and strings, every pair repeated,
+    # self-pairs and a redundant pair, against its covers named by strings
+    pairs = [(0, 1), ("1", 2), (2, "3"), (0, 3), (1, 1), ("0", 0)]
+    p = validate_poset(range(4), pairs * 3 + pairs[::-1])
+    want = validate_poset(["0", "1", "2", "3"], [("0", "1"), ("1", "2"), ("2", "3")])
+    assert p == want and (p.labels, p.up, p.dn) == (want.labels, want.up, want.dn)
+    assert p.up == (0b1111, 0b1110, 0b1100, 0b1000)
+    assert closure_reference(range(4), pairs * 3) == ("poset", list(p.up), list(p.dn))
+    # an unhashable label is looked up by its string, and reported by it
+    with pytest.raises(UnknownLabel) as err:
+        validate_poset(["x", "y"], [("x", "y"), (["x"], "y")])
+    assert str(err.value) == "unknown label \"['x']\" in order pair"
+    assert validate_poset(["[1]", "y"], [([1], "y")]).up == (0b11, 0b10)
+
+
 def test_poset_requires_nonempty_carrier():
     with pytest.raises(Exception):
         Poset([], [])
