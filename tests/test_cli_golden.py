@@ -2,10 +2,12 @@
 
 cli_golden.json maps "COMMAND NAME" to the exit code and the sha256 of
 stdout and stderr of the in-process ``main([COMMAND, NAME])``, for every
-command but selftest on every built-in structure, and for ``selftest --seed
-S``, S = 0, 1, 2. The runs happen in an empty directory, since recognize
-reads its argument as a file. Record new values only for a change meant to
-alter what the CLI prints or how it exits.
+command but selftest on every built-in structure; "COMMAND NAME --format
+dot" and "COMMAND NAME --format text" pin the same runs in the other two
+output formats, and "selftest --seed S" pins selftest for S = 0, 1, 2. The
+runs happen in an empty directory, since recognize reads its argument as a
+file. Record new values only for a change meant to alter what the CLI
+prints or how it exits.
 """
 
 import hashlib
@@ -24,8 +26,9 @@ def _sha(text: str) -> str:
 
 
 def test_golden_covers_every_command_on_every_builtin():
-    expected = {f"{cmd} {name}" for cmd in COMMANDS if cmd != "selftest"
-                for name in _BUILTIN_SPECS}
+    expected = {f"{cmd} {name}{fmt}" for cmd in COMMANDS if cmd != "selftest"
+                for name in _BUILTIN_SPECS
+                for fmt in ("", " --format dot", " --format text")}
     expected |= {f"selftest --seed {seed}" for seed in range(3)}
     assert set(GOLDEN) == expected
 
