@@ -217,15 +217,15 @@ def roundtrip_check(d: Structure, bound: int | None = None
     uppers = _require_priestley(res.space).clopen_uppers.masks
     result = _lattice_of_upsets(res.space.labels, uppers)
     index = {m: i for i, m in enumerate(uppers)}
-    basics = res.spectrum.basics
-    iso = tuple(index.get(m) for m in basics)
+    sp = res.spectrum
+    iso = tuple(index.get(m) for m in sp.basics)
     if d.n != result.n or None in iso or len(set(iso)) != d.n:
         return False, result, None
     # iso is a bijection, so it is an order isomorphism iff x's up-row is the
     # meet of the prime filters holding x, as classify found and kept when
-    # they and the basic sets are d's Birkhoff primes and rows
-    b, primes = d.base.birkhoff, res.spectrum.points.masks
-    if (primes, basics) != (b.primes, b.rows) or not b.is_distributive():
-        if tuple(map(_and_fold(primes, d.base.full), basics)) != d.base.up:
+    # the spectrum is the one kept on d's poset
+    b = d.base.birkhoff
+    if sp is not b or not b.is_distributive():
+        if tuple(map(_and_fold(sp.points.masks, d.base.full), sp.basics)) != d.base.up:
             return False, result, None
     return True, result, iso

@@ -13,8 +13,10 @@ the size, kind, bounds or complements pays for none of them.
 from __future__ import annotations
 
 from ordua.errors import InputFormatError
+from ordua.spectra import Spectrum
 from ordua.structures import (
     Poset,
+    SetFamily,
     Structure,
     _label_index,
     _set_label,
@@ -51,28 +53,31 @@ def _and_fold(values, every: int):
     return fold
 
 
-class Birkhoff:
-    """The join-irreducibles j_t of a poset p (the x whose strict down-set is
-    principal), listed so that their up-rows primes[t] ascend, and the rows
-    c[x] = {t : j_t <= x}, the primes' columns, built on first read. In a
-    distributive lattice the primes are the prime filters, c[x] is the basic
-    set of x and c[j_t] the mask of the primes holding prime t. Poset.birkhoff
-    builds one per poset and keeps it, and is_distributive keeps its verdict.
-    """
+class Birkhoff(Spectrum):
+    """The dlat spectrum of a poset p, which reads p's labels: its points are
+    the up-rows ^j_t of the join-irreducibles j_t (the x whose strict
+    down-set is principal), ascending. In a distributive lattice they are the
+    prime filters, the basic set c[x] = {t : j_t <= x} of x holds the primes
+    holding x, and the order row of prime t is c[j_t]. Poset.birkhoff builds
+    one per poset and keeps it, and is_distributive keeps its verdict."""
 
-    __slots__ = ("up", "elements", "primes", "_rows", "_distributive")
+    __slots__ = ("up", "elements", "_distributive")
 
     def __init__(self, p: Poset) -> None:
         self.up = up = p.up
         self.elements = tuple(sorted(bits(join_irreducible_mask(p)), key=up.__getitem__))
-        self.primes = tuple([up[x] for x in self.elements])
-        self._rows = self._distributive = None
+        primes, labels = [up[x] for x in self.elements], p.labels
+        least = dict(zip(primes, self.elements))
+        super().__init__(SetFamily._of_sorted(len(up), primes),
+                         lambda m: "^" + labels[least[m]])
+        self._distributive = None
 
     @property
-    def rows(self) -> tuple[int, ...]:
-        if self._rows is None:
-            self._rows = tuple(transpose(len(self.up), self.primes))
-        return self._rows
+    def order(self) -> tuple[int, ...]:
+        if self._order is None:
+            c = self.basics
+            self._order = tuple([c[j] for j in self.elements])
+        return self._order
 
     def is_distributive(self) -> bool:
         """Whether x -> c[x] maps the poset isomorphically onto the down-sets
@@ -81,10 +86,10 @@ class Birkhoff:
         the primes above x, and then onto iff J has only n down-sets, the
         up-sets of its reversed order, whose up-rows are the rows c[j]."""
         if self._distributive is None:
-            n, c = len(self.up), self.rows
+            n, c = len(self.up), self.basics
             self._distributive = (
-                tuple(map(_and_fold(self.primes, (1 << n) - 1), c)) == tuple(self.up)
-                and len(upper_sets([c[j] for j in self.elements], n + 1)) == n)
+                tuple(map(_and_fold(self.points.masks, (1 << n) - 1), c)) == tuple(self.up)
+                and len(upper_sets(self.order, n + 1)) == n)
         return self._distributive
 
 

@@ -5,8 +5,10 @@ of the carrier it sends to 1: upper sets (monotone maps to 2), filters (flat
 models and meet-homs), prime filters (lattice homs) or disjunctive filters
 (disjunctive homs). MODEL_CLASSES is the one table of the classes. The basic
 set of an element is the set of points containing it, and the order is
-inclusion of points. Dualities put the patch topology of the basic sets on
-the points; free Boolean algebras are the powerset of the points.
+inclusion of points. A dlat spectrum is the one kept on the structure's
+poset, a setlattices.Birkhoff, whose points are the up-rows of the
+join-irreducibles. Dualities put the patch topology of the basic sets on the
+points; free Boolean algebras are the powerset of the points.
 """
 
 from __future__ import annotations
@@ -31,18 +33,14 @@ class Spectrum:
     order[k] is the mask of points containing point k. Only the points are
     built up front, the labels, basic sets and order on first read: a free
     Boolean algebra can have thousands of points, and a caller may read only
-    how many there are. The points of a dlat spectrum are the primes of the
-    Birkhoff data birkhoff, whose rows c are kept on the lattice's poset: the
-    basic set of x is c[x], and the order row of prime k is c[j_k], since
-    prime k2 holds prime k iff j_k2 <= j_k.
+    how many there are.
     """
 
-    __slots__ = ("points", "_name", "_birkhoff", "_labels", "_basics", "_order")
+    __slots__ = ("points", "_name", "_labels", "_basics", "_order")
 
-    def __init__(self, points: SetFamily, name, birkhoff=None) -> None:
+    def __init__(self, points: SetFamily, name) -> None:
         self.points = points
         self._name = name
-        self._birkhoff = birkhoff
         self._labels = self._basics = self._order = None
 
     @property
@@ -54,17 +52,13 @@ class Spectrum:
     @property
     def basics(self) -> tuple[int, ...]:
         if self._basics is None:
-            b = self._birkhoff
-            self._basics = (tuple(transpose(self.points.n, self.points.masks))
-                            if b is None else b.rows)
+            self._basics = tuple(transpose(self.points.n, self.points.masks))
         return self._basics
 
     @property
     def order(self) -> tuple[int, ...]:
         if self._order is None:
-            b = self._birkhoff
-            self._order = (tuple(inclusion_rows(self.points.masks)) if b is None
-                           else tuple([b.rows[j] for j in b.elements]))
+            self._order = tuple(inclusion_rows(self.points.masks))
         return self._order
 
     def __repr__(self) -> str:
@@ -119,13 +113,12 @@ def spectrum(s: Structure, kind: str, bound: int | None = None) -> Spectrum:
     """
     mc = model_class(kind)
     points = mc.points(s, bound)
+    if kind == "dlat":
+        return s.base.birkhoff  # its points are these
     if not mc.principal:
         return Spectrum(points, lambda m: _set_label(s.labels, m))
-    b = s.base.birkhoff if kind == "dlat" else None
-    # the least element of each point ^x, only the primes' for a dlat spectrum
-    least = (dict(zip(b.primes, b.elements)) if b is not None
-             else {row: x for x, row in enumerate(s.base.up)})
-    return Spectrum(points, lambda m: "^" + s.labels[least[m]], b)
+    least = {row: x for x, row in enumerate(s.base.up)}  # of each point ^x
+    return Spectrum(points, lambda m: "^" + s.labels[least[m]])
 
 
 def inverse_image_map(f: StructureMorphism, src_points, tgt_points

@@ -276,8 +276,8 @@ class Poset:
 
     @property
     def birkhoff(self):
-        """The Birkhoff data of this order (setlattices.Birkhoff), built on
-        first read and kept."""
+        """The dlat spectrum of this order, a setlattices.Birkhoff (which is a
+        spectra.Spectrum) on its join-irreducibles, built on first read and kept."""
         if self._birkhoff is None:
             from ordua.setlattices import Birkhoff  # it imports this module
             self._birkhoff = Birkhoff(self)
@@ -503,7 +503,7 @@ def classify(p: Poset) -> Structure:
     dd-lattice test, reached when p is not distributive, reads the tables."""
     top, bottom = _bounds(p)
     if top is not None and bottom is not None and p.birkhoff.is_distributive():
-        c = p.birkhoff.rows
+        c = p.birkhoff.basics
         # Boolean iff the join-irreducibles form an antichain, i.e. every
         # subset of them is a down-set
         if p.n != 1 << popcount(c[top]):
@@ -577,10 +577,10 @@ def prime_filters(s: Structure) -> SetFamily:
     Finite filters are principal, and in a finite distributive lattice the
     join-primes are exactly the join-irreducibles, so no subset enumeration is
     needed (the equivalences are covered by the property tests). They are the
-    primes of the Birkhoff data kept on s.base, whose rows are not built.
+    points of the dlat spectrum kept on s.base, whose basic sets are not built.
     """
     s.require("distributive-lattice", "prime_filters")
-    return SetFamily._of_sorted(s.n, s.base.birkhoff.primes)
+    return s.base.birkhoff.points
 
 
 def disjunctive_filters(s: Structure) -> SetFamily:
@@ -608,14 +608,14 @@ def indecomposable_elements(s: Structure) -> Subset:
     decomposable via the empty family.
     """
     s.require("distributive-lattice", "indecomposable_elements")
-    return Subset(s.n, join_irreducible_mask(s.base))
+    return Subset(s.n, sum([1 << x for x in s.base.birkhoff.elements]))
 
 
 def _components_below(s: Structure, d: int) -> list[int]:
     """Joins of the connectivity classes (under meet != 0) of join-irreducibles <= d."""
     comps: list[int] = []
     meet = s.meet
-    unseen = set(bits(join_irreducible_mask(s.base) & s.base.dn[d]))
+    unseen = {x for x in s.base.birkhoff.elements if s.base.dn[d] >> x & 1}
     while unseen:
         block = [unseen.pop()]
         for v in block:  # grows while it is read

@@ -213,6 +213,37 @@ def brute_weakly_indecomposable(ps) -> list[int]:
     return out
 
 
+def brute_frame_pullback(space) -> bool:
+    """Whether the opens of space are its patch opens that are upper for its
+    specialization order, by definition: the opens and their complements are
+    closed under union and intersection, and the members that are up-sets of
+    x <= y iff every open holding x holds y are compared with the opens."""
+    n, opens = space.n, list(space.opens.masks)
+    full = (1 << n) - 1
+    patch = set(opens) | {full ^ m for m in opens}
+    while True:
+        grown = patch | {a | b for a in patch for b in patch} | {
+            a & b for a in patch for b in patch}
+        if grown == patch:
+            break
+        patch = grown
+    leq = [[all(m >> y & 1 for m in opens if m >> x & 1) for y in range(n)]
+           for x in range(n)]
+    upper = [m for m in patch
+             if all(m >> y & 1 for x in bits(m) for y in range(n) if leq[x][y])]
+    return sorted(upper) == sorted(opens)
+
+
+def brute_antisymmetry_failure(up) -> tuple[int, int] | None:
+    """The first pair (i, j), i != j, with i <= j <= i in the preorder with
+    up-rows up, walking i and then j <= i's successors in index order."""
+    for i in range(len(up)):
+        for j in bits(up[i]):
+            if j != i and up[j] >> i & 1:
+                return (i, j)
+    return None
+
+
 def brute_join(s: Structure, a: int, b: int) -> int | None:
     uppers = [x for x in range(s.n) if s.leq(a, x) and s.leq(b, x)]
     least = [x for x in uppers if all(s.leq(x, y) for y in uppers)]

@@ -25,7 +25,7 @@ from ordua.dualities import (
     upper_elements,
 )
 from ordua.free import FREE_KINDS, MATERIALIZE_CAP, free_boolean, free_frame_on_poset
-from ordua.setlattices import powerset_structure
+from ordua.setlattices import Birkhoff, powerset_structure
 from ordua.spaces import (
     FiniteSpace,
     Preorder,
@@ -152,13 +152,15 @@ def test_point_counts_build_no_labels(monkeypatch):
 
 
 def test_priestley_dual_and_free_boolean_build_no_basic_sets(monkeypatch):
+    """On the filter spectrum of a poset, whose basic sets are not the rows
+    of its order; a dlat spectrum reads its basic sets for its order."""
     def refuse(self):
         raise AssertionError("built the basic sets")
 
     monkeypatch.setattr(Spectrum, "basics", property(refuse))
-    d = lower_set_lattice(random_poset(random.Random(8), 8, 0.3))
-    res = priestley_of_dlat(d)
-    fr = free_boolean(d, "dlat")
+    p = random_poset(random.Random(8), 8, 0.3)
+    res = poset_spectrum(p)
+    fr = free_boolean(classify(p), "poset-flat")
     assert res.n_points == len(fr.points) == 8
     assert len(res.space.space.opens) == fr.size == 1 << 8
     with pytest.raises(AssertionError, match="built the basic sets"):
@@ -195,6 +197,8 @@ def test_dlat_views_of_a_classified_lattice_read_its_kept_rows(monkeypatch):
                 m.setattr(module, name, refuse)
             assert summary(d) == expected
             assert list(prime_filters(d).masks) == list(expected[0].masks)
+            res, fr = priestley_of_dlat(d), free_boolean(d, "dlat")
+            assert res.spectrum is fr.spectrum is d.base.birkhoff
 
 
 def _spectra_of_the_corpora():
@@ -334,7 +338,7 @@ def test_roundtrip_rejects_an_embedding_that_breaks_order(monkeypatch):
 def test_roundtrip_reads_the_kept_fold_and_still_rejects_a_tampered_embedding(monkeypatch):
     """classify's fold of the Birkhoff rows is read, not made again; basic
     sets that differ from those rows are folded and a swap is rejected, also
-    when the spectrum keeps the Birkhoff data."""
+    when the spectrum is a Birkhoff spectrum of the lattice's own poset."""
     lattices = [chain(3), chain(5), classify(lower_set_lattice(all_posets(3)[1]).base)]
     for d in lattices:
         assert d.base.birkhoff.is_distributive()
@@ -347,7 +351,7 @@ def test_roundtrip_reads_the_kept_fold_and_still_rejects_a_tampered_embedding(mo
     monkeypatch.undo()
     real = dualities._patch_spectrum
 
-    class Swapped(Spectrum):
+    class Swapped(Birkhoff):
         __slots__ = ()
 
         @property
@@ -357,9 +361,7 @@ def test_roundtrip_reads_the_kept_fold_and_still_rejects_a_tampered_embedding(mo
             return tuple(emb)
 
     def swapped(s, duality, bound):
-        res = real(s, duality, bound)
-        sp = res.spectrum
-        return DualityResult(Swapped(sp.points, str, s.base.birkhoff), res.space)
+        return DualityResult(Swapped(s.base), real(s, duality, bound).space)
 
     monkeypatch.setattr(dualities, "_patch_spectrum", swapped)
     for d in lattices:

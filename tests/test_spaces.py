@@ -8,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_antisymmetry_failure,
     brute_clopen_uppers,
     brute_cover_pairs,
+    brute_frame_pullback,
     brute_upper_sets,
     brute_weakly_indecomposable,
 )
@@ -385,7 +387,7 @@ def test_frame_pullback_builds_no_patch_space(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a patch topology from a family")
 
-    for name in ("patch_space", "minimal_opens"):
+    for name in ("patch_space", "minimal_opens", "_discrete", "transitive_closure"):
         monkeypatch.setattr(spaces, name, refuse)
     for space in alexandrov_spaces(4):
         if not space.is_t0():
@@ -397,6 +399,31 @@ def test_frame_pullback_builds_no_patch_space(monkeypatch):
             message = rf"^topology generation needs carrier <= {space.n - 1}, got {space.n}$"
             with pytest.raises(CarrierTooLarge, match=message):
                 check_frame_pullback(space, space.n - 1)
+
+
+def test_frame_pullback_holds_by_definition_on_every_small_t0_space():
+    """The closed form against the patch topology built by brute force, on
+    every labelled T0 topology on 1 to 4 points."""
+    t0 = [space for space in alexandrov_spaces(4) if space.n and space.is_t0()]
+    assert len(t0) == 1 + 3 + 19 + 219
+    for space in t0:
+        assert brute_frame_pullback(space) and check_frame_pullback(space)
+
+
+def test_antisymmetry_failure_matches_the_pairwise_walk():
+    rng = random.Random(22)
+    cases = [rows for n in range(5) for rows in all_preorders(n)]
+    assert sum(len(rows) == 4 for rows in cases) == 355
+    cases += [transitive_closure(1 << i | rng.getrandbits(n) & rng.getrandbits(n)
+                                 for i in range(n))
+              for n in range(6, 10) for _ in range(50)]
+    found = 0
+    for rows in cases:
+        want = brute_antisymmetry_failure(rows)
+        pre = Preorder([f"x{i}" for i in range(len(rows))], rows)
+        assert pre.antisymmetry_failure() == want, rows
+        found += want is not None
+    assert found > 200
 
 
 def test_not_t0_names_two_points_with_the_same_opens():

@@ -50,6 +50,7 @@ from ordua.setlattices import (
     powerset_structure,
     structure_from_closed_masks,
 )
+from ordua.spectra import Spectrum, spectrum
 from ordua.structures import (
     MORPHISM_KINDS,
     Poset,
@@ -67,6 +68,7 @@ from ordua.structures import (
     disjunctively_compact_elements,
     enumerate_homomorphisms,
     filters,
+    inclusion_rows,
     indecomposable_elements,
     is_coherent_poset,
     is_flat_map,
@@ -469,12 +471,7 @@ def test_classify_and_prime_filters_on_every_construction_path():
     """The kept Birkhoff data starts empty however a poset is made: by
     Poset, validate_poset, dual, and the lattices of sets. Prime filters
     are read before and after classify."""
-    q = _product_2x3()
-    ups = upper_sets(q.up)
-    made = [classify(Poset(q.labels, q.up)), classify(q), classify(q.dual()),
-            structure_from_closed_masks(q.labels, ups), powerset_structure(3),
-            _lattice_of_upsets(q.labels, ups)]
-    for s in made:
+    for s in _made_on_every_path():
         primes = sorted(brute_prime_filters(s))
         assert list(prime_filters(s).masks) == primes
         c = classify(s.base)
@@ -483,6 +480,35 @@ def test_classify_and_prime_filters_on_every_construction_path():
         fresh = classify(Poset(s.labels, s.base.up))
         assert (fresh.kind, fresh.top, fresh.bottom, fresh.complement) == (
             c.kind, c.top, c.bottom, c.complement)
+
+
+def _made_on_every_path():
+    """The 2x3 grid as a Poset, validated, dualized, and as lattices of sets,
+    and 2^3 as a powerset."""
+    q = _product_2x3()
+    ups = upper_sets(q.up)
+    return [classify(Poset(q.labels, q.up)), classify(q), classify(q.dual()),
+            structure_from_closed_masks(q.labels, ups), powerset_structure(3),
+            _lattice_of_upsets(q.labels, ups)]
+
+
+def test_dlat_spectrum_is_the_kept_birkhoff_and_a_plain_spectrum():
+    """The dlat spectrum of a lattice is the Birkhoff object kept on its
+    poset, and it has the points, labels, basic sets and order of a plain
+    Spectrum over its points: ^ and the label of each point's least element,
+    the transpose of the points, and their inclusion order."""
+    made = _made_on_every_path() + [powerset_structure(k) for k in range(6)]
+    made += [lower_set_lattice(p) for p in all_posets_up_to(5)]
+    for s in made:
+        sp = spectrum(s, "dlat")
+        assert sp is s.base.birkhoff and isinstance(sp, Spectrum)
+        up = s.base.up
+        plain = Spectrum(sp.points, lambda m: "^" + s.labels[up.index(m)])
+        assert (sp.points, sp.labels, sp.basics, sp.order) == (
+            plain.points, plain.labels, plain.basics, plain.order)
+        assert sp.basics == tuple(transpose(s.n, sp.points.masks))
+        assert sp.order == tuple(inclusion_rows(sp.points.masks))
+    assert len(made) == 6 + 6 + sum(1 for _ in all_posets_up_to(5))
 
 
 def _product_2x3():
