@@ -1,6 +1,7 @@
 import collections
 import functools
 import gc
+import hashlib
 import itertools
 import random
 
@@ -835,6 +836,17 @@ def test_canonical_form_is_invariant_under_relabelling(p):
     assert key[0] == p.n
     for _ in range(2):
         assert canonical_form(shuffled(p, rng)) == key
+
+
+def test_all_posets_output_is_pinned():
+    # the SHA-256 of every poset of all_posets(1..7), fed in order: the
+    # output must not depend on how canonical_form colors or searches
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for p in all_posets(n):
+            digest.update(repr((p.labels, p.up, p.dn)).encode())
+    assert digest.hexdigest() == (
+        "0e74d935d8e11ff3fc733d55168ffbd301a4fa7b40f8f1fa50c3b854bde9985b")
 
 
 def test_poset_counts():
