@@ -10,6 +10,7 @@ searches are involved).
 from __future__ import annotations
 
 import itertools
+from math import factorial, prod
 
 from ordua.errors import (
     AntisymmetryViolation,
@@ -32,7 +33,11 @@ MORPHISM_KINDS = ("monotone", "flat", "meet-hom", "lattice-hom", "boolean-hom",
 
 
 def bits(mask: int):
-    """Yield the set bit positions of mask, ascending."""
+    """The set bit positions of mask, ascending: a kept tuple below 256."""
+    return _BITS[mask] if mask < 256 else _bits(mask)
+
+
+def _bits(mask: int):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -64,6 +69,7 @@ def transitive_closure(rows) -> list[int]:
 # _SPREAD[v]: v with bit b moved to bit 8b; _SPREAD_BYTES[v] as 8 bytes
 _SPREAD = [sum((v >> b & 1) << 8 * b for b in range(8)) for v in range(256)]
 _SPREAD_BYTES = [v.to_bytes(8, "little") for v in _SPREAD]
+_BITS = [tuple(_bits(v)) for v in range(256)]
 
 
 def transpose(n: int, rows) -> list[int]:
@@ -222,8 +228,8 @@ class Poset:
     __slots__ = ("labels", "up", "dn", "_index", "_birkhoff")
 
     def __init__(self, labels, up) -> None:
-        labels = tuple(str(x) for x in labels)
-        up = tuple(int(m) for m in up)
+        labels = tuple(map(str, labels))
+        up = tuple(map(int, up))
         n = len(labels)
         self._index = _label_index(labels)
         if len(up) != n:
@@ -248,12 +254,13 @@ class Poset:
         self._birkhoff = None
 
     @classmethod
-    def _of_order(cls, labels, up, dn) -> "Poset":
+    def _of_order(cls, labels, up, dn, index=None) -> "Poset":
         """The poset on labels with up-rows up and down-rows dn, which must
-        already be a partial order and its transpose: only labels are checked."""
+        already be a partial order and its transpose: only labels are checked,
+        unless their index is given."""
         p = object.__new__(cls)
         p.labels, p.up, p.dn = tuple(labels), tuple(up), tuple(dn)
-        p._index = _label_index(p.labels)
+        p._index = index or _label_index(p.labels)
         p._birkhoff = None
         return p
 
@@ -330,7 +337,8 @@ def validate_poset(labels, pairs) -> Poset:
     UnknownLabel / AntisymmetryViolation (with a cycle witness).
     """
     labels = tuple(map(str, labels))
-    get, n = _label_index(labels).get, len(labels)
+    index, n = _label_index(labels), len(labels)
+    get = index.get
     nexts, indegree = [[] for _ in range(n)], [0] * n
     for a, b in pairs:
         try:  # a label is looked up as given, and by str() if not found there
@@ -369,7 +377,7 @@ def validate_poset(labels, pairs) -> Poset:
         row = dn[i]
         for j in nexts[i]:
             dn[j] |= row
-    return Poset._of_order(labels, up, dn)
+    return Poset._of_order(labels, up, dn, index)
 
 
 class Structure:
@@ -431,15 +439,13 @@ class Structure:
 
     def join_of(self, indices) -> int | None:
         """Join of a finite family; the empty join is the bottom (None if absent)."""
-        acc, join = None, self.join
-        for i in indices:
+        it, join = iter(indices), self.join
+        acc = next(it, self.bottom)
+        for i in it:
+            acc = join[acc][i]
             if acc is None:
-                acc = i
-            else:
-                acc = join[acc][i]
-                if acc is None:
-                    return None
-        return self.bottom if acc is None else acc
+                return None
+        return acc
 
     def atoms(self) -> list[int]:
         if self.bottom is None:
@@ -711,11 +717,11 @@ def is_flat_map(f: StructureMorphism) -> tuple[bool, dict | None]:
         i, j = bad
         return False, {"condition": "monotone",
                        "pair": (src.labels[i], src.labels[j])}
-    for d in range(tgt.n):
-        if not any(tgt.leq(d, f.map[c]) for c in range(src.n)):
+    aboves = [[c for c in range(src.n) if tgt.leq(d, f.map[c])] for d in range(tgt.n)]
+    for d, above in enumerate(aboves):
+        if not above:
             return False, {"condition": "covering", "d": tgt.labels[d]}
-    for d in range(tgt.n):
-        above = [c for c in range(src.n) if tgt.leq(d, f.map[c])]
+    for d, above in enumerate(aboves):
         for c in above:
             for c2 in above:
                 if not any(src.leq(c3, c) and src.leq(c3, c2) for c3 in above):
@@ -772,13 +778,12 @@ def _law_test(src: Structure, tgt: Structure, kind: str):
     that assumes a monotone map. Each law is m[s] == op[m[a]][m[b]] for a
     source pair a, b with s their meet or join, or a bound sent to a bound.
     Comparable pairs are left out: a monotone map keeps their meets and joins.
+    Every caller has checked kind with _hom_compatible.
     """
     if kind == "monotone":
         return lambda m: True
     if kind == "flat":
         return lambda m: is_flat_map(StructureMorphism(src, tgt, m, "flat"))[0]
-    if kind not in _HOM_NEEDS:
-        raise InputFormatError(f"unknown morphism kind {kind!r}")
     up, smeet, sjoin = src.base.up, src.meet, src.join
     pairs = [(a, b) for a, b in itertools.combinations(range(src.n), 2)
              if not (up[a] >> b & 1 or up[b] >> a & 1)]
@@ -829,14 +834,10 @@ def enumerate_homomorphisms(src: Structure, tgt: Structure, kind: str,
         tgt_atoms = tgt.atoms()
         if len(src_atoms) ** len(tgt_atoms) > 4 ** b:
             raise CarrierTooLarge("boolean-hom atom-map space exceeds the bound")
-        out = []
-        for phi in itertools.product(src_atoms, repeat=len(tgt_atoms)):
-            m = []
-            for x in range(src.n):
-                below = [t for t, a in zip(tgt_atoms, phi) if src.leq(a, x)]
-                m.append(tgt.join_of(below))
-            out.append(tuple(m))
-        return [StructureMorphism(src, tgt, m, kind) for m in sorted(set(out))]
+        out = {tuple([tgt.join_of([t for t, a in zip(tgt_atoms, phi) if src.leq(a, x)])
+                      for x in range(src.n)])
+               for phi in itertools.product(src_atoms, repeat=len(tgt_atoms))}
+        return [StructureMorphism(src, tgt, m, kind) for m in sorted(out)]
     if tgt.n ** src.n > 4 ** b:
         raise CarrierTooLarge(
             f"map space {tgt.n}^{src.n} exceeds the enumeration bound")
@@ -859,14 +860,17 @@ def is_coherent_poset(p: Poset) -> tuple[bool, dict]:
     return True, {"top-cover": top_cover, "fc-limits": fc}
 
 
-def _refine_colors(p: Poset) -> list[int]:
+def _refine_colors(p: Poset, orders: int | None = None) -> list[int]:
     # Iterated neighborhood refinement with canonical renumbering, so color
-    # ids are comparable across different posets.
+    # ids are comparable across different posets. Given orders, it stops
+    # before a round once the orderings within the classes number at most
+    # that: a test of class sizes alone, so isomorphic posets stop together.
+    # A round that changes the colors splits a class, so at most n run.
     n, dn, up = p.n, p.dn, p.up
     colors = [(popcount(dn[i]), popcount(up[i])) for i in range(n)]
     rank = {c: k for k, c in enumerate(sorted(set(colors)))}
     colors = [rank[c] for c in colors]
-    for _ in range(n):
+    while not orders or prod(map(factorial, map(colors.count, range(len(rank))))) > orders:
         sigs = [(colors[i],
                  tuple(sorted([colors[j] for j in bits(dn[i] ^ 1 << i)])),
                  tuple(sorted([colors[j] for j in bits(up[i] ^ 1 << i)])))
@@ -900,6 +904,7 @@ def order_isomorphism(p: Poset, q: Poset, pins: dict[int, int] | None = None
     order = sorted(range(p.n), key=lambda i: len(cands[i]))
     assign: list[int | None] = [None] * p.n
     used = [False] * q.n
+    pu, qu = p.up, q.up
 
     def backtrack(k: int) -> bool:
         if k == p.n:
@@ -908,24 +913,19 @@ def order_isomorphism(p: Poset, q: Poset, pins: dict[int, int] | None = None
         for j in cands[i]:
             if used[j]:
                 continue
-            ok = True
             for i2 in order[:k]:
                 j2 = assign[i2]
-                if p.leq(i, i2) != q.leq(j, j2) or p.leq(i2, i) != q.leq(j2, j):
-                    ok = False
+                if pu[i] >> i2 & 1 != qu[j] >> j2 & 1 or pu[i2] >> i & 1 != qu[j2] >> j & 1:
                     break
-            if ok:
+            else:  # j agrees with every point placed so far
                 assign[i] = j
                 used[j] = True
                 if backtrack(k + 1):
                     return True
-                assign[i] = None
                 used[j] = False
         return False
 
-    if not backtrack(0):
-        return None
-    return tuple(assign)  # type: ignore[arg-type]
+    return tuple(assign) if backtrack(0) else None  # type: ignore[arg-type]
 
 
 def structure_isomorphism(s: Structure, t: Structure,
@@ -934,31 +934,24 @@ def structure_isomorphism(s: Structure, t: Structure,
     return order_isomorphism(s.base, t.base, pins)
 
 
-def _class_orders(classes):
-    """Yield each concatenation of one ordering per class, one at a time."""
-    if not classes:
-        yield ()
-        return
-    for head in itertools.permutations(classes[0]):
-        for rest in _class_orders(classes[1:]):
-            yield head + rest
-
-
 def canonical_form(p: Poset) -> tuple:
     """A complete isomorphism invariant, for deduplicating small posets.
 
     The refined colors are invariant and canonically numbered, so the least
     relabelled up-rows need only be sought among the relabellings listing
     the color classes in color order (the orderings within each class, not
-    all n! permutations). Equal keys mean isomorphic posets.
+    all n! permutations). Refinement stops once those number at most 2n,
+    where a round costs more than the orderings it would save. Equal keys
+    mean isomorphic posets.
     """
     n = p.n
-    colors = _refine_colors(p)
+    colors = _refine_colors(p, 2 * n)
     classes = [[i for i in range(n) if colors[i] == c] for c in range(max(colors) + 1)]
     ups = [tuple(bits(row)) for row in p.up]
     pos = [0] * n
     best = None
-    for perm in _class_orders(classes):
+    for parts in itertools.product(*map(itertools.permutations, classes)):
+        perm = sum(parts, ())
         for k, i in enumerate(perm):
             pos[i] = 1 << k
         key = tuple([sum([pos[j] for j in ups[i]]) for i in perm])

@@ -84,7 +84,12 @@ MAX_MODULE_LINES = 989
 def test_no_module_exceeds_the_line_budget():
     """Every fresh interpreter compiles the whole package (bytecode is not
     cached where PYTHONDONTWRITEBYTECODE is set), and compiling a long module
-    raises the peak RSS: structures.py at 989 lines costs about 3 MB. No
-    module may grow past that size; split one that would."""
+    raises the peak RSS: structures.py costs about 3 MB. That peak follows
+    the code (tokens and syntax nodes), not its comments or docstrings, and
+    it jumps at certain sizes: 15 more lines of code in structures.py raise
+    its compile peak (tracemalloc) from 2.87 to 3.38 MB. So the cap is a
+    budget for code, not for comments: no module may grow past 989 lines,
+    code added near the cap should be paid for with code taken out, and a
+    module that would outgrow it is split."""
     sizes = {p.name: len(p.read_text(encoding="utf-8").splitlines()) for p in PACKAGE}
     assert {name: n for name, n in sizes.items() if n > MAX_MODULE_LINES} == {}

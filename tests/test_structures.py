@@ -3,6 +3,7 @@ import functools
 import gc
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -31,7 +32,7 @@ from conftest import (
     shuffled,
     warshall_poset,
 )
-from ordua import corpus
+from ordua import corpus, structures
 from ordua.corpus import (
     all_posets,
     all_posets_up_to,
@@ -128,6 +129,15 @@ def test_validate_poset_rejects_duplicate_labels():
 def test_validate_poset_rejects_unknown_label():
     with pytest.raises(UnknownLabel):
         validate_poset(["x"], [("x", "w")])
+
+
+def test_validate_poset_builds_its_label_index_once(monkeypatch):
+    built, index = [], structures._label_index
+    monkeypatch.setattr(structures, "_label_index",
+                        lambda labels: built.append(labels) or index(labels))
+    p = validate_poset(["x", "y", "z"], [("x", "y"), ("y", "z")])
+    assert built == [("x", "y", "z")]
+    assert [p.index(x) for x in "xyz"] == [0, 1, 2]
 
 
 def _random_relation(rng):
@@ -838,6 +848,66 @@ def test_canonical_form_is_invariant_under_relabelling(p):
         assert canonical_form(shuffled(p, rng)) == key
 
 
+def orderings(colors) -> int:
+    """The relabellings that list the color classes in color order."""
+    return math.prod(math.factorial(colors.count(c)) for c in set(colors))
+
+
+def degree_colors(p: Poset) -> list[int]:
+    """The colors before any refinement round: (down-degree, up-degree), ranked."""
+    degrees = [(p.dn[i].bit_count(), p.up[i].bit_count()) for i in range(p.n)]
+    return [sorted(set(degrees)).index(d) for d in degrees]
+
+
+def numbered(n: int, covers) -> Poset:
+    return validate_poset([f"x{i}" for i in range(n)], [(f"x{a}", f"x{b}") for a, b in covers])
+
+
+def refinement_exit_cases(exit: str) -> list[Poset]:
+    """Posets on which canonical_form's refinement ends at the given exit:
+    before any round, as the degree colors already allow at most 2n
+    orderings; after some rounds that split a class; or at a coloring no
+    round splits that still allows more than 2n orderings."""
+    if exit == "degrees":  # chains, and two 3-chains (2^3 orderings on 6 points)
+        return [numbered(n, [(i, i + 1) for i in range(n - 1)]) for n in (1, 5, 7)] + [
+            numbered(6, [(0, 1), (1, 2), (3, 4), (4, 5)])]
+    if exit == "stable":  # the 7-antichain, crowns, three 2-chains (3! 3! orderings)
+        return [numbered(7, []), crowns(4), crowns(2, 2), numbered(6, [(0, 1), (2, 3), (4, 5)])]
+    rng, cases = random.Random(0), []
+    while len(cases) < 3:
+        p = random_poset(rng, 7, 0.2)
+        if orderings(degree_colors(p)) > 14 and _refine_colors(p, 14) != degree_colors(p):
+            cases.append(p)
+    # on these, one round leaves at most 16 orderings and a further one would split
+    return cases + [numbered(8, [(0, 1), (0, 6), (2, 3), (2, 7), (4, 6), (5, 6)]),
+                    numbered(8, [(0, 2), (0, 6), (1, 2), (1, 4), (3, 6), (3, 7), (5, 7)])]
+
+
+@pytest.mark.parametrize("exit", ["degrees", "rounds", "stable"])
+def test_canonical_form_is_complete_at_each_refinement_exit(exit):
+    rng = random.Random(1)
+    cases = refinement_exit_cases(exit)
+    for p in cases:
+        bound, degrees, colors = 2 * p.n, degree_colors(p), _refine_colors(p, 2 * p.n)
+        if exit == "degrees":
+            assert orderings(degrees) <= bound and colors == degrees
+        elif exit == "rounds":
+            assert orderings(degrees) > bound and colors != degrees
+            assert orderings(colors) <= bound or colors == _refine_colors(p)
+        else:
+            assert orderings(colors) > bound and colors == _refine_colors(p)
+        key = canonical_form(p)
+        for _ in range(3):
+            assert canonical_form(shuffled(p, rng)) == key
+        # the least relabelled up-rows are those of a copy of p
+        assert order_isomorphism(p, Poset(p.labels, key[2])) is not None
+    if exit == "rounds":
+        assert any(_refine_colors(p, 2 * p.n) != _refine_colors(p) for p in cases)
+    cases += [shuffled(p.dual(), rng) for p in cases if p.n < 8]  # brute_canonical takes 8! steps
+    pairs = itertools.combinations(zip(map(canonical_form, cases), map(brute_canonical, cases)), 2)
+    assert all((a == b) == (c == d) for (a, c), (b, d) in pairs)
+
+
 def test_all_posets_output_is_pinned():
     # the SHA-256 of every poset of all_posets(1..7), fed in order: the
     # output must not depend on how canonical_form colors or searches
@@ -1029,6 +1099,14 @@ def test_upper_sets_leave_no_reference_cycles():
     finally:
         gc.enable()
     assert found == 0
+
+
+def test_bits_lists_the_set_positions_in_order():
+    rng = random.Random(9)
+    # below 256 bits reads a kept table, above it walks the mask
+    masks = list(range(1 << 10)) + [rng.getrandbits(rng.randint(250, 300)) for _ in range(40)]
+    for m in masks:
+        assert list(bits(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
 
 
 def test_transpose_matches_its_definition():
