@@ -33,7 +33,8 @@ MORPHISM_KINDS = ("monotone", "flat", "meet-hom", "lattice-hom", "boolean-hom",
 
 
 def bits(mask: int):
-    """The set bit positions of mask, ascending: a kept tuple below 256."""
+    """Iterate the set bit positions of mask, ascending: a kept tuple below
+    256 (rows of up to 8 points), a generator above."""
     return _BITS[mask] if mask < 256 else _bits(mask)
 
 
@@ -228,8 +229,8 @@ class Poset:
     __slots__ = ("labels", "up", "dn", "_index", "_birkhoff")
 
     def __init__(self, labels, up) -> None:
-        labels = tuple(map(str, labels))
-        up = tuple(map(int, up))
+        labels = tuple(str(x) for x in labels)
+        up = tuple(int(m) for m in up)
         n = len(labels)
         self._index = _label_index(labels)
         if len(up) != n:
@@ -254,13 +255,12 @@ class Poset:
         self._birkhoff = None
 
     @classmethod
-    def _of_order(cls, labels, up, dn, index=None) -> "Poset":
+    def _of_order(cls, labels, up, dn) -> "Poset":
         """The poset on labels with up-rows up and down-rows dn, which must
-        already be a partial order and its transpose: only labels are checked,
-        unless their index is given."""
+        already be a partial order and its transpose: only labels are checked."""
         p = object.__new__(cls)
         p.labels, p.up, p.dn = tuple(labels), tuple(up), tuple(dn)
-        p._index = index or _label_index(p.labels)
+        p._index = _label_index(p.labels)
         p._birkhoff = None
         return p
 
@@ -337,8 +337,7 @@ def validate_poset(labels, pairs) -> Poset:
     UnknownLabel / AntisymmetryViolation (with a cycle witness).
     """
     labels = tuple(map(str, labels))
-    index, n = _label_index(labels), len(labels)
-    get = index.get
+    get, n = _label_index(labels).get, len(labels)
     nexts, indegree = [[] for _ in range(n)], [0] * n
     for a, b in pairs:
         try:  # a label is looked up as given, and by str() if not found there
@@ -377,7 +376,7 @@ def validate_poset(labels, pairs) -> Poset:
         row = dn[i]
         for j in nexts[i]:
             dn[j] |= row
-    return Poset._of_order(labels, up, dn, index)
+    return Poset._of_order(labels, up, dn)
 
 
 class Structure:
@@ -439,13 +438,15 @@ class Structure:
 
     def join_of(self, indices) -> int | None:
         """Join of a finite family; the empty join is the bottom (None if absent)."""
-        it, join = iter(indices), self.join
-        acc = next(it, self.bottom)
-        for i in it:
-            acc = join[acc][i]
+        acc, join = None, self.join
+        for i in indices:
             if acc is None:
-                return None
-        return acc
+                acc = i
+            else:
+                acc = join[acc][i]
+                if acc is None:
+                    return None
+        return self.bottom if acc is None else acc
 
     def atoms(self) -> list[int]:
         if self.bottom is None:
@@ -717,11 +718,11 @@ def is_flat_map(f: StructureMorphism) -> tuple[bool, dict | None]:
         i, j = bad
         return False, {"condition": "monotone",
                        "pair": (src.labels[i], src.labels[j])}
-    aboves = [[c for c in range(src.n) if tgt.leq(d, f.map[c])] for d in range(tgt.n)]
-    for d, above in enumerate(aboves):
-        if not above:
+    for d in range(tgt.n):
+        if not any(tgt.leq(d, f.map[c]) for c in range(src.n)):
             return False, {"condition": "covering", "d": tgt.labels[d]}
-    for d, above in enumerate(aboves):
+    for d in range(tgt.n):
+        above = [c for c in range(src.n) if tgt.leq(d, f.map[c])]
         for c in above:
             for c2 in above:
                 if not any(src.leq(c3, c) and src.leq(c3, c2) for c3 in above):
@@ -778,12 +779,13 @@ def _law_test(src: Structure, tgt: Structure, kind: str):
     that assumes a monotone map. Each law is m[s] == op[m[a]][m[b]] for a
     source pair a, b with s their meet or join, or a bound sent to a bound.
     Comparable pairs are left out: a monotone map keeps their meets and joins.
-    Every caller has checked kind with _hom_compatible.
     """
     if kind == "monotone":
         return lambda m: True
     if kind == "flat":
         return lambda m: is_flat_map(StructureMorphism(src, tgt, m, "flat"))[0]
+    if kind not in _HOM_NEEDS:
+        raise InputFormatError(f"unknown morphism kind {kind!r}")
     up, smeet, sjoin = src.base.up, src.meet, src.join
     pairs = [(a, b) for a, b in itertools.combinations(range(src.n), 2)
              if not (up[a] >> b & 1 or up[b] >> a & 1)]
@@ -834,10 +836,14 @@ def enumerate_homomorphisms(src: Structure, tgt: Structure, kind: str,
         tgt_atoms = tgt.atoms()
         if len(src_atoms) ** len(tgt_atoms) > 4 ** b:
             raise CarrierTooLarge("boolean-hom atom-map space exceeds the bound")
-        out = {tuple([tgt.join_of([t for t, a in zip(tgt_atoms, phi) if src.leq(a, x)])
-                      for x in range(src.n)])
-               for phi in itertools.product(src_atoms, repeat=len(tgt_atoms))}
-        return [StructureMorphism(src, tgt, m, kind) for m in sorted(out)]
+        out = []
+        for phi in itertools.product(src_atoms, repeat=len(tgt_atoms)):
+            m = []
+            for x in range(src.n):
+                below = [t for t, a in zip(tgt_atoms, phi) if src.leq(a, x)]
+                m.append(tgt.join_of(below))
+            out.append(tuple(m))
+        return [StructureMorphism(src, tgt, m, kind) for m in sorted(set(out))]
     if tgt.n ** src.n > 4 ** b:
         raise CarrierTooLarge(
             f"map space {tgt.n}^{src.n} exceeds the enumeration bound")
@@ -860,27 +866,23 @@ def is_coherent_poset(p: Poset) -> tuple[bool, dict]:
     return True, {"top-cover": top_cover, "fc-limits": fc}
 
 
-def _refine_colors(p: Poset, orders: int | None = None) -> list[int]:
+def _refine_colors(p: Poset, orders: int = 0) -> list[int]:
     # Iterated neighborhood refinement with canonical renumbering, so color
-    # ids are comparable across different posets. Given orders, it stops
-    # before a round once the orderings within the classes number at most
-    # that: a test of class sizes alone, so isomorphic posets stop together.
-    # A round that changes the colors splits a class, so at most n run.
+    # ids are comparable across different posets. It stops once no class
+    # splits or, given orders, once the class sizes allow at most that many
+    # orderings within the classes: isomorphic posets stop together.
     n, dn, up = p.n, p.dn, p.up
-    colors = [(popcount(dn[i]), popcount(up[i])) for i in range(n)]
-    rank = {c: k for k, c in enumerate(sorted(set(colors)))}
-    colors = [rank[c] for c in colors]
-    while not orders or prod(map(factorial, map(colors.count, range(len(rank))))) > orders:
+    sigs, colors = [(popcount(dn[i]), popcount(up[i])) for i in range(n)], None
+    while True:
+        rank = {s: k for k, s in enumerate(sorted(set(sigs)))}
+        nxt = [rank[s] for s in sigs]
+        if nxt == colors or prod(map(factorial, map(nxt.count, set(nxt)))) <= orders:
+            return nxt
+        colors = nxt
         sigs = [(colors[i],
                  tuple(sorted([colors[j] for j in bits(dn[i] ^ 1 << i)])),
                  tuple(sorted([colors[j] for j in bits(up[i] ^ 1 << i)])))
                 for i in range(n)]
-        rank = {s: k for k, s in enumerate(sorted(set(sigs)))}
-        nxt = [rank[s] for s in sigs]
-        if nxt == colors:  # no class split, so the renumbering is the same
-            break
-        colors = nxt
-    return colors
 
 
 def order_isomorphism(p: Poset, q: Poset, pins: dict[int, int] | None = None
@@ -890,10 +892,8 @@ def order_isomorphism(p: Poset, q: Poset, pins: dict[int, int] | None = None
     pins maps source indices to required target indices (used to check that a
     prescribed correspondence extends to an isomorphism).
     """
-    if p.n != q.n:
-        return None
     sig_p, sig_q = _refine_colors(p), _refine_colors(q)
-    if sorted(sig_p) != sorted(sig_q):
+    if sorted(sig_p) != sorted(sig_q):  # also when p.n != q.n
         return None
     cands = [[j for j in range(q.n) if sig_q[j] == sig_p[i]] for i in range(p.n)]
     pins = pins or {}
@@ -903,26 +903,21 @@ def order_isomorphism(p: Poset, q: Poset, pins: dict[int, int] | None = None
         cands[i] = [j]
     order = sorted(range(p.n), key=lambda i: len(cands[i]))
     assign: list[int | None] = [None] * p.n
-    used = [False] * q.n
     pu, qu = p.up, q.up
 
     def backtrack(k: int) -> bool:
         if k == p.n:
             return True
         i = order[k]
-        for j in cands[i]:
-            if used[j]:
-                continue
+        for j in cands[i]:  # a j placed already fails the test (q reflexive, p antisymmetric)
             for i2 in order[:k]:
                 j2 = assign[i2]
                 if pu[i] >> i2 & 1 != qu[j] >> j2 & 1 or pu[i2] >> i & 1 != qu[j2] >> j & 1:
                     break
             else:  # j agrees with every point placed so far
                 assign[i] = j
-                used[j] = True
                 if backtrack(k + 1):
                     return True
-                used[j] = False
         return False
 
     return tuple(assign) if backtrack(0) else None  # type: ignore[arg-type]
@@ -932,6 +927,16 @@ def structure_isomorphism(s: Structure, t: Structure,
                           pins: dict[int, int] | None = None) -> tuple[int, ...] | None:
     """Order isomorphism of the underlying posets (lattice ops are order-determined)."""
     return order_isomorphism(s.base, t.base, pins)
+
+
+def _class_orders(classes):
+    """Yield each concatenation of one ordering per class, one at a time."""
+    if not classes:
+        yield ()
+        return
+    for head in itertools.permutations(classes[0]):
+        for rest in _class_orders(classes[1:]):
+            yield head + rest
 
 
 def canonical_form(p: Poset) -> tuple:
@@ -950,8 +955,7 @@ def canonical_form(p: Poset) -> tuple:
     ups = [tuple(bits(row)) for row in p.up]
     pos = [0] * n
     best = None
-    for parts in itertools.product(*map(itertools.permutations, classes)):
-        perm = sum(parts, ())
+    for perm in _class_orders(classes):
         for k, i in enumerate(perm):
             pos[i] = 1 << k
         key = tuple([sum([pos[j] for j in ups[i]]) for i in perm])

@@ -32,7 +32,7 @@ from conftest import (
     shuffled,
     warshall_poset,
 )
-from ordua import corpus, structures
+from ordua import corpus
 from ordua.corpus import (
     all_posets,
     all_posets_up_to,
@@ -129,15 +129,6 @@ def test_validate_poset_rejects_duplicate_labels():
 def test_validate_poset_rejects_unknown_label():
     with pytest.raises(UnknownLabel):
         validate_poset(["x"], [("x", "w")])
-
-
-def test_validate_poset_builds_its_label_index_once(monkeypatch):
-    built, index = [], structures._label_index
-    monkeypatch.setattr(structures, "_label_index",
-                        lambda labels: built.append(labels) or index(labels))
-    p = validate_poset(["x", "y", "z"], [("x", "y"), ("y", "z")])
-    assert built == [("x", "y", "z")]
-    assert [p.index(x) for x in "xyz"] == [0, 1, 2]
 
 
 def _random_relation(rng):
@@ -767,6 +758,8 @@ def test_order_isomorphism_respects_pins():
 
 def test_non_isomorphic_posets_rejected():
     assert order_isomorphism(mk("C4").base, mk("D4").base) is None
+    assert order_isomorphism(mk("C3").base, mk("C4").base) is None
+    assert order_isomorphism(mk("C4").base, mk("C3").base, pins={0: 0}) is None
     assert canonical_form(mk("C4").base) != canonical_form(mk("D4").base)
 
 
