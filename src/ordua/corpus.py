@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import random
 
-from ordua.structures import Poset, bits, canonical_form, transitive_closure, upper_sets
+from ordua.structures import (
+    Poset,
+    _label_index,
+    bits,
+    canonical_form,
+    transitive_closure,
+    upper_sets,
+)
 
 _POSET_CACHE: dict[int, list[Poset]] = {}
 _PREORDER_CACHE: dict[int, list[tuple[int, ...]]] = {}
@@ -19,13 +26,14 @@ def all_posets(n: int) -> list[Poset]:
     only the representatives on n-1 points are extended."""
     if n not in _POSET_CACHE:
         labels = tuple(f"x{i}" for i in range(n))
+        index = _label_index(labels)  # shared by every poset of this size
         prefixes = [(p.up, p.dn) for p in all_posets(n - 1)] if n > 1 else [((), ())]
         seen = {}
         for up, dn in prefixes:
             point = 1 << len(up)
             for d in upper_sets(dn):  # the down-sets of the prefix
                 ext = tuple(r | point if d >> i & 1 else r for i, r in enumerate(up))
-                p = Poset._of_order(labels, ext + (point,), dn + (d | point,))
+                p = Poset._of_order(labels, ext + (point,), dn + (d | point,), index)
                 seen.setdefault(canonical_form(p), p)
         _POSET_CACHE[n] = list(seen.values())
     return _POSET_CACHE[n]

@@ -121,12 +121,12 @@ class FiniteSpace(Preorder):
         masks = set(family.masks)
         if 0 not in masks or full not in masks:
             raise InputFormatError("a topology contains the empty and full sets")
-        # each member is the union of the minimal opens of its points, so the
-        # family is a topology iff it holds them and is closed under adding one
+        # each member is an up-set of the minimal opens of its points, so the
+        # family is a topology iff it holds them and all of those up-sets
         minimal = minimal_opens(n, family.masks)
         if not all(m in masks for m in minimal):
             raise InputFormatError("family is not closed under intersections")
-        if not all(o | m in masks for o in family.masks for m in minimal):
+        if upper_sets(minimal, len(masks) + 1) != list(family.masks):
             raise InputFormatError("family is not closed under unions")
         super().__init__(labels, minimal)
         self._opens = family

@@ -325,6 +325,26 @@ def brute_closed_family(n_points: int, masks):
     return [sum(1 << k for k, b in enumerate(masks) if not a & ~b) for a in masks]
 
 
+def brute_topology_verdict(n_points: int, masks):
+    """The message FiniteSpace must give for a family of subsets of n_points
+    points, or None if it is a topology: it holds the empty and full sets
+    and every pairwise union and intersection. A family that is not fails
+    on intersections when it is not even a base (the intersection of two
+    members is not a union of members), and on unions otherwise."""
+    family = set(masks)
+    if not {0, (1 << n_points) - 1} <= family:
+        return "a topology contains the empty and full sets"
+    unions, grown = set(family), None
+    while grown != unions:
+        grown = set(unions)
+        unions |= {a | b for a in grown for b in grown}
+    if any(a & b not in unions for a in family for b in family):
+        return "family is not closed under intersections"
+    if unions != family:
+        return "family is not closed under unions"
+    return None
+
+
 def closure_reference(labels, pairs):
     """What validate_poset must give for labels and pairs, compared as
     strings: ("poset", up, dn), or (exception type, detail) with detail the

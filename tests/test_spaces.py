@@ -12,6 +12,7 @@ from conftest import (
     brute_clopen_uppers,
     brute_cover_pairs,
     brute_frame_pullback,
+    brute_topology_verdict,
     brute_upper_sets,
     brute_weakly_indecomposable,
 )
@@ -78,6 +79,54 @@ def test_finite_space_requires_topology():
     with pytest.raises(InputFormatError):
         # {x0} and {x1} are open but {x0, x1} is not, on more than 16 points
         FiniteSpace([f"x{i}" for i in range(17)], [0, (1 << 17) - 1, 1, 2])
+
+
+def _explicit_families():
+    """Every family of subsets of at most 3 points, then random families on
+    4 and 5 points: the up-sets of a random preorder, as they are, less one
+    set or with one more, and random sets with the empty and full sets."""
+    for n in range(4):
+        for code in range(1 << (1 << n)):
+            yield n, [m for m in range(1 << n) if code >> m & 1]
+    rng = random.Random(41)
+    for _ in range(600):
+        n = rng.choice((4, 5))
+        full = (1 << n) - 1
+        if rng.random() < 0.6:
+            rows = transitive_closure(1 << i | rng.getrandbits(n) & rng.getrandbits(n)
+                                      for i in range(n))
+            family = brute_upper_sets(rows)
+            change = rng.randrange(3)
+            if change == 1 and len(family) > 2:
+                family.remove(rng.choice(family[1:-1]))
+            elif change == 2:
+                family.append(rng.randrange(1 << n))
+        else:
+            family = [0, full] + [rng.randrange(1 << n) for _ in range(rng.randint(0, 12))]
+        yield n, family
+
+
+def test_finite_space_decides_closure_like_pairwise_closure():
+    seen = set()
+    for n, masks in _explicit_families():
+        want = brute_topology_verdict(n, masks)
+        try:
+            FiniteSpace([f"x{i}" for i in range(n)], masks)
+            got = None
+        except InputFormatError as err:
+            got = str(err)
+        assert got == want, (n, masks)
+        family = set(masks)
+        meets = all(a & b in family for a in masks for b in masks)
+        closed = meets and all(a | b in family for a in masks for b in masks)
+        assert (want is None) == ({0, (1 << n) - 1} <= family and closed)
+        seen.add((n > 3, want, meets))
+    assert {want for big, want, _ in seen if not big} == {
+        None, "a topology contains the empty and full sets",
+        "family is not closed under intersections", "family is not closed under unions"}
+    # a base closed under neither: the message names unions
+    assert (True, "family is not closed under unions", False) in seen
+    assert (True, "family is not closed under intersections", False) in seen
 
 
 def test_empty_space_is_allowed():

@@ -1078,6 +1078,34 @@ def test_upper_sets_cut_every_round_at_the_limit():
     assert upper_sets([1 << i for i in range(40)], 1025) == list(range(1025))
 
 
+def _with_free_points(up, places):
+    """The preorder up with a point comparable to no other inserted at each
+    index of places in turn, the points at or after it moving up by one."""
+    up = list(up)
+    for k in places:
+        low = (1 << k) - 1
+        up = [r & low | (r & ~low) << 1 for r in up]
+        up.insert(k, 1 << k)
+    return up
+
+
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), min_size=n, max_size=n)
+        .map(_reflexive_transitive),
+        st.lists(st.integers(min_value=0, max_value=n + 3), max_size=3))))
+@example(([], [0, 0, 0]))
+@example(([0b01, 0b11], [1, 0]))  # free points before and between the points of a 2-chain
+@settings(max_examples=100)
+def test_upper_sets_with_free_points_match_definition(case):
+    up, places = case
+    up = _with_free_points(up, [min(k, len(up) + i) for i, k in enumerate(places)])
+    every = brute_upper_sets(up)
+    assert upper_sets(up) == every
+    for limit in range(1, len(every) + 2):
+        assert upper_sets(up, limit) == every[:limit]
+
+
 def test_upper_sets_output_is_pinned():
     # the SHA-256 of upper_sets over every preorder on at most 4 points and
     # the discrete rows on 0..12 points, at each limit, fed in order: the
@@ -1097,6 +1125,8 @@ def test_upper_sets_leave_no_reference_cycles():
     # off and be found by the next collect
     rows = [[((1 << n) - 1) ^ ((1 << i) - 1) for i in range(n)] for n in range(9)]
     rows += [[1 << i for i in range(8)], [0b011, 0b011, 0b111]]
+    # x0 and x2 free, x1 < x3, x4 ~ x5: free and constrained rounds mixed
+    rows += [[0b000001, 0b001010, 0b000100, 0b001000, 0b110000, 0b110000]]
     gc.collect()
     gc.disable()
     try:
