@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 
@@ -41,6 +42,8 @@ from ordua.structures import (
     _hom_compatible,
     _monotone_maps,
     classify,
+    disjunctively_compact_elements,
+    enumerate_homomorphisms,
     filters,
     is_homomorphism,
     indecomposable_elements,
@@ -493,6 +496,56 @@ def test_recognition_requires_the_right_hom_kind():
     f = StructureMorphism(diamond(), b, (0, 1, 1, 1), "monotone")
     with pytest.raises(KindMismatch):
         recognize_free_boolean(f, "dlat")
+
+
+RECOGNITION_CLASSES = {"msl": ("meet-hom", "meet-semilattice"),
+                       "dlat": ("lattice-hom", "distributive-lattice"),
+                       "ddlat": ("disjunctive-hom", "dd-lattice")}
+
+
+def compactness_lattices():
+    """The down-set lattices of every poset on at most 6 points, then the
+    free distributive lattices on every dd-lattice on at most 5."""
+    out = [lower_set_lattice(p) for p in all_posets_up_to(6)]
+    return out + [free_dlat_on_ddlat(d).structure for d in map(classify, all_posets_up_to(5))
+                  if d.rank() >= KIND_RANK["dd-lattice"]]
+
+
+def recognition_homs():
+    """(kind, f) for every hom f of the class's kind from each corpus
+    structure of the class on at most 4 points into 2^1..2^4."""
+    powers = [powerset_structure(k) for k in range(1, 5)]
+    corpus = list(map(classify, all_posets_up_to(4)))
+    return [(kind, f) for kind, (hom_kind, least) in RECOGNITION_CLASSES.items()
+            for c in corpus if c.rank() >= KIND_RANK[least]
+            for b in powers for f in enumerate_homomorphisms(c, b, hom_kind)]
+
+
+def recognition_verdict(f, kind):
+    try:
+        return recognize_free_boolean(f, kind)
+    except NotInjective:
+        return "NotInjective"
+
+
+def test_compactness_recognition_and_boolean_homs_are_pinned():
+    # the SHA-256 of disjunctively_compact_elements on compactness_lattices,
+    # of the verdict and witness of recognize_free_boolean on
+    # recognition_homs, and of the Boolean homs between every two of
+    # 2^0..2^4, fed in order: the outputs must not depend on how they are
+    # computed
+    digest = hashlib.sha256()
+    for s in compactness_lattices():
+        digest.update(repr((s.labels, s.base.up, disjunctively_compact_elements(s))).encode())
+    for kind, f in recognition_homs():
+        digest.update(repr((kind, f.source.labels, f.source.base.up, f.target.n, f.map,
+                            recognition_verdict(f, kind))).encode())
+    powers = [powerset_structure(k) for k in range(5)]
+    for a, b in itertools.product(powers, repeat=2):
+        homs = enumerate_homomorphisms(a, b, "boolean-hom")
+        digest.update(repr((a.n, b.n, [h.map for h in homs])).encode())
+    assert digest.hexdigest() == (
+        "31380ed87f64aed0e44f5e8a6081174c64750a51fda3646004d259d2b5d689f6")
 
 
 # ------------------------------------------------------- lattice/frame frees
