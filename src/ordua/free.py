@@ -25,6 +25,7 @@ from ordua.structures import (
     Structure,
     StructureMorphism,
     Subset,
+    _compact,
     _hom_compatible,
     _is_monotone,
     _law_test,
@@ -33,9 +34,7 @@ from ordua.structures import (
     bits,
     check_carrier,
     classify,
-    disjunctively_compact_elements,
     inclusion_rows,
-    indecomposable_elements,
     popcount,
     prime_filters,
     upper_sets,
@@ -191,30 +190,17 @@ def induced_boolean_hom(f: StructureMorphism, fr_src: FreeResult,
                  for s in range(1 << len(src)))
 
 
-def _uppers_substructure(b: Structure, trace_rows: list[int], primes: list[int]
-                         ) -> tuple[Structure, list[int]]:
-    """The sublattice of trace-upper elements of a Boolean algebra b.
-
-    trace_rows[k] = mask of primes above prime k in the trace preorder. An
-    element is upper iff the primes containing it form a trace up-set, and it
-    is the join of the atoms generating those primes; so the sublattice is the
-    up-set lattice of the trace preorder (Birkhoff). Returns it with the
-    b-element of each of its elements.
-    """
-    atom = {row: x for x, row in enumerate(b.base.up)}
-    ups = upper_sets(trace_rows)
-    sub = _lattice_of_upsets([f"t{k}" for k in range(len(primes))], ups)
-    return sub, [b.join_of(atom[primes[k]] for k in bits(u)) for u in ups]
-
-
 def recognize_free_boolean(i: StructureMorphism, duality_kind: str
                            ) -> tuple[bool, dict | None]:
     """Decide whether i: c -> B exhibits B as the free Boolean algebra on c.
 
     The criterion compares the image of i with the canonical subset of B cut
-    out by the trace order on prime filters: indecomposable upper elements
-    (msl), all upper elements (dlat), or upper elements whose upper covers
-    admit disjoint upper refinements (ddlat).
+    out by the trace order on prime filters (inclusion of their traces on c).
+    An element is upper when its Birkhoff set, the primes holding it, is an
+    up-set of that order; the subset is the elements whose set is a row of
+    the order (the indecomposable upper elements, msl), any up-set (dlat),
+    or an up-set that _compact passes against the rows (the disjunctively
+    compact upper elements, ddlat).
     """
     if duality_kind not in _ALGEBRA_KINDS:
         raise KindMismatch(
@@ -226,21 +212,22 @@ def recognize_free_boolean(i: StructureMorphism, duality_kind: str
     _require_kind(i.map, i.source, b, hom_kind)
     if len(set(i.map)) != i.source.n:
         raise NotInjective("map is not injective")
-    primes = list(prime_filters(b).masks)
-    traces = [sum(1 << c for c, y in enumerate(i.map) if pm >> y & 1) for pm in primes]
+    traces = [sum(1 << c for c, y in enumerate(i.map) if pm >> y & 1)
+              for pm in prime_filters(b).masks]
     if len(set(traces)) != len(traces):
         # the trace comparison must be a partial order on the primes; for a
         # genuine unit the primes biject with the spectrum points via their
         # traces, so a repeat means b has primes the source cannot separate
         return False, {"duplicate-trace": True}
-    trace_rows = inclusion_rows(traces)
-    sub, uppers = _uppers_substructure(b, trace_rows, primes)
-    if duality_kind == "dlat":
-        target = set(uppers)
-    elif duality_kind == "msl":
-        target = {uppers[j] for j in bits(indecomposable_elements(sub).mask)}
+    rows = inclusion_rows(traces)
+    if duality_kind == "msl":
+        uppers = rows
     else:
-        target = {uppers[j] for j in bits(disjunctively_compact_elements(sub).mask)}
+        uppers = upper_sets(rows)
+        if duality_kind == "ddlat":
+            uppers = [u for u in uppers if _compact(u, rows)]
+    element = {c: x for x, c in enumerate(b.base.birkhoff.basics)}
+    target = {element[u] for u in uppers}
     image = set(i.map)
     if image == target:
         return True, None

@@ -460,13 +460,6 @@ class Structure:
                     return None
         return self.bottom if acc is None else acc
 
-    def atoms(self) -> list[int]:
-        if self.bottom is None:
-            raise KindMismatch("atoms need a bottom element")
-        b = 1 << self.bottom
-        return [i for i in range(self.n)
-                if i != self.bottom and self.base.dn[i] == b | (1 << i)]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Structure) and self.base == other.base
                 and self.kind == other.kind)
@@ -533,12 +526,13 @@ def classify(p: Poset) -> Structure:
     if top is None or not _closed(p.dn):
         return Structure(p, "poset", top, bottom, None)
     s = Structure(p, "meet-semilattice", top, bottom, None)
-    return s.with_kind("dd-lattice") if bottom is not None and _is_dd(s) else s
+    # a finite meet-semilattice with a top is a lattice: it has a bottom and all joins
+    return s.with_kind("dd-lattice") if _is_dd(s) else s
 
 
 def _is_dd(s: Structure) -> bool:
-    # Disjoint pairs must have joins, and meets must distribute over them;
-    # finite induction lifts the pair case to arbitrary finite families.
+    # Meets must distribute over the joins of disjoint pairs; finite
+    # induction lifts the pair case to arbitrary finite families.
     meet, join, bottom = s.meet, s.join, s.bottom
     n = s.n
     for a in range(n):
@@ -546,8 +540,6 @@ def _is_dd(s: Structure) -> bool:
             if meet[a][b] != bottom:
                 continue
             j = join[a][b]
-            if j is None:
-                return False
             for c in range(n):
                 ca, cb = meet[c][a], meet[c][b]
                 if meet[c][j] != join[ca][cb]:
@@ -630,37 +622,38 @@ def indecomposable_elements(s: Structure) -> Subset:
     return Subset(s.n, sum([1 << x for x in s.base.birkhoff.elements]))
 
 
-def _components_below(s: Structure, d: int) -> list[int]:
-    """Joins of the connectivity classes (under meet != 0) of join-irreducibles <= d."""
-    comps: list[int] = []
-    meet = s.meet
-    unseen = {x for x in s.base.birkhoff.elements if s.base.dn[d] >> x & 1}
-    while unseen:
-        block = [unseen.pop()]
-        for v in block:  # grows while it is read
-            linked = {w for w in unseen if meet[v][w] != s.bottom}
-            unseen -= linked
-            block += linked
-        comps.append(s.join_of(block))
-    return comps
+def _compact(mask: int, rows) -> bool:
+    """Whether each class of the points of mask, two points in one class when
+    their rows meet, has its union equal to one of its own rows. Row t holds
+    t, and the rows of the points of mask lie in mask."""
+    while mask:
+        union, grown = rows[(mask & -mask).bit_length() - 1], 0
+        while union != grown:
+            grown = union
+            for t in bits(mask):
+                if rows[t] & grown:
+                    union |= rows[t]
+        if all(rows[t] != union for t in bits(union)):
+            return False
+        mask &= ~union
+    return True
 
 
 def disjunctively_compact_elements(s: Structure) -> Subset:
     """Elements whose covers all admit pairwise-disjoint refinements.
 
     In a finite distributive lattice the finest disjoint decomposition of d
-    joins the connectivity classes of the join-irreducibles below d, so d is
-    disjunctively compact iff no class-join c can be avoided by a cover:
-    iff join{x <= d : not c <= x} < d for every class c. The bottom is compact
-    via the empty family.
+    joins the classes of the join-irreducibles below d, two in one class when
+    their meet is not the bottom, so d is disjunctively compact iff no cover
+    avoids a class join: iff every class join is join-irreducible. On the
+    Birkhoff sets c[x] = {t : j_t <= x}, whose rows c[j_t] meet when the
+    meet of j_t and j_u is not the bottom, that is _compact(c[d], rows). The
+    bottom is compact via the empty family.
     """
     s.require("distributive-lattice", "disjunctively_compact_elements")
-    out = 0
-    for d in range(s.n):
-        if all(s.join_of(x for x in bits(s.base.dn[d]) if not s.leq(c, x)) != d
-               for c in _components_below(s, d)):
-            out |= 1 << d
-    return Subset(s.n, out)
+    bk = s.base.birkhoff
+    rows = bk.order
+    return Subset(s.n, sum([1 << x for x, c in enumerate(bk.basics) if _compact(c, rows)]))
 
 
 class StructureMorphism:
@@ -835,27 +828,25 @@ def enumerate_homomorphisms(src: Structure, tgt: Structure, kind: str,
                             bound: int | None = None) -> list[StructureMorphism]:
     """All morphisms src -> tgt of the given kind, sorted by map tuple.
 
-    Boolean homs are enumerated through atom maps (h <-> atoms(tgt) ->
-    atoms(src)); other kinds filter the monotone maps, guarded by the bound
-    on the full map space.
+    Boolean homs are enumerated through atom maps phi: atoms(tgt) ->
+    atoms(src), x going to the element whose Birkhoff set is
+    {k : phi(k) in c_src[x]}; other kinds filter the monotone maps, guarded
+    by the bound on the full map space.
     """
     reason = _hom_compatible(src, tgt, kind)
     if reason is not None:
         raise KindMismatch(reason)
     b = DEFAULT_ENUMERATION_BOUND if bound is None else bound
     if kind == "boolean-hom":
-        src_atoms = src.atoms()
-        tgt_atoms = tgt.atoms()
-        if len(src_atoms) ** len(tgt_atoms) > 4 ** b:
+        cs, ct = src.base.birkhoff.basics, tgt.base.birkhoff.basics
+        ns, nt = popcount(cs[src.top]), popcount(ct[tgt.top])
+        if ns ** nt > 4 ** b:
             raise CarrierTooLarge("boolean-hom atom-map space exceeds the bound")
-        out = []
-        for phi in itertools.product(src_atoms, repeat=len(tgt_atoms)):
-            m = []
-            for x in range(src.n):
-                below = [t for t, a in zip(tgt_atoms, phi) if src.leq(a, x)]
-                m.append(tgt.join_of(below))
-            out.append(tuple(m))
-        return [StructureMorphism(src, tgt, m, kind) for m in sorted(set(out))]
+        element = {c: y for y, c in enumerate(ct)}
+        out = {tuple([element[sum([1 << k for k, a in enumerate(phi) if c >> a & 1])]
+                      for c in cs])
+               for phi in itertools.product(range(ns), repeat=nt)}
+        return [StructureMorphism(src, tgt, m, kind) for m in sorted(out)]
     if tgt.n ** src.n > 4 ** b:
         raise CarrierTooLarge(
             f"map space {tgt.n}^{src.n} exceeds the enumeration bound")

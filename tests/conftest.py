@@ -487,6 +487,69 @@ def brute_disjunctive_filters(s: Structure) -> list[int]:
     return out
 
 
+def brute_join_irreducibles(s: Structure) -> list[int]:
+    """The elements of the lattice s that are not the join of the elements
+    strictly below them, by join_of (the bottom is the empty join)."""
+    return [x for x in range(s.n)
+            if s.join_of([y for y in range(s.n) if y != x and s.leq(y, x)]) != x]
+
+
+def brute_disjunctively_compact(s: Structure) -> int:
+    """The mask of the disjunctively compact elements of the finite
+    distributive lattice s, off its meet and join tables: the
+    join-irreducibles below d fall into classes, two in one class when their
+    meet is not the bottom, and d is compact iff for every class join c the
+    join of the x <= d not above c is not d. The bottom is compact via the
+    empty family."""
+    irreducible = brute_join_irreducibles(s)
+    out = 0
+    for d in range(s.n):
+        unseen = [x for x in irreducible if s.leq(x, d)]
+        joins = []
+        while unseen:
+            block = [unseen.pop()]
+            for v in block:  # grows while it is read
+                linked = [w for w in unseen if s.meet[v][w] != s.bottom]
+                unseen = [w for w in unseen if w not in linked]
+                block += linked
+            joins.append(s.join_of(block))
+        if all(s.join_of([x for x in range(s.n) if s.leq(x, d) and not s.leq(c, x)]) != d
+               for c in joins):
+            out |= 1 << d
+    return out
+
+
+def brute_recognize_free_boolean(i: StructureMorphism, kind: str) -> tuple[bool, dict | None]:
+    """What recognize_free_boolean must give for the injective hom i of the
+    class of kind (msl, dlat or ddlat) into a Boolean algebra b, through the
+    lattice of up-sets of the trace order as a structure of its own. The
+    primes of b are the up-rows of its atoms, and the trace of a prime is
+    the set of source elements sent into it. The up-sets of the trace order
+    (by brute_upper_sets) are a lattice of sets, the up-set u standing for
+    the join in b of the atoms whose primes are in u; the target is the
+    join-irreducible up-sets (msl), all of them (dlat), or the
+    disjunctively compact ones by brute_disjunctively_compact (ddlat)."""
+    b = i.target
+    atoms = [x for x in range(b.n) if x != b.bottom and all(
+        y in (x, b.bottom) for y in range(b.n) if b.leq(y, x))]
+    primes = [b.base.up[x] for x in atoms]
+    traces = [sum(1 << c for c, y in enumerate(i.map) if pm >> y & 1) for pm in primes]
+    if len(set(traces)) != len(traces):
+        return False, {"duplicate-trace": True}
+    rows = [sum(1 << k2 for k2, t2 in enumerate(traces) if not t & ~t2) for t in traces]
+    ups = brute_upper_sets(rows)
+    sub = structure_from_closed_masks([f"t{k}" for k in range(len(primes))], ups)
+    picked = {"msl": sum(1 << u for u in brute_join_irreducibles(sub)),
+              "dlat": (1 << sub.n) - 1,
+              "ddlat": brute_disjunctively_compact(sub)}[kind]
+    target = {b.join_of([atoms[k] for k in bits(ups[u])]) for u in bits(picked)}
+    image = set(i.map)
+    if image == target:
+        return True, None
+    return False, {"missing": sorted(b.labels[x] for x in target - image),
+                   "extra": sorted(b.labels[x] for x in image - target)}
+
+
 def brute_oracle_members(d: Structure) -> list[int]:
     """The members of the Theorem 2.2 presented frame on d, ascending, by
     closing every ground subset's principal family and then joining every

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_upper_sets, lower_set_lattice, shuffled
+from conftest import (
+    brute_disjunctively_compact,
+    brute_upper_sets,
+    lower_set_lattice,
+    shuffled,
+)
 from ordua import dualities, setlattices, spectra, structures
 from ordua.corpus import all_posets, all_posets_up_to, random_poset
 from ordua.errors import CarrierTooLarge, KindMismatch, NotPriestley
@@ -44,6 +49,7 @@ from ordua.structures import (
     SetFamily,
     StructureMorphism,
     classify,
+    disjunctively_compact_elements,
     inclusion_rows,
     prime_filters,
     validate_poset,
@@ -560,20 +566,27 @@ def test_poset_spectrum_open_space_is_the_lower_set_witnesses():
 
 
 def test_lattice_path_builds_no_tables(monkeypatch):
-    """classify, the prime filters, the Priestley dual, the round trip and
-    the free Boolean algebra decide everything from order rows, so they run
-    on 2^10 and on a 10-point down-set lattice with no meet/join table."""
+    """classify, the prime filters, the Priestley dual, the round trip, the
+    disjunctively compact elements and the free Boolean algebra decide
+    everything from order rows, so they run on 2^10 and on a 10-point
+    down-set lattice with no meet/join table."""
     lattices = [(powerset_structure(10).base, "boolean-algebra"),
                 (lower_set_lattice(random_poset(random.Random(3), 10, 0.2)).base,
                  "distributive-lattice")]
+
+    # in 2^10 the atoms below an element meet pairwise in the bottom, so
+    # every element is compact
+    compact = [(1 << (1 << 10)) - 1,
+               brute_disjunctively_compact(classify(lattices[1][0]))]
 
     def no_tables(*args):
         raise AssertionError("built an n*n meet/join table")
 
     monkeypatch.setattr(structures, "_tables", no_tables)
-    for base, kind in lattices:
+    for (base, kind), wanted in zip(lattices, compact):
         s = classify(base)
         assert s.kind == kind
+        assert disjunctively_compact_elements(s).mask == wanted
         assert len(prime_filters(s)) == 10
         assert priestley_of_dlat(s).n_points == 10
         ok, rebuilt, iso = roundtrip_check(s)

@@ -10,7 +10,9 @@ from conftest import (
     BRUTE_HOM_KIND,
     brute_class_maps,
     brute_class_member,
+    brute_disjunctively_compact,
     brute_oracle_members,
+    brute_recognize_free_boolean,
     brute_universal_check,
     lower_set_lattice,
 )
@@ -546,6 +548,24 @@ def test_compactness_recognition_and_boolean_homs_are_pinned():
         digest.update(repr((a.n, b.n, [h.map for h in homs])).encode())
     assert digest.hexdigest() == (
         "31380ed87f64aed0e44f5e8a6081174c64750a51fda3646004d259d2b5d689f6")
+
+
+def test_compactness_matches_the_table_reference():
+    for s in compactness_lattices():
+        assert disjunctively_compact_elements(s).mask == brute_disjunctively_compact(s), s.labels
+
+
+def test_recognition_matches_the_sublattice_reference():
+    seen = set()
+    for kind, f in recognition_homs():
+        verdict = recognition_verdict(f, kind)
+        if verdict != "NotInjective":
+            assert verdict == brute_recognize_free_boolean(f, kind), (kind, f.map)
+            seen.add((kind, verdict[0], "duplicate-trace" in (verdict[1] or {})))
+    # each class gives both verdicts, and repeated traces occur
+    assert {(kind, ok) for kind, ok, _ in seen} == set(
+        itertools.product(RECOGNITION_CLASSES, (True, False)))
+    assert any(dup for _, _, dup in seen)
 
 
 # ------------------------------------------------------- lattice/frame frees

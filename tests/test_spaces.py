@@ -51,6 +51,27 @@ from ordua.structures import (
 )
 
 
+@pytest.mark.parametrize("labels,up,message", [
+    (["a", "a"], (0b01, 0b10), "bad preorder carrier"),
+    (["a", "b"], (0b01,), "bad preorder carrier"),
+    (["a", "b"], (0b01, 0b110), "preorder row 1 not reflexive/in range"),
+    (["a", "b"], (0b01, 0b00), "preorder row 1 not reflexive/in range"),
+    (["a", "b", "c"], (0b011, 0b110, 0b100), "preorder not transitive at a"),
+], ids=["labels", "rows", "range", "reflexive", "transitive"])
+def test_preorder_constructor_rejects_each_bad_relation(labels, up, message):
+    with pytest.raises(InputFormatError) as err:
+        Preorder(labels, up)
+    assert type(err.value) is InputFormatError and str(err.value) == message
+
+
+@pytest.mark.parametrize("labels,up", [(["a", "a"], (0b01, 0b10)), (["a", "b"], (0b01,))],
+                         ids=["labels", "rows"])
+def test_preorder_from_rows_checks_the_carrier(labels, up):
+    with pytest.raises(InputFormatError) as err:
+        Preorder._of_rows(labels, up)
+    assert type(err.value) is InputFormatError and str(err.value) == "bad preorder carrier"
+
+
 def sierpinski() -> FiniteSpace:
     return FiniteSpace(["0", "1"], [0b00, 0b10, 0b11])
 

@@ -59,6 +59,7 @@ from ordua.structures import (
     StructureMorphism,
     Subset,
     _hom_compatible,
+    _monotone_maps,
     _refine_colors,
     bits,
     canonical_form,
@@ -232,6 +233,21 @@ def test_validate_poset_reads_int_labels_and_repeated_pairs_as_strings():
 def test_poset_requires_nonempty_carrier():
     with pytest.raises(Exception):
         Poset([], [])
+
+
+@pytest.mark.parametrize("up,error,message", [
+    ((0b11,), InputFormatError, "order rows do not match carrier size"),
+    ((0b01, 0b110), InputFormatError, "order row 1 out of range"),
+    ((0b01, -1), InputFormatError, "order row 1 out of range"),
+    ((0b01, 0b00), InputFormatError, "order not reflexive at b"),
+    ((0b011, 0b110, 0b100), InputFormatError, "order not transitive at a <= b"),
+    ((0b11, 0b11), AntisymmetryViolation, "antisymmetry violation on cycle ['a', 'b']"),
+], ids=["rows", "range", "negative", "reflexive", "transitive", "antisymmetric"])
+def test_poset_constructor_rejects_each_bad_order(up, error, message):
+    labels = ["a", "b", "c"][:max(len(up), 2)]
+    with pytest.raises(error) as err:
+        Poset(labels, up)
+    assert type(err.value) is error and str(err.value) == message
 
 
 # ------------------------------------------------------------ classification
@@ -660,11 +676,36 @@ def test_is_homomorphism_meet_and_lattice():
 
 
 def test_enumerate_boolean_homs_counts_atom_maps():
-    # Boolean homs 2^2 -> 2^3 correspond to maps atoms(2^3) -> atoms(2^2)
+    # Boolean homs 2^a -> 2^b correspond to maps atoms(2^b) -> atoms(2^a),
+    # a^b of them (one from 2^0 to itself, none from 2^0 to 2^b, b > 0)
+    powers = [powerset_structure(k) for k in range(5)]
+    for (a, src), (b, tgt) in itertools.product(enumerate(powers), repeat=2):
+        homs = enumerate_homomorphisms(src, tgt, "boolean-hom")
+        assert len({h.map for h in homs}) == len(homs) == a ** b
+        assert all(is_homomorphism(h) for h in homs)
+
+
+def test_enumerate_boolean_homs_guards_the_atom_map_space():
+    # 2 atoms to the power of 3 atoms is 8 > 4^1
     b2, b3 = powerset_structure(2), powerset_structure(3)
-    homs = enumerate_homomorphisms(b2, b3, "boolean-hom")
-    assert len(homs) == 2 ** 3
-    assert all(is_homomorphism(h) for h in homs)
+    assert len(enumerate_homomorphisms(b2, b2, "boolean-hom", bound=1)) == 4
+    with pytest.raises(CarrierTooLarge, match=r"^boolean-hom atom-map space exceeds the bound$"):
+        enumerate_homomorphisms(b2, b3, "boolean-hom", bound=1)
+
+
+def test_monotone_maps_of_shuffled_sources_match_the_map_scan():
+    # index order of a shuffled poset need not be a linear extension, so the
+    # search runs along another order and permutes its maps back
+    rng = random.Random(1)
+    targets = [chain_structure(2), classify(validate_poset(["0", "a", "b"],
+                                                           [("0", "a"), ("0", "b")]))]
+    permuted = 0
+    for p in all_posets_up_to(5):
+        src = classify(shuffled(p, rng))
+        permuted += sorted(range(src.n), key=src.base.dn.__getitem__) != list(range(src.n))
+        for tgt in targets:
+            assert sorted(_monotone_maps(src, tgt)) == brute_class_maps(src, tgt, "monotone")
+    assert permuted > 0
 
 
 def test_enumerate_meet_homs_against_filter():
