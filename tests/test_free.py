@@ -18,6 +18,7 @@ from conftest import (
 )
 from ordua import free
 from ordua.corpus import all_posets, all_posets_up_to
+from ordua.dualities import dual_morphism
 from ordua.errors import CarrierTooLarge, KindMismatch, NotInjective, OracleBoundExceeded
 from ordua.free import (
     FREE_KINDS,
@@ -86,6 +87,36 @@ def test_is_class_morphism_rejects_kinds_without_the_class_homs():
         with pytest.raises(KindMismatch):
             free.is_class_morphism((1, 1), antichain(2), chain(2), kind)
     assert free.is_class_morphism((0, 1), antichain(2), chain(2), "poset-monotone")
+
+
+def test_class_and_duality_gates_raise_the_morphism_kind_messages():
+    # the gate's message when a side lacks the class's kind, else "map is
+    # not a <kind>" for a map that breaks a law; always KindMismatch itself
+    two, b1 = chain(2), powerset_structure(1)
+    a2, d4, n = antichain(2), diamond(), m3()  # no top; Boolean; not dd
+    point = classify(validate_poset(["x"], []))
+    needs = {"msl": (a2, "meet-hom needs meet-semilattices"),
+             "dlat": (a2, "lattice-hom needs bounded lattices"),
+             "ddlat": (n, "disjunctive-hom needs dd-lattices")}
+    cases = []
+    for kind, (src, message) in needs.items():
+        hom_kind = model_class(kind).hom_kind
+        lacking = StructureMorphism(src, b1, [1] * src.n, "monotone")
+        # a and b go to the top, their meet 0 to the bottom
+        breaking = StructureMorphism(d4, b1, (0, 1, 1, 1), "monotone")
+        cases += [
+            (free.is_class_morphism, ([1] * src.n, src, two, kind), message),
+            (dual_morphism, (lacking, kind), message),
+            (dual_morphism, (breaking, kind), f"map is not a {hom_kind}"),
+            (recognize_free_boolean, (lacking, kind), message),
+            (recognize_free_boolean, (breaking, kind), f"map is not a {hom_kind}")]
+    # x -> p is monotone but not flat: up(q) pulls back to the empty set
+    unflat = StructureMorphism(point, a2, (0,), "monotone")
+    cases.append((dual_morphism, (unflat, "poset"), "map is not a flat"))
+    for call, args, message in cases:
+        with pytest.raises(KindMismatch) as info:
+            call(*args)
+        assert (type(info.value), str(info.value)) == (KindMismatch, message)
 
 
 def assert_verdicts_match_the_references(src, tgt, kinds):

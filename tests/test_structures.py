@@ -54,6 +54,7 @@ from ordua.setlattices import (
 )
 from ordua.spectra import Spectrum, spectrum
 from ordua.structures import (
+    KINDS,
     MORPHISM_KINDS,
     Poset,
     StructureMorphism,
@@ -673,6 +674,58 @@ def test_is_homomorphism_meet_and_lattice():
     bad = StructureMorphism.from_labels(
         c3, d4, {"0": "a", "a": "a", "1": "1"}, "lattice-hom")
     assert not is_homomorphism(bad)  # does not preserve bottom
+
+
+def raises_exactly(call, message):
+    """call() raises KindMismatch itself, not a subclass, with exactly message."""
+    with pytest.raises(KindMismatch) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (KindMismatch, message)
+
+
+# kind -> (a structure without the needed kind, one with it, what it needs)
+GATE_CASES = {
+    "meet-hom": ("A2", "C3", "meet-semilattices"),
+    "lattice-hom": ("A2", "C3", "bounded lattices"),
+    "boolean-hom": ("C3", "D4", "boolean algebras"),
+    "disjunctive-hom": ("N5", "C3", "dd-lattices"),
+}
+
+
+@pytest.mark.parametrize("kind", GATE_CASES)
+def test_the_morphism_kind_gate_names_the_kind_and_what_it_needs(kind):
+    # either side lacking the kind trips the gate, before any map is read
+    lacking, having, needs = GATE_CASES[kind]
+    without, with_, message = mk(lacking), mk(having), f"{kind} needs {needs}"
+    for src, tgt in ((without, with_), (with_, without), (without, without)):
+        f = StructureMorphism(src, tgt, [0] * src.n, kind)
+        raises_exactly(lambda: is_homomorphism(f), message)
+        raises_exactly(lambda: enumerate_homomorphisms(src, tgt, kind), message)
+
+
+def test_the_morphism_kind_gate_rejects_an_unknown_kind():
+    c3 = mk("C3")
+    raises_exactly(lambda: enumerate_homomorphisms(c3, c3, "bogus"),
+                   "unknown morphism kind 'bogus'")
+    with pytest.raises(InputFormatError, match=r"^unknown morphism kind 'bogus'$"):
+        StructureMorphism(c3, c3, (0, 1, 2), "bogus")
+
+
+def test_is_lattice_matches_the_brute_force_tables_at_every_lower_kind():
+    # a top, a bottom and every meet and join, whatever kind s is taken at
+    outcomes, posets = set(), all_posets_up_to(6)
+    assert len(posets) == 405
+    for p in posets:
+        s = classify(p)
+        meet, join = brute_tables(s)
+        rng = range(s.n)
+        expected = (None not in meet.values() and None not in join.values()
+                    and any(all(s.leq(y, x) for y in rng) for x in rng)
+                    and any(all(s.leq(x, y) for y in rng) for x in rng))
+        for kind in KINDS[:s.rank() + 1]:
+            assert s.with_kind(kind).is_lattice() == expected, (p, kind)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_enumerate_boolean_homs_counts_atom_maps():
