@@ -461,6 +461,73 @@ def test_free_bool_size_beyond_the_int_printing_limit_exits_3(tmp_path):
                            "digits; the int-to-str digit limit is 4300\n")
 
 
+def test_free_bool_size_beyond_the_int_printing_limit_in_process(capsys, tmp_path):
+    src = write_json(tmp_path, "a14.json", {
+        "elements": [f"a{i}" for i in range(14)], "leq": []})
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        result = run(capsys, "free-bool", src, "--bound", "14")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert result == (3, "", "ordua: error: free algebra size 2^16384 has 4933 decimal "
+                             "digits; the int-to-str digit limit is 4300\n")
+
+
+BAD_STRUCTURE_DOCS = {
+    "no-leq": ({"elements": ["a"]}, 'structure document needs "elements" and "leq"'),
+    "number-elements": ({"elements": [1, 2], "leq": []},
+                        '"elements" must be a list of strings'),
+    "one-item-pair": ({"elements": ["a", "b"], "leq": [["a"]]},
+                      '"leq" must be a list of [a, b] pairs'),
+    "unknown-hint": ({"elements": ["a", "b"], "leq": [], "kind-hint": "lattice"},
+                     "unknown kind-hint 'lattice'"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_STRUCTURE_DOCS)
+def test_a_malformed_structure_document_is_an_input_error(capsys, tmp_path, name):
+    doc, message = BAD_STRUCTURE_DOCS[name]
+    path = write_json(tmp_path, "s.json", doc)
+    assert run(capsys, "validate", path) == (2, "", f"ordua: error: {message}\n")
+
+
+C2_IDENTITY = {"source": "C2", "target": "C2", "map": {"0": "0", "1": "1"}}
+BAD_MORPHISM_DOCS = {
+    "no-kind": (C2_IDENTITY, 'morphism document needs "kind"'),
+    "unknown-kind": ({**C2_IDENTITY, "kind": "iso"}, "unknown morphism kind 'iso'"),
+    "list-map": ({**C2_IDENTITY, "map": [0, 1], "kind": "meet-hom"},
+                 '"map" must be an object of label pairs'),
+    "monotone": ({**C2_IDENTITY, "kind": "monotone"},
+                 "recognition needs a meet-hom, lattice-hom, or disjunctive-hom, "
+                 "got monotone"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_MORPHISM_DOCS)
+def test_a_morphism_document_recognize_cannot_use_is_an_input_error(capsys, tmp_path, name):
+    doc, message = BAD_MORPHISM_DOCS[name]
+    path = write_json(tmp_path, "m.json", doc)
+    assert run(capsys, "recognize", path) == (2, "", f"ordua: error: {message}\n")
+
+
+def test_a_structure_command_takes_exactly_one_input(capsys):
+    assert run(capsys, "classify", "C2", "C3") == (
+        2, "", "ordua: error: classify expects exactly one input file\n")
+
+
+def test_an_output_path_in_a_missing_directory_is_an_input_error(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "out.json")
+    assert run(capsys, "classify", "C2", "-o", path) == (
+        2, "", f"ordua: error: [Errno 2] No such file or directory: {path!r}\n")
+
+
+@pytest.mark.parametrize("command", ["dualize-back", "extimage"])
+def test_the_discrete_priestley_space_stops_at_the_bound(capsys, command):
+    assert run(capsys, command, "C4", "--bound", "3") == (
+        3, "", "ordua: error: carrier 4 exceeds bound 3\n")
+
+
 # --------------------------------------------------------------- rendering
 
 def test_dot_output(capsys):

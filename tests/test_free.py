@@ -19,7 +19,13 @@ from conftest import (
 from ordua import free
 from ordua.corpus import all_posets, all_posets_up_to
 from ordua.dualities import dual_morphism
-from ordua.errors import CarrierTooLarge, KindMismatch, NotInjective, OracleBoundExceeded
+from ordua.errors import (
+    CarrierTooLarge,
+    KindMismatch,
+    NotAFilterImage,
+    NotInjective,
+    OracleBoundExceeded,
+)
 from ordua.free import (
     FREE_KINDS,
     MATERIALIZE_CAP,
@@ -467,6 +473,15 @@ def test_induced_hom_point_cap():
     fr = free_boolean(antichain(4), "poset-monotone")  # 16 points
     with pytest.raises(CarrierTooLarge):
         induced_boolean_hom(f, fr, fr)
+
+
+def test_induced_hom_needs_the_inverse_images_of_primes_to_be_primes():
+    # the constant map to the bottom pulls every prime filter back to the
+    # empty set, which is not a prime filter
+    c3 = chain(3)
+    fr = free_boolean(c3, "dlat")
+    with pytest.raises(NotAFilterImage):
+        induced_boolean_hom(StructureMorphism(c3, c3, (0, 0, 0), "monotone"), fr, fr)
 
 
 # ------------------------------------------------------------- recognition

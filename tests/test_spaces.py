@@ -438,6 +438,14 @@ def test_patch_characterization_empty_family():
     assert lhs and rhs
 
 
+def test_patch_characterization_names_an_unseparated_pair():
+    # {a} is upper but not open, so no clopen upper member keeps a from b
+    ps = PreorderedSpace(FiniteSpace.from_rows("abc", (0b011, 0b010, 0b100)),
+                         Preorder("abc", (0b001, 0b010, 0b100)))
+    assert check_patch_characterization(ps, SetFamily(3, [0b001])) == (
+        False, False, {"kind": "separation", "pair": ("a", "b")})
+
+
 # ----------------------------------------------------------- frame pullback
 
 def test_frame_pullback_examples():

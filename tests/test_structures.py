@@ -32,7 +32,7 @@ from conftest import (
     shuffled,
     warshall_poset,
 )
-from ordua import corpus
+from ordua import corpus, structures
 from ordua.corpus import (
     all_posets,
     all_posets_up_to,
@@ -131,6 +131,15 @@ def test_validate_poset_rejects_duplicate_labels():
 def test_validate_poset_rejects_unknown_label():
     with pytest.raises(UnknownLabel):
         validate_poset(["x"], [("x", "w")])
+
+
+def test_validate_poset_builds_its_label_index_once(monkeypatch):
+    built, index = [], structures._label_index
+    monkeypatch.setattr(structures, "_label_index",
+                        lambda labels: built.append(labels) or index(labels))
+    p = validate_poset(["x", "y", "z"], [("x", "y"), ("y", "z")])
+    assert built == [("x", "y", "z")]
+    assert [p.index(x) for x in "xyz"] == [0, 1, 2]
 
 
 def _random_relation(rng):
@@ -811,6 +820,12 @@ def test_flat_map_examples():
     assert isinstance(ok_f, bool)
     if not ok_f:
         assert witness_f["condition"] in {"monotone", "covering", "directedness"}
+
+
+def test_flat_map_names_the_first_pair_a_non_monotone_map_breaks():
+    c3 = mk("C3")
+    reversal = StructureMorphism(c3, c3, (2, 1, 0), "monotone")
+    assert is_flat_map(reversal) == (False, {"condition": "monotone", "pair": ("0", "a")})
 
 
 # ----------------------------------------------------------------- coherence
