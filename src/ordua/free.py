@@ -26,16 +26,15 @@ from ordua.structures import (
     StructureMorphism,
     Subset,
     _compact,
-    _hom_compatible,
     _is_monotone,
     _law_test,
     _monotone_maps,
+    _require_hom_kind,
     _require_kind,
     bits,
     check_carrier,
     classify,
     inclusion_rows,
-    popcount,
     prime_filters,
     upper_sets,
 )
@@ -142,9 +141,7 @@ def _class_test(src: Structure, tgt: Structure, kind: str):
     hom_kind = model_class(kind).hom_kind
     if hom_kind == "flat":
         return _flat_model_test(src, tgt)
-    reason = _hom_compatible(src, tgt, hom_kind)
-    if reason is not None:
-        raise KindMismatch(reason)
+    _require_hom_kind(src, tgt, hom_kind)
     return _law_test(src, tgt, hom_kind)
 
 
@@ -374,7 +371,7 @@ def frame_supercompacts(fr: FreeResult) -> list[int]:
     p = fr.source.base
     out = []
     for idx, mask in enumerate(fr.element_masks):
-        if popcount(p.maximal_mask(mask)) == 1:
+        if p.maximal_mask(mask).bit_count() == 1:
             out.append(idx)
     return out
 

@@ -45,10 +45,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def check_carrier(n: int, bound: int | None, what: str) -> None:
     """Raise CarrierTooLarge before an enumeration over a carrier above bound."""
     b = DEFAULT_ENUMERATION_BOUND if bound is None else bound
@@ -145,7 +141,7 @@ def count_upper_sets(up) -> int:
 def _count_upper(rest: int, up, dn, memo: dict[int, int]) -> int:
     count = memo.get(rest)
     if count is None:
-        p = max(bits(rest), key=lambda x: popcount((up[x] | dn[x]) & rest))
+        p = max(bits(rest), key=lambda x: ((up[x] | dn[x]) & rest).bit_count())
         count = (_count_upper(rest & ~dn[p], up, dn, memo)
                  + _count_upper(rest & ~up[p], up, dn, memo))
         memo[rest] = count
@@ -179,7 +175,7 @@ class Subset:
         return bool(self.mask >> i & 1)
 
     def __len__(self) -> int:
-        return popcount(self.mask)
+        return self.mask.bit_count()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subset) and (self.n, self.mask) == (other.n, other.mask)
@@ -445,8 +441,8 @@ class Structure:
         return s
 
     def is_lattice(self) -> bool:
-        return (self.top is not None and self.bottom is not None
-                and _closed(self.base.dn) and _closed(self.base.up))
+        # a finite poset with a top in which every pair has a meet has all joins
+        return self.top is not None and self.bottom is not None and _closed(self.base.dn)
 
     def join_of(self, indices) -> int | None:
         """Join of a finite family; the empty join is the bottom (None if absent)."""
@@ -518,7 +514,7 @@ def classify(p: Poset) -> Structure:
         c = p.birkhoff.basics
         # Boolean iff the join-irreducibles form an antichain, i.e. every
         # subset of them is a down-set
-        if p.n != 1 << popcount(c[top]):
+        if p.n != 1 << c[top].bit_count():
             return Structure(p, "distributive-lattice", top, bottom, None)
         element = {r: x for x, r in enumerate(c)}
         complement = tuple(element[c[top] ^ r] for r in c)
@@ -607,7 +603,7 @@ def disjunctive_filters(s: Structure) -> SetFamily:
     bot, meet, join, dn = s.bottom, s.meet, s.join, s.base.dn
     bad = 1 << bot
     for a, b in itertools.combinations(range(s.n), 2):
-        if bot not in (a, b) and meet[a][b] == bot:
+        if meet[a][b] == bot:
             bad |= dn[join[a][b]] & ~(dn[a] | dn[b])
     return SetFamily(s.n, [s.base.up[x] for x in bits(s.base.full & ~bad)])
 
@@ -745,14 +741,15 @@ _HOM_NEEDS = {
 }
 
 
-def _hom_compatible(src: Structure, tgt: Structure, kind: str) -> str | None:
-    """None if the kinds support this morphism kind, else the reason."""
+def _require_hom_kind(src: Structure, tgt: Structure, kind: str) -> None:
+    """Raise KindMismatch unless the kinds of src and tgt support kind morphisms."""
     if kind in ("monotone", "flat"):
-        return None
+        return
     if kind not in _HOM_NEEDS:
-        return f"unknown morphism kind {kind!r}"
+        raise KindMismatch(f"unknown morphism kind {kind!r}")
     what, holds = _HOM_NEEDS[kind]
-    return None if holds(src) and holds(tgt) else f"{kind} needs {what}"
+    if not (holds(src) and holds(tgt)):
+        raise KindMismatch(f"{kind} needs {what}")
 
 
 def _monotone_maps(src: Structure, tgt: Structure) -> list[tuple[int, ...]]:
@@ -780,17 +777,15 @@ def _monotone_maps(src: Structure, tgt: Structure) -> list[tuple[int, ...]]:
 
 
 def _law_test(src: Structure, tgt: Structure, kind: str):
-    """The laws of kind beyond monotonicity, as a test of map tuples src -> tgt
-    that assumes a monotone map. Each law is m[s] == op[m[a]][m[b]] for a
-    source pair a, b with s their meet or join, or a bound sent to a bound.
+    """The laws of kind (past _require_hom_kind) beyond monotonicity, as a test
+    of monotone map tuples src -> tgt. Each law is m[s] == op[m[a]][m[b]] for
+    a source pair a, b with s their meet or join, or a bound sent to a bound.
     Comparable pairs are left out: a monotone map keeps their meets and joins.
     """
     if kind == "monotone":
         return lambda m: True
     if kind == "flat":
         return lambda m: is_flat_map(StructureMorphism(src, tgt, m, "flat"))[0]
-    if kind not in _HOM_NEEDS:
-        raise InputFormatError(f"unknown morphism kind {kind!r}")
     up, smeet, sjoin = src.base.up, src.meet, src.join
     pairs = [(a, b) for a, b in itertools.combinations(range(src.n), 2)
              if not (up[a] >> b & 1 or up[b] >> a & 1)]
@@ -811,9 +806,7 @@ def _law_test(src: Structure, tgt: Structure, kind: str):
 
 def is_homomorphism(f: StructureMorphism) -> bool:
     """True iff f satisfies the laws of its declared kind."""
-    reason = _hom_compatible(f.source, f.target, f.kind)
-    if reason is not None:
-        raise KindMismatch(reason)
+    _require_hom_kind(f.source, f.target, f.kind)
     return (_is_monotone(f.map, f.source.base.up, f.target.base.up) is None
             and _law_test(f.source, f.target, f.kind)(f.map))
 
@@ -833,13 +826,11 @@ def enumerate_homomorphisms(src: Structure, tgt: Structure, kind: str,
     {k : phi(k) in c_src[x]}; other kinds filter the monotone maps, guarded
     by the bound on the full map space.
     """
-    reason = _hom_compatible(src, tgt, kind)
-    if reason is not None:
-        raise KindMismatch(reason)
+    _require_hom_kind(src, tgt, kind)
     b = DEFAULT_ENUMERATION_BOUND if bound is None else bound
     if kind == "boolean-hom":
         cs, ct = src.base.birkhoff.basics, tgt.base.birkhoff.basics
-        ns, nt = popcount(cs[src.top]), popcount(ct[tgt.top])
+        ns, nt = cs[src.top].bit_count(), ct[tgt.top].bit_count()
         if ns ** nt > 4 ** b:
             raise CarrierTooLarge("boolean-hom atom-map space exceeds the bound")
         element = {c: y for y, c in enumerate(ct)}
@@ -875,7 +866,7 @@ def _refine_colors(p: Poset, orders: int = 0) -> list[int]:
     # splits or, given orders, once the class sizes allow at most that many
     # orderings within the classes: isomorphic posets stop together.
     n, dn, up = p.n, p.dn, p.up
-    sigs, colors = [(popcount(dn[i]), popcount(up[i])) for i in range(n)], None
+    sigs, colors = [(dn[i].bit_count(), up[i].bit_count()) for i in range(n)], None
     while True:
         rank = {s: k for k, s in enumerate(sorted(set(sigs)))}
         nxt = [rank[s] for s in sigs]

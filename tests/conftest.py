@@ -15,13 +15,14 @@ from pathlib import Path
 
 import ordua
 from ordua.corpus import random_poset
-from ordua.errors import AntisymmetryViolation, UnknownLabel
+from ordua.errors import AntisymmetryViolation, KindMismatch, UnknownLabel
 from ordua.setlattices import powerset_structure, structure_from_closed_masks
 from ordua.structures import (
     MORPHISM_KINDS,
     Poset,
     Structure,
     StructureMorphism,
+    _require_hom_kind,
     bits,
     is_flat_map,
     transitive_closure,
@@ -153,6 +154,15 @@ def brute_class_member(m, c: Structure, b: Structure, kind: str) -> bool:
     if kind == "poset-flat":
         return brute_flat_model(m, c, b)
     return brute_satisfies_kind(m, c, b, BRUTE_HOM_KIND[kind])
+
+
+def hom_kind_supported(src: Structure, tgt: Structure, kind: str) -> bool:
+    """Whether the morphism-kind gate lets kind morphisms join src to tgt."""
+    try:
+        _require_hom_kind(src, tgt, kind)
+    except KindMismatch:
+        return False
+    return True
 
 
 def brute_class_maps(c: Structure, b: Structure, kind: str) -> list[tuple[int, ...]]:

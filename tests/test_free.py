@@ -14,6 +14,7 @@ from conftest import (
     brute_oracle_members,
     brute_recognize_free_boolean,
     brute_universal_check,
+    hom_kind_supported,
     lower_set_lattice,
 )
 from ordua import free
@@ -48,7 +49,6 @@ from ordua.structures import (
     MORPHISM_KINDS,
     SetFamily,
     StructureMorphism,
-    _hom_compatible,
     _monotone_maps,
     classify,
     disjunctively_compact_elements,
@@ -142,9 +142,9 @@ def test_morphism_tests_agree_with_the_references_on_every_map():
              for k in KINDS if KIND_RANK[k] <= s.rank()]
     for src in small:
         for tgt in small:
-            kinds = [k for k in MORPHISM_KINDS if _hom_compatible(src, tgt, k) is None]
-            kinds += [k for k in FREE_KINDS if _hom_compatible(
-                src, tgt, BRUTE_HOM_KIND.get(k, "monotone")) is None]
+            kinds = [k for k in MORPHISM_KINDS if hom_kind_supported(src, tgt, k)]
+            kinds += [k for k in FREE_KINDS if hom_kind_supported(
+                src, tgt, BRUTE_HOM_KIND.get(k, "monotone"))]
             assert_verdicts_match_the_references(src, tgt, kinds)
     assert_verdicts_match_the_references(
         powerset_structure(2), powerset_structure(3), ["boolean-hom"])
