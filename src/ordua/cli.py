@@ -168,18 +168,11 @@ def load_morphism(path: str) -> StructureMorphism:
     return StructureMorphism.from_labels(src, tgt, doc["map"], doc["kind"])
 
 
-def export_structure_document(s: Structure | Poset, name: str | None = None) -> dict:
-    """Canonical document: sorted elements, sorted non-reflexive pairs."""
-    base = s.base if isinstance(s, Structure) else s
-    elements = sorted(base.labels)
-    pairs = sorted([base.labels[i], base.labels[j]]
-                   for i in range(base.n) for j in bits(base.up[i]) if i != j)
-    doc = {"elements": elements, "leq": pairs}
-    if isinstance(s, Structure):
-        doc["kind-hint"] = s.kind
-    if name:
-        doc["name"] = name
-    return doc
+def export_structure_document(s: Structure) -> dict:
+    """Canonical document: sorted elements, sorted non-reflexive pairs, kind-hint."""
+    labels, up = s.labels, s.base.up
+    pairs = sorted([labels[i], labels[j]] for i in range(s.n) for j in bits(up[i]) if i != j)
+    return {"elements": sorted(labels), "leq": pairs, "kind-hint": s.kind}
 
 
 def _dot_quote(s: str) -> str:
@@ -278,11 +271,8 @@ def selftest(seed: int, bound: int) -> dict:
     """Deterministic miniature of the verification suite."""
     checks: list[dict] = []
 
-    def record(name: str, ok: bool, detail: str = "") -> None:
-        entry = {"name": name, "ok": bool(ok)}
-        if detail:
-            entry["detail"] = detail
-        checks.append(entry)
+    def record(name: str, ok: bool) -> None:
+        checks.append({"name": name, "ok": bool(ok)})
 
     c3 = builtin_structure("C3")
     d4 = builtin_structure("D4")
