@@ -820,9 +820,7 @@ def test_flat_map_examples():
     assert isinstance(ok_f, bool)
     if not ok_f:
         assert witness_f["condition"] in {"monotone", "covering", "directedness"}
-
-
-def test_flat_map_names_the_first_pair_a_non_monotone_map_breaks():
+    # a map that is not monotone names the first pair it breaks
     c3 = mk("C3")
     reversal = StructureMorphism(c3, c3, (2, 1, 0), "monotone")
     assert is_flat_map(reversal) == (False, {"condition": "monotone", "pair": ("0", "a")})
