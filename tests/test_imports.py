@@ -6,6 +6,7 @@ the public surface.
 """
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -93,3 +94,33 @@ def test_no_module_exceeds_the_line_budget():
     module that would outgrow it is split."""
     sizes = {p.name: len(p.read_text(encoding="utf-8").splitlines()) for p in PACKAGE}
     assert {name: n for name, n in sizes.items() if n > MAX_MODULE_LINES} == {}
+
+
+MAX_COMPILE_PEAK_MB = 3.0
+
+
+def compile_peak_mb(source: str, filename: str) -> float:
+    """The peak of memory traced while compiling source, in MB of 2^20 bytes."""
+    tracemalloc.start()
+    try:
+        compile(source, filename, "exec")
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_compile_peak_check_sees_a_large_module():
+    assert compile_peak_mb("x = 1\n", "small.py") < 0.1
+    assert compile_peak_mb("x = [\n" + "f(1, 2),\n" * 2_000 + "]\n", "big.py") > 3.0
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_exceeds_the_compile_peak_budget(path):
+    """A fresh interpreter compiles every module it imports, and the largest
+    compile peak adds to the process's peak RSS (structures.py, the largest,
+    takes about 2.7 MB on Python 3.11). The line budget above bounds it only
+    roughly, since the peak follows the code, not the comments; this bounds
+    the peak itself, so its growth shows here before it shows as peak RSS in
+    a benchmark."""
+    source = path.read_text(encoding="utf-8")
+    assert compile_peak_mb(source, str(path)) <= MAX_COMPILE_PEAK_MB

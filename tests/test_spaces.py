@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 import pkgutil
@@ -12,6 +13,7 @@ from conftest import (
     brute_clopen_uppers,
     brute_cover_pairs,
     brute_frame_pullback,
+    brute_preorders,
     brute_topology_verdict,
     brute_upper_sets,
     brute_weakly_indecomposable,
@@ -613,3 +615,96 @@ def test_patch_space_of_separating_family_needs_no_opens(monkeypatch):
     assert sp.is_open(0b1010_0110_0001_1000) and sp.is_t0()
     with pytest.raises(AssertionError):
         sp.opens
+
+
+# ------------------------------------------------------------ discrete spaces
+
+def _singletons(n: int) -> list[int]:
+    return [1 << i for i in range(n)]
+
+
+def test_the_powerset_family_is_the_discrete_space():
+    for n in range(1, 7):
+        labels = [f"x{i}" for i in range(n)]
+        want = FiniteSpace.from_rows(labels, _singletons(n))
+        assert brute_topology_verdict(n, range(1 << n)) is None
+        for opens in (range(1 << n), reversed(range(1 << n)),
+                      SetFamily(n, range(1 << n))):
+            sp = FiniteSpace(labels, opens)
+            assert sp.up == want.up == tuple(_singletons(n))
+            assert sp.opens == want.opens == SetFamily(n, range(1 << n))
+            assert sp == want and sp.is_t0()
+
+
+def test_every_family_of_all_subsets_but_one_is_decided_as_before():
+    # each is refused by the old checks, by name, except the two-point
+    # Sierpinski spaces; none of them is the discrete space
+    outcomes = []
+    for n in range(1, 5):
+        labels = [f"x{i}" for i in range(n)]
+        for gone in range(1 << n):
+            masks = [m for m in range(1 << n) if m != gone]
+            try:
+                sp = FiniteSpace(labels, masks)
+            except InputFormatError as err:
+                assert type(err) is InputFormatError
+                got = str(err)
+            else:
+                got = None
+                assert list(sp.opens) == masks and sum(sp.up) != sp.full
+            assert got == brute_topology_verdict(n, masks), (n, gone)
+            outcomes.append((n, gone, got))
+    ends = "a topology contains the empty and full sets"
+    assert [(n, gone) for n, gone, got in outcomes if got is None] == [(2, 1), (2, 2)]
+    assert {got for n, gone, got in outcomes if gone in (0, (1 << n) - 1)} == {ends}
+    assert {got for n, _, got in outcomes if n > 2} == {
+        ends, "family is not closed under intersections",
+        "family is not closed under unions"}
+
+
+def _discrete_spaces_over_small_orders():
+    """The discrete space under every poset with at most 5 points and every
+    preorder on 4 points."""
+    orders = [Preorder.from_poset(p) for p in all_posets_up_to(5)]
+    preorders = brute_preorders(4)
+    assert len(preorders) == 355
+    orders += [Preorder([f"x{i}" for i in range(4)], rows) for rows in preorders]
+    return [PreorderedSpace(FiniteSpace.from_rows(o.labels, _singletons(o.n)), o)
+            for o in orders]
+
+
+def test_priestley_axioms_on_discrete_spaces_match_the_definitions():
+    ok = 0
+    for ps in _discrete_spaces_over_small_orders():
+        uppers = brute_clopen_uppers(ps)
+        cycle = brute_antisymmetry_failure(ps.preorder.up)
+        unseparated = next(((x, y) for x in range(ps.n) for y in range(ps.n)
+                            if not ps.preorder.leq(x, y)
+                            and not any(u >> x & 1 and not u >> y & 1 for u in uppers)),
+                           None)
+        pair = cycle or unseparated
+        report = priestley_check(ps)
+        assert (report.is_compact, report.is_partial_order, report.separation_ok,
+                report.failing_pair) == (
+            True, cycle is None, pair is None,
+            pair and (ps.labels[pair[0]], ps.labels[pair[1]]))
+        least = tuple(functools.reduce(int.__and__, (u for u in uppers if u >> p & 1))
+                      for p in range(ps.n))
+        assert report.rows == least
+        assert list(report.clopen_uppers) == uppers
+        if report.ok:
+            ok += 1
+            assert (list(weakly_indecomposable_clopen_uppers(ps).masks)
+                    == brute_weakly_indecomposable(ps))
+        else:
+            with pytest.raises(NotPriestley):
+                weakly_indecomposable_clopen_uppers(ps)
+    assert ok == sum(1 for _ in all_posets_up_to(5)) + 219
+
+
+def test_clopen_sets_of_a_discrete_space_are_every_subset():
+    for n in range(9):
+        labels = [f"x{i}" for i in range(n)]
+        for sp in (FiniteSpace.from_rows(labels, _singletons(n)),
+                   FiniteSpace(labels, range(1 << n))):
+            assert sp.clopen_masks() == list(range(1 << n))
