@@ -6,6 +6,12 @@ these rows are its specialization preorder and the opens are its up-sets
 the minimal opens; ``opens`` is a view built on first read, bounded by the
 carrier check each builder makes, and openness, T0, clopens, continuity and
 equality are decided on the rows.
+
+A space is discrete when every point is its own minimal open. Rows are
+reflexive, so that holds exactly when they sum to the full set, a test made
+in C. There every subset is open and clopen, every point is its own
+component, and the opens, the clopens and the least clopen upper sets are
+read in closed form, not listed.
 """
 
 from __future__ import annotations
@@ -118,16 +124,20 @@ class FiniteSpace(Preorder):
         if family.n != n:
             raise CarrierMismatch("opens do not live on the point carrier")
         full = (1 << n) - 1
-        masks = set(family.masks)
-        if 0 not in masks or full not in masks:
-            raise InputFormatError("a topology contains the empty and full sets")
-        # each member is an up-set of the minimal opens of its points, so the
-        # family is a topology iff it holds them and all of those up-sets
-        minimal = minimal_opens(n, family.masks)
-        if not all(m in masks for m in minimal):
-            raise InputFormatError("family is not closed under intersections")
-        if upper_sets(minimal, len(masks) + 1) != list(family.masks):
-            raise InputFormatError("family is not closed under unions")
+        if len(family.masks) == 1 << n:
+            # 2^n distinct masks below 2^n are every subset: the discrete space
+            minimal = [1 << k for k in range(n)]
+        else:
+            masks = set(family.masks)
+            if 0 not in masks or full not in masks:
+                raise InputFormatError("a topology contains the empty and full sets")
+            # each member is an up-set of the minimal opens of its points, so
+            # the family is a topology iff it holds them and all of those up-sets
+            minimal = minimal_opens(n, family.masks)
+            if not all(m in masks for m in minimal):
+                raise InputFormatError("family is not closed under intersections")
+            if upper_sets(minimal, len(masks) + 1) != list(family.masks):
+                raise InputFormatError("family is not closed under unions")
         super().__init__(labels, minimal)
         self._opens = family
 
@@ -144,8 +154,12 @@ class FiniteSpace(Preorder):
 
     @property
     def opens(self) -> SetFamily:
+        """The up-sets of the rows, listed on first read: every subset, in
+        order, when the space is discrete."""
         if self._opens is None:
-            self._opens = SetFamily._of_sorted(self.n, upper_sets(self.up))
+            n, up = self.n, self.up
+            self._opens = SetFamily._of_sorted(
+                n, range(1 << n) if sum(up) == self.full else upper_sets(up))
         return self._opens
 
     @property
@@ -157,6 +171,8 @@ class FiniteSpace(Preorder):
 
     def clopen_masks(self) -> list[int]:
         """Clopen sets: the unions of connected components, ascending."""
+        if sum(self.up) == self.full:
+            return list(range(1 << self.n))
         return upper_sets(_components(self.up))
 
     is_t0 = Preorder.is_antisymmetric
@@ -197,8 +213,13 @@ class PreorderedSpace:
 
 def _clopen_upper_rows(ps: PreorderedSpace) -> list[int]:
     """Row p: the least clopen upper set containing p, which is p's row in the
-    union of the component relation and the order, closed transitively."""
-    rows = zip(_components(ps.space.up), ps.preorder.up)
+    union of the component relation and the order, closed transitively. In a
+    discrete space the components are the points, so it is p's row in the
+    order, which is transitive already."""
+    space = ps.space
+    if sum(space.up) == space.full:
+        return list(ps.preorder.up)
+    rows = zip(_components(space.up), ps.preorder.up)
     return transitive_closure(c | u for c, u in rows)
 
 

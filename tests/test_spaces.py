@@ -613,8 +613,9 @@ def test_patch_space_of_separating_family_needs_no_opens(monkeypatch):
     sp = patch_space([f"x{i}" for i in range(n)], chain_ups, bound=16)
     assert sp.minimal == tuple(1 << i for i in range(n))
     assert sp.is_open(0b1010_0110_0001_1000) and sp.is_t0()
-    with pytest.raises(AssertionError):
-        sp.opens
+    # not built before the first read, and read then in closed form
+    assert sp._opens is None
+    assert sp.opens.masks == tuple(range(1 << n))
 
 
 # ------------------------------------------------------------ discrete spaces
