@@ -123,13 +123,12 @@ class FiniteSpace(Preorder):
         family = opens if isinstance(opens, SetFamily) else SetFamily(n, opens)
         if family.n != n:
             raise CarrierMismatch("opens do not live on the point carrier")
-        full = (1 << n) - 1
         if len(family.masks) == 1 << n:
             # 2^n distinct masks below 2^n are every subset: the discrete space
             minimal = [1 << k for k in range(n)]
         else:
             masks = set(family.masks)
-            if 0 not in masks or full not in masks:
+            if 0 not in masks or (1 << n) - 1 not in masks:
                 raise InputFormatError("a topology contains the empty and full sets")
             # each member is an up-set of the minimal opens of its points, so
             # the family is a topology iff it holds them and all of those up-sets
@@ -157,9 +156,9 @@ class FiniteSpace(Preorder):
         """The up-sets of the rows, listed on first read: every subset, in
         order, when the space is discrete."""
         if self._opens is None:
-            n, up = self.n, self.up
+            up = self.up
             self._opens = SetFamily._of_sorted(
-                n, range(1 << n) if sum(up) == self.full else upper_sets(up))
+                self.n, range(1 << self.n) if sum(up) == self.full else upper_sets(up))
         return self._opens
 
     @property
