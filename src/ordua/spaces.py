@@ -157,8 +157,9 @@ class FiniteSpace(Preorder):
         order, when the space is discrete."""
         if self._opens is None:
             up = self.up
+            n = len(up)  # not self.n and self.full: this is read once per space
             self._opens = SetFamily._of_sorted(
-                self.n, range(1 << self.n) if sum(up) == self.full else upper_sets(up))
+                n, range(1 << n) if sum(up) == (1 << n) - 1 else upper_sets(up))
         return self._opens
 
     @property
