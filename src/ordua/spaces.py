@@ -156,8 +156,10 @@ class FiniteSpace(Preorder):
         """The up-sets of the rows, listed on first read: every subset, in
         order, when the space is discrete."""
         if self._opens is None:
+            # len(up), not the n and full properties: every Alexandrov space
+            # the preorder checks build reads its opens once
             up = self.up
-            n = len(up)  # not self.n and self.full: this is read once per space
+            n = len(up)
             self._opens = SetFamily._of_sorted(
                 n, range(1 << n) if sum(up) == (1 << n) - 1 else upper_sets(up))
         return self._opens
