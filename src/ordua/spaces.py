@@ -7,11 +7,10 @@ the minimal opens; ``opens`` is a view built on first read, bounded by the
 carrier check each builder makes, and openness, T0, clopens, continuity and
 equality are decided on the rows.
 
-A space is discrete when every point is its own minimal open. Rows are
-reflexive, so that holds exactly when they sum to the full set, a test made
-in C. There every subset is open and clopen, every point is its own
-component, and the opens, the clopens and the least clopen upper sets are
-read in closed form, not listed.
+A space is discrete when every point is its own minimal open
+(``_is_discrete``). There every subset is open and every point is its own
+component, so the opens and the least clopen upper sets are read in closed
+form, not listed.
 """
 
 from __future__ import annotations
@@ -106,6 +105,12 @@ class Preorder:
         return f"Preorder(n={self.n})"
 
 
+def _is_discrete(up) -> bool:
+    """Whether every row is its own point alone: rows are reflexive, so this
+    holds exactly when they sum to the full set, a test made in C."""
+    return sum(up) == (1 << len(up)) - 1
+
+
 def _components(rows) -> list[int]:
     """Row p: the connected component of p in the graph of the rows."""
     return transitive_closure(map(int.__or__, rows, transpose(len(rows), rows)))
@@ -161,7 +166,7 @@ class FiniteSpace(Preorder):
             up = self.up
             n = len(up)
             self._opens = SetFamily._of_sorted(
-                n, range(1 << n) if sum(up) == (1 << n) - 1 else upper_sets(up))
+                n, range(1 << n) if _is_discrete(up) else upper_sets(up))
         return self._opens
 
     @property
@@ -173,8 +178,6 @@ class FiniteSpace(Preorder):
 
     def clopen_masks(self) -> list[int]:
         """Clopen sets: the unions of connected components, ascending."""
-        if sum(self.up) == self.full:
-            return list(range(1 << self.n))
         return upper_sets(_components(self.up))
 
     is_t0 = Preorder.is_antisymmetric
@@ -218,10 +221,9 @@ def _clopen_upper_rows(ps: PreorderedSpace) -> list[int]:
     union of the component relation and the order, closed transitively. In a
     discrete space the components are the points, so it is p's row in the
     order, which is transitive already."""
-    space = ps.space
-    if sum(space.up) == space.full:
+    if _is_discrete(ps.space.up):
         return list(ps.preorder.up)
-    rows = zip(_components(space.up), ps.preorder.up)
+    rows = zip(_components(ps.space.up), ps.preorder.up)
     return transitive_closure(c | u for c, u in rows)
 
 

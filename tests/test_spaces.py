@@ -348,7 +348,7 @@ def test_priestley_layer_lists_no_upper_sets(monkeypatch):
     # the axioms, the weakly indecomposable sets, the coherent reduct and the
     # extended images are decided on the n least clopen upper sets, never on
     # the 2^40 clopen uppers of the discrete antichain
-    def refuse(up, limit=None):
+    def refuse(*args, **kwargs):
         raise AssertionError("upper sets listed")
 
     for name in [m.name for m in pkgutil.iter_modules(ordua.__path__)
@@ -357,6 +357,9 @@ def test_priestley_layer_lists_no_upper_sets(monkeypatch):
         if hasattr(module, "upper_sets"):
             monkeypatch.setattr(module, "upper_sets", refuse)
     assert structures.upper_sets is spaces.upper_sets is refuse
+    # the opens and clopens of a discrete space are read without upper_sets,
+    # so refuse them directly too
+    monkeypatch.setattr(FiniteSpace, "clopen_masks", refuse)
     n = 40
     labels = [f"x{i}" for i in range(n)]
     points = FiniteSpace.from_rows(labels, [1 << i for i in range(n)])
@@ -372,6 +375,7 @@ def test_priestley_layer_lists_no_upper_sets(monkeypatch):
         assert coherent_of_priestley(ps).minimal == pre.up
         assert extended_image_check(ps, "coherent-poset") == (True, None)
         assert extended_image_check(ps, "msl") == msl_image[pre]
+    assert points._opens is None
 
 
 def _extended_image_by_definition(ps, variant):
