@@ -192,10 +192,10 @@ def export_dot(obj) -> str:
         note = "poset"
     elif isinstance(obj, PreorderedSpace):
         labels, up = obj.labels, obj.preorder.up
-        note = f"opens: {len(obj.space.opens)}"
+        note = f"opens: {count_upper_sets(obj.space.up)}"
     elif isinstance(obj, FiniteSpace):
         labels, up = obj.labels, obj.up
-        note = f"opens: {len(obj.opens)}"
+        note = f"opens: {count_upper_sets(obj.up)}"
     else:
         raise InputFormatError(f"no DOT rendering for {type(obj).__name__}")
     lines = ["digraph {", "  rankdir=BT;", f"  label={_dot_quote(note)};"]
@@ -419,19 +419,15 @@ def run_command(command: str, files: list[str], bound: int, oracle_bound: int,
         return (0 if ok else 1), report, result
     if command == "extimage":
         ps = _discrete_priestley(s, bound)
-        rep = {}
-        overall = None
+        report = {"command": command}
         for variant in ("coherent-poset", "msl"):
             ok, witness = extended_image_check(ps, variant)
-            rep[variant] = {"ok": ok, "witness": witness}
-            if variant == "coherent-poset":
-                overall = ok
-        report = {"command": command, **rep}
-        return (0 if overall else 1), report, ps
+            report[variant] = {"ok": ok, "witness": witness}
+        return (0 if report["coherent-poset"]["ok"] else 1), report, ps
     if command == "check-pullback":
         space = alexandrov_space(Preorder.from_poset(s.base), bound)
         ok = check_frame_pullback(space, bound)
-        report = {"command": command, "ok": ok, "opens": len(space.opens)}
+        report = {"command": command, "ok": ok, "opens": count_upper_sets(space.up)}
         return (0 if ok else 1), report, space
     raise InputFormatError(f"unknown command {command!r}")
 

@@ -23,10 +23,9 @@ from ordua.spaces import (
     is_continuous,
     is_monotone_map,
     specialization_preorder,
-    upper_open_reduct,
     weakly_indecomposable_clopen_uppers,
 )
-from ordua.setlattices import _and_fold, _lattice_of_upsets
+from ordua.setlattices import _lattice_of_upsets
 from ordua.spectra import FREE_KINDS, Spectrum, inverse_image_map, model_class, spectrum
 from ordua.structures import (
     Poset,
@@ -114,14 +113,12 @@ def priestley_of_dlat(d: Structure, bound: int | None = None) -> DualityResult:
 
 def dlat_of_priestley(ps: PreorderedSpace) -> Structure:
     """The lattice of clopen upper sets of a Priestley space."""
-    report = _require_priestley(ps)
-    return _lattice_of_upsets(ps.labels, report.clopen_uppers.masks)
+    return _lattice_of_upsets(ps.labels, _require_priestley(ps).clopen_uppers.masks)
 
 
 def coherent_of_priestley(ps: PreorderedSpace) -> FiniteSpace:
-    """Drop to the coherent reduct: keep only the open upper sets."""
-    _require_priestley(ps)
-    return upper_open_reduct(ps)
+    """The coherent reduct: the up-sets of the least clopen upper sets."""
+    return FiniteSpace.from_rows(ps.labels, _require_priestley(ps).rows)
 
 
 def priestley_of_coherent(space: FiniteSpace, bound: int | None = None
@@ -209,23 +206,15 @@ def upper_elements(fr: FreeResult) -> Subset:
 def roundtrip_check(d: Structure, bound: int | None = None
                     ) -> tuple[bool, Structure, tuple | None]:
     """Dualize d, rebuild the lattice of clopen upper sets, and check that
-    x -> {P : x in P} is an order isomorphism onto the rebuilt lattice.
+    x -> {P : x in P} is an order isomorphism onto it: Birkhoff's map, which
+    is one iff d is distributive, as classify decides and keeps.
 
     Returns (ok, rebuilt lattice, element map as a tuple of target indices).
     """
     res = _patch_spectrum(d, "dlat", bound)
     uppers = _require_priestley(res.space).clopen_uppers.masks
     result = _lattice_of_upsets(res.space.labels, uppers)
-    index = {m: i for i, m in enumerate(uppers)}
-    sp = res.spectrum
-    iso = tuple(index.get(m) for m in sp.basics)
-    if d.n != result.n or None in iso or len(set(iso)) != d.n:
+    if not res.spectrum.is_distributive():
         return False, result, None
-    # iso is a bijection, so it is an order isomorphism iff x's up-row is the
-    # meet of the prime filters holding x, as classify found and kept when
-    # the spectrum is the one kept on d's poset
-    b = d.base.birkhoff
-    if sp is not b or not b.is_distributive():
-        if tuple(map(_and_fold(sp.points.masks, d.base.full), sp.basics)) != d.base.up:
-            return False, result, None
-    return True, result, iso
+    index = {m: i for i, m in enumerate(uppers)}
+    return True, result, tuple([index[m] for m in res.spectrum.basics])

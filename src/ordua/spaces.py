@@ -31,6 +31,7 @@ from ordua.structures import (
     _is_monotone,
     bits,
     check_carrier,
+    count_upper_sets,
     transitive_closure,
     transpose,
     upper_sets,
@@ -183,7 +184,7 @@ class FiniteSpace(Preorder):
     is_t0 = Preorder.is_antisymmetric
 
     def __repr__(self) -> str:
-        return f"FiniteSpace(n={self.n}, {len(self.opens)} opens)"
+        return f"FiniteSpace(n={self.n}, {count_upper_sets(self.up)} opens)"
 
 
 class PreorderedSpace:
@@ -239,17 +240,16 @@ def _unseparated_pair(up, rows) -> tuple[int, int] | None:
 
 
 class PriestleyReport:
-    """Outcome of the Priestley axioms on a preordered space; rows[p] is the
-    least clopen upper set around p, and the clopen uppers are their unions."""
+    """Outcome of the Priestley axioms on a preordered (finite, so compact)
+    space; rows[p] is the least clopen upper set around p, and the clopen
+    uppers are their unions."""
 
-    __slots__ = ("is_compact", "is_partial_order", "separation_ok",
-                 "failing_pair", "rows")
+    __slots__ = ("is_partial_order", "failing_pair", "rows")
 
-    def __init__(self, is_compact, is_partial_order, separation_ok,
-                 failing_pair, rows):
-        self.is_compact = is_compact
+    is_compact = True
+
+    def __init__(self, is_partial_order, failing_pair, rows):
         self.is_partial_order = is_partial_order
-        self.separation_ok = separation_ok
         self.failing_pair = failing_pair
         self.rows = tuple(rows)
 
@@ -259,7 +259,9 @@ class PriestleyReport:
 
     @property
     def ok(self) -> bool:
-        return self.is_compact and self.is_partial_order and self.separation_ok
+        return self.failing_pair is None
+
+    separation_ok = ok
 
     def to_dict(self) -> dict:
         return {
@@ -268,7 +270,7 @@ class PriestleyReport:
             "separation-ok": self.separation_ok,
             "is-priestley": self.ok,
             "failing-pair": list(self.failing_pair) if self.failing_pair else None,
-            "clopen-upper-count": len(self.clopen_uppers),
+            "clopen-upper-count": count_upper_sets(self.rows),
         }
 
 
@@ -349,16 +351,9 @@ def priestley_check(ps: PreorderedSpace) -> PriestleyReport:
     outside the least clopen upper set around x."""
     rows = _clopen_upper_rows(ps)
     cyc = ps.preorder.antisymmetry_failure()
-    if cyc is not None:
-        i, j = cyc
-        return PriestleyReport(True, False, False,
-                               (ps.labels[i], ps.labels[j]), rows)
-    bad = _unseparated_pair(ps.preorder.up, rows)
-    if bad is not None:
-        x, y = bad
-        return PriestleyReport(True, True, False,
-                               (ps.labels[x], ps.labels[y]), rows)
-    return PriestleyReport(True, True, True, None, rows)
+    bad = cyc or _unseparated_pair(ps.preorder.up, rows)
+    pair = None if bad is None else (ps.labels[bad[0]], ps.labels[bad[1]])
+    return PriestleyReport(cyc is None, pair, rows)
 
 
 def _require_priestley(ps: PreorderedSpace) -> PriestleyReport:

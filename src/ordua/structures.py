@@ -132,20 +132,20 @@ def count_upper_sets(up) -> int:
     listing them. An up-set of the points in rest either misses a point p
     of rest, and is then an up-set of rest without the points below p, or
     holds p, and is then the points above p joined with an up-set of rest
-    without them. Counts are kept per rest, and p is a point of rest with
-    the most comparables in it, which leaves the least behind.
+    without them. Counts are kept per rest, p has the most comparables in
+    rest (leaving the least), and rests wait on a stack: no recursion limit.
     """
-    return _count_upper((1 << len(up)) - 1, up, transpose(len(up), up), {0: 1})
-
-
-def _count_upper(rest: int, up, dn, memo: dict[int, int]) -> int:
-    count = memo.get(rest)
-    if count is None:
-        p = max(bits(rest), key=lambda x: ((up[x] | dn[x]) & rest).bit_count())
-        count = (_count_upper(rest & ~dn[p], up, dn, memo)
-                 + _count_upper(rest & ~up[p], up, dn, memo))
-        memo[rest] = count
-    return count
+    dn, full = transpose(len(up), up), (1 << len(up)) - 1
+    memo, stack = {0: 1}, [(full, None)]
+    while stack:
+        rest, parts = stack.pop()
+        if parts is not None:
+            memo[rest] = memo[parts[0]] + memo[parts[1]]
+        elif rest not in memo:
+            p = max(bits(rest), key=lambda x: ((up[x] | dn[x]) & rest).bit_count())
+            parts = rest & ~dn[p], rest & ~up[p]
+            stack += [(rest, parts)] + [(r, None) for r in parts if r not in memo]
+    return memo[full]
 
 
 class Subset:

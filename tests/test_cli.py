@@ -18,11 +18,15 @@ from ordua.cli import (
     COMMANDS,
     _spectrum_report,
     builtin_structure,
+    export_dot,
     export_structure_document,
     main,
+    render_report,
+    run_command,
 )
 from ordua.corpus import all_posets_up_to, random_poset
 from ordua.dualities import poset_spectrum, priestley_of_dlat
+from ordua.errors import InputFormatError
 from ordua.setlattices import powerset_structure
 from ordua.structures import KIND_RANK, KINDS, classify
 
@@ -174,6 +178,18 @@ def test_check_pullback(capsys):
     code, out, _ = run(capsys, "check-pullback", "C4")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: export_dot(object()), "no DOT rendering for object"),
+    (lambda: run_command("bogus", ["C2"], 12, 4, 0), "unknown command 'bogus'"),
+    (lambda: render_report({"command": "classify"}, "yaml", None), "unknown format 'yaml'"),
+], ids=["dot-object", "command", "format"])
+def test_library_entry_points_reject_unknown_requests(build, message):
+    # main's argument parser never lets these through, so call them directly
+    with pytest.raises(InputFormatError) as err:
+        build()
+    assert type(err.value) is InputFormatError and str(err.value) == message
 
 
 def test_selftest_is_deterministic(capsys):

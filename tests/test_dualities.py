@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
     shuffled,
 )
 from ordua import dualities, setlattices, spectra, structures
+from ordua.cli import builtin_structure
 from ordua.corpus import all_posets, all_posets_up_to, random_poset
 from ordua.errors import CarrierTooLarge, KindMismatch, NotPriestley
 from ordua.dualities import (
@@ -322,7 +324,7 @@ def test_roundtrip_rejects_an_embedding_that_breaks_order(monkeypatch):
     assert roundtrip_check(d)[0]
     real = dualities._patch_spectrum
 
-    class Swapped(Spectrum):
+    class Swapped(Birkhoff):
         # still a bijection onto the clopen uppers, but bottom and top trade places
         __slots__ = ()
 
@@ -333,8 +335,7 @@ def test_roundtrip_rejects_an_embedding_that_breaks_order(monkeypatch):
             return tuple(emb)
 
     def swapped(s, duality, bound):
-        res = real(s, duality, bound)
-        return DualityResult(Swapped(res.spectrum.points, str), res.space)
+        return DualityResult(Swapped(s.base), real(s, duality, bound).space)
 
     monkeypatch.setattr(dualities, "_patch_spectrum", swapped)
     ok, result, iso = roundtrip_check(d)
@@ -352,7 +353,7 @@ def test_roundtrip_reads_the_kept_fold_and_still_rejects_a_tampered_embedding(mo
     def refuse(*args):
         raise AssertionError("folded the basic sets again")
 
-    monkeypatch.setattr(dualities, "_and_fold", refuse)
+    monkeypatch.setattr(setlattices, "_and_fold", refuse)
     assert all(roundtrip_check(d)[0] for d in lattices)
     monkeypatch.undo()
     real = dualities._patch_spectrum
@@ -373,6 +374,31 @@ def test_roundtrip_reads_the_kept_fold_and_still_rejects_a_tampered_embedding(mo
     for d in lattices:
         ok, result, iso = roundtrip_check(d)
         assert not ok and iso is None and result.n == d.n
+
+
+def test_roundtrip_of_claimed_distributive_lattices_is_pinned():
+    # every bounded poset of 1..7 points, forced to claim it is a
+    # distributive lattice: the round trip holds exactly for those classify
+    # calls distributive, and the SHA-256 of (ok, rebuilt size, element map),
+    # fed in order, must not depend on how the verdict is reached
+    digest = hashlib.sha256()
+    claimed = []
+    for n in range(1, 8):
+        for p in all_posets(n):
+            s = classify(p)
+            if s.top is not None and s.bottom is not None:
+                claimed.append((s, s.with_kind("distributive-lattice")))
+    assert len(claimed) == 89
+    for s, d in claimed:
+        ok, rebuilt, iso = roundtrip_check(d)
+        assert ok == (KIND_RANK[s.kind] >= KIND_RANK["distributive-lattice"])
+        digest.update(repr((ok, rebuilt.n, iso)).encode())
+    assert digest.hexdigest() == (
+        "e7428fb9d5fdbff109bb896b3125983a07c64ad04794990fa73d1535a5a039b2")
+    for name, size in (("M3", 8), ("N5", 6)):
+        d = classify(builtin_structure(name).base).with_kind("distributive-lattice")
+        ok, rebuilt, iso = roundtrip_check(d)
+        assert (ok, rebuilt.n, iso) == (False, size, None)
 
 
 def test_roundtrip_reads_no_rebuilt_rows_or_labels(monkeypatch):

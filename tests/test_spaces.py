@@ -26,7 +26,13 @@ from ordua.dualities import (
     extended_image_check,
     priestley_of_coherent,
 )
-from ordua.errors import CarrierTooLarge, InputFormatError, NotPriestley, NotT0
+from ordua.errors import (
+    CarrierMismatch,
+    CarrierTooLarge,
+    InputFormatError,
+    NotPriestley,
+    NotT0,
+)
 from ordua.spaces import (
     FiniteSpace,
     Preorder,
@@ -344,10 +350,37 @@ def test_priestley_failing_pair_is_the_first_unseparated_pair():
         assert list(report.clopen_uppers) == uppers
 
 
+def _three_points() -> PreorderedSpace:
+    pre = Preorder(["a", "b", "c"], [1, 2, 4])
+    return PreorderedSpace(alexandrov_space(pre), pre)
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: FiniteSpace(["a", "b", "c"], SetFamily(2, [0, 3])), CarrierMismatch,
+     "opens do not live on the point carrier"),
+    (lambda: generate_topology(["a", "b", "c"], SetFamily(2, [1])), CarrierMismatch,
+     "subbasis does not live on the point carrier"),
+    (lambda: priestley_boolean_algebra(["a", "b", "c"], SetFamily(2, [1])), CarrierMismatch,
+     "family does not live on the point carrier"),
+    (lambda: check_patch_characterization(_three_points(), SetFamily(2, [1])),
+     CarrierMismatch, "family does not live on the space carrier"),
+    (lambda: priestley_boolean_algebra(["a", "b", "c"], SetFamily(3, [1, 2]), 2),
+     CarrierTooLarge, "pattern algebra would have 2^3 elements"),
+    (lambda: extended_image_check(_three_points(), "bogus"), InputFormatError,
+     "unknown extended-image variant 'bogus'"),
+], ids=["space", "subbasis", "pattern-algebra", "patch-characterization",
+        "pattern-algebra-bound", "extended-image-variant"])
+def test_space_builders_reject_what_does_not_fit(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_priestley_layer_lists_no_upper_sets(monkeypatch):
-    # the axioms, the weakly indecomposable sets, the coherent reduct and the
-    # extended images are decided on the n least clopen upper sets, never on
-    # the 2^40 clopen uppers of the discrete antichain
+    # the axioms, the weakly indecomposable sets, the coherent reduct, the
+    # extended images and the counts of opens and clopen uppers are decided
+    # on the n least clopen upper sets, never on the 2^40 clopen uppers of
+    # the discrete antichain
     def refuse(*args, **kwargs):
         raise AssertionError("upper sets listed")
 
@@ -367,10 +400,13 @@ def test_priestley_layer_lists_no_upper_sets(monkeypatch):
     chain = Preorder(labels, [(1 << n) - (1 << i) for i in range(n)])
     msl_image = {antichain: (False, {"kind": "top-not-weakly-indecomposable"}),
                  chain: (True, None)}
+    assert repr(points) == "FiniteSpace(n=40, 1099511627776 opens)"
+    clopen_upper_count = {antichain: 2 ** 40, chain: 41}
     for pre in (antichain, chain):
         ps = PreorderedSpace(points, pre)
         report = priestley_check(ps)
         assert report.ok and report.rows == pre.up
+        assert report.to_dict()["clopen-upper-count"] == clopen_upper_count[pre]
         assert list(weakly_indecomposable_clopen_uppers(ps).masks) == sorted(pre.up)
         assert coherent_of_priestley(ps).minimal == pre.up
         assert extended_image_check(ps, "coherent-poset") == (True, None)

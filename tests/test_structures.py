@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -58,6 +59,8 @@ from ordua.structures import (
     KINDS,
     MORPHISM_KINDS,
     Poset,
+    SetFamily,
+    Structure,
     StructureMorphism,
     Subset,
     _monotone_maps,
@@ -257,6 +260,30 @@ def test_poset_constructor_rejects_each_bad_order(up, error, message):
     labels = ["a", "b", "c"][:max(len(up), 2)]
     with pytest.raises(error) as err:
         Poset(labels, up)
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: Subset(2, 4), InputFormatError, "mask 4 out of range for carrier of size 2"),
+    (lambda: Subset(2, -1), InputFormatError, "mask -1 out of range for carrier of size 2"),
+    (lambda: Subset.from_indices(2, [0, 2]), InputFormatError,
+     "index 2 out of range for carrier of size 2"),
+    (lambda: SetFamily(2, [1, 5, 8]), InputFormatError,
+     "mask 5 out of range for carrier of size 2"),
+    (lambda: Structure(mk("C2").base, "ring", 1, 0, None), InputFormatError,
+     "unknown kind 'ring'"),
+    (lambda: StructureMorphism(mk("C2"), mk("C3"), (0, 3), "monotone"), InputFormatError,
+     "morphism map does not fit the carriers"),
+    (lambda: StructureMorphism(mk("C2"), mk("C3"), (0,), "monotone"), InputFormatError,
+     "morphism map does not fit the carriers"),
+    (lambda: StructureMorphism.from_labels(
+        mk("C2"), mk("C3"), {"0": "0", "1": "1", "z": "a", "y": "a"}, "monotone"),
+     UnknownLabel, "map mentions labels outside the source: ['y', 'z']"),
+], ids=["subset-mask", "subset-negative", "subset-index", "family-mask", "structure-kind",
+        "morphism-value", "morphism-length", "morphism-labels"])
+def test_carrier_objects_reject_what_does_not_fit(build, error, message):
+    with pytest.raises(error) as err:
+        build()
     assert type(err.value) is error and str(err.value) == message
 
 
@@ -1307,3 +1334,11 @@ def test_count_upper_sets_counts_wide_orders_without_listing():
     assert count_upper_sets([1 << i for i in range(40)]) == 1 << 40
     chain = [((1 << 40) - 1) ^ ((1 << i) - 1) for i in range(40)]
     assert count_upper_sets(chain) == 41
+
+
+def test_count_upper_sets_counts_chains_past_the_recursion_limit():
+    # each rest of a chain drops one point, so a count by recursion would
+    # nest once per point
+    n = sys.getrecursionlimit() + 10
+    chain = [((1 << n) - 1) ^ ((1 << i) - 1) for i in range(n)]
+    assert count_upper_sets(chain) == n + 1
