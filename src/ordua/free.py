@@ -121,11 +121,10 @@ def free_boolean(c: Structure, kind: str, bound: int | None = None) -> FreeResul
 def _flat_model_test(src: Structure, b: Structure):
     # Two equations beyond monotonicity: the images cover the top, and binary
     # meets of images are the joins of images of common lower bounds.
-    dn, meet, join_of = src.base.dn, b.meet, b.join_of
-    pairs = [(x, y, list(bits(dn[x] & dn[y])))
-             for x in range(src.n) for y in range(x, src.n)]
-    return lambda m: join_of(m) == b.top and all(
-        meet[m[x]][m[y]] == join_of(m[d] for d in common) for x, y, common in pairs)
+    dn, bdn, meet_at, join_of = src.base.dn, b.base.dn, b._lookups()[0].get, b.join_of
+    pairs = [(x, y, list(bits(dn[x] & dn[y]))) for x in range(src.n) for y in range(x, src.n)]
+    return lambda m: join_of(m) == b.top and all(meet_at(bdn[m[x]] & bdn[m[y]]) == join_of(
+        m[d] for d in common) for x, y, common in pairs)
 
 
 def is_class_morphism(mapping, src: Structure, tgt: Structure, kind: str) -> bool:
@@ -288,7 +287,7 @@ def thm22_oracle(d: Structure, bound: int | None = None) -> OracleResult:
     # conclusions are the seeds: bottom |- and e, e* |-. The rest: |- top,
     # |- e, e*, a |- b for a < b, and for incomparable a, b: a, b |- a meet b
     # and a join b |- a, b (for comparable a, b every family satisfies these).
-    up, meet, join = d.base.up, d.meet, d.join
+    up, dn, (meet_at, join_at) = d.base.up, d.base.dn, d._lookups()
     seeds = contains[d.bottom]
     rules = [(fullbits, (d.top,))]
     for a in range(nn):
@@ -297,8 +296,8 @@ def thm22_oracle(d: Structure, bound: int | None = None) -> OracleResult:
         rules += [(contains[a], (b,)) for b in bits(up[a] ^ 1 << a)]
         for b in range(a + 1, nn):
             if not (up[a] >> b & 1 or up[b] >> a & 1):
-                rules += [(contains[a] & contains[b], (meet[a][b],)),
-                          (contains[join[a][b]], (a, b))]
+                rules += [(contains[a] & contains[b], (meet_at.get(dn[a] & dn[b]),)),
+                          (contains[join_at.get(up[a] & up[b])], (a, b))]
 
     def close(i_bits: int) -> int:
         i_bits |= seeds
@@ -382,14 +381,14 @@ def supercompact_elements(s: Structure) -> Subset:
     Binary joins suffice in a finite lattice; the empty cover rules out the
     bottom.
     """
-    out, join = 0, s.join
+    out, up, join_at = 0, s.base.up, s._lookups()[1].get
     for a in range(s.n):
         if a == s.bottom:
             continue
         good = True
         for x in range(s.n):
             for y in range(x, s.n):
-                j = join[x][y]
+                j = join_at(up[x] & up[y])
                 if j is None or not s.leq(a, j):
                     continue
                 if not (s.leq(a, x) or s.leq(a, y)):

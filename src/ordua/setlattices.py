@@ -117,13 +117,13 @@ def _labels_may_collide(point_labels) -> bool:
 
 class _SetOrder(Poset):
     """The inclusion order of masks, the ascending members of a lattice of
-    sets of the points. The labels, label index and rows are built on first
-    read and kept."""
+    sets of the points, which is closed under & and |, so it has every meet.
+    The labels, label index and rows are built on first read and kept."""
 
     __slots__ = ("point_labels", "masks", "_labels", "_at", "_rows")
 
     def __init__(self, point_labels: tuple[str, ...], masks: tuple[int, ...]):
-        self.point_labels, self.masks = point_labels, masks
+        self.point_labels, self.masks, self._meets = point_labels, masks, True
         self._labels = self._at = self._rows = self._birkhoff = None
         if _labels_may_collide(point_labels):
             self._at = _label_index(self.labels)  # raises DuplicateLabel now

@@ -177,10 +177,6 @@ class FiniteSpace(Preorder):
     def is_open(self, mask: int) -> bool:
         return 0 <= mask <= self.full and self.is_upper(mask)
 
-    def clopen_masks(self) -> list[int]:
-        """Clopen sets: the unions of connected components, ascending."""
-        return upper_sets(_components(self.up))
-
     is_t0 = Preorder.is_antisymmetric
 
     def __repr__(self) -> str:

@@ -117,7 +117,7 @@ def spectrum(s: Structure, kind: str, bound: int | None = None) -> Spectrum:
         return s.base.birkhoff  # its points are these
     if not mc.principal:
         return Spectrum(points, lambda m: _set_label(s.labels, m))
-    least = {row: x for x, row in enumerate(s.base.up)}  # of each point ^x
+    least = s._lookups()[1]  # the element of each up-row, so of each point ^x
     return Spectrum(points, lambda m: "^" + s.labels[least[m]])
 
 

@@ -231,7 +231,7 @@ class SetFamily:
 class Poset:
     """A finite poset: labelled carrier plus reflexive-transitive-antisymmetric order."""
 
-    __slots__ = ("labels", "up", "dn", "_index", "_birkhoff")
+    __slots__ = ("labels", "up", "dn", "_index", "_birkhoff", "_meets")
 
     def __init__(self, labels, up) -> None:
         labels = tuple(str(x) for x in labels)
@@ -257,7 +257,7 @@ class Poset:
         self.labels = labels
         self.up = up
         self.dn = tuple(dn)
-        self._birkhoff = None
+        self._birkhoff = self._meets = None
 
     @classmethod
     def _of_order(cls, labels, up, dn, index) -> "Poset":
@@ -268,7 +268,7 @@ class Poset:
         p = object.__new__(cls)
         p.labels, p.up, p.dn = tuple(labels), tuple(up), tuple(dn)
         p._index = index
-        p._birkhoff = None
+        p._birkhoff = p._meets = None
         return p
 
     @property
@@ -296,6 +296,14 @@ class Poset:
             from ordua.setlattices import Birkhoff  # it imports this module
             self._birkhoff = Birkhoff(self)
         return self._birkhoff
+
+    def has_meets(self) -> bool:
+        """Whether every pair has a meet, decided on first read and kept: true
+        after a distributive Birkhoff verdict, else one _closed scan."""
+        if self._meets is None:
+            bk = self._birkhoff
+            self._meets = (bk is not None and bk._distributive) or _closed(self.dn)
+        return self._meets
 
     def dual(self) -> "Poset":
         return Poset(self.labels, self.dn)
@@ -392,8 +400,8 @@ class Structure:
 
     kind is the strongest of poset / meet-semilattice / dd-lattice /
     distributive-lattice / boolean-algebra that applies (classify computes
-    it). meet/join are n*n tables with None at undefined entries, built from
-    the order rows on first read and kept.
+    it). The meet of a and b is the element whose down-row is dn[a] & dn[b],
+    the join likewise on up-rows (None if there is no such element).
     """
 
     __slots__ = ("base", "kind", "top", "bottom", "complement", "_ops")
@@ -426,14 +434,18 @@ class Structure:
         if self.rank() < KIND_RANK[kind]:
             raise KindMismatch(f"{op} needs kind >= {kind}, structure is {self.kind}")
 
-    meet = property(lambda self: self._operations()[0])
-    join = property(lambda self: self._operations()[1])
-
-    def _operations(self) -> tuple[list, list]:
-        # meets intersect down-rows, joins up-rows (distinct by antisymmetry)
+    def _lookups(self) -> tuple[dict, dict]:
+        """{down-row: element} and {up-row: element}, built on first read and kept."""
         if self._ops is None:
-            self._ops = _tables(self.base.dn, self.base.up)
+            self._ops = ({r: x for x, r in enumerate(self.base.dn)},
+                         {r: x for x, r in enumerate(self.base.up)})
         return self._ops
+
+    def meet(self, a: int, b: int) -> int | None:
+        return self._lookups()[0].get(self.base.dn[a] & self.base.dn[b])
+
+    def join(self, a: int, b: int) -> int | None:
+        return self._lookups()[1].get(self.base.up[a] & self.base.up[b])
 
     def with_kind(self, kind: str) -> "Structure":
         s = Structure(self.base, kind, self.top, self.bottom, self.complement)
@@ -442,7 +454,7 @@ class Structure:
 
     def is_lattice(self) -> bool:
         # a finite poset with a top in which every pair has a meet has all joins
-        return self.top is not None and self.bottom is not None and _closed(self.base.dn)
+        return self.top is not None and self.bottom is not None and self.base.has_meets()
 
     def join_of(self, indices) -> int | None:
         """Join of a finite family; the empty join is the bottom (None if absent)."""
@@ -451,7 +463,7 @@ class Structure:
             if acc is None:
                 acc = i
             else:
-                acc = join[acc][i]
+                acc = join(acc, i)
                 if acc is None:
                     return None
         return self.bottom if acc is None else acc
@@ -473,24 +485,6 @@ def _bounds(p: Poset) -> tuple[int | None, int | None]:
             next((i for i, row in enumerate(p.up) if row == full), None))
 
 
-def _tables(meet_keys, join_keys) -> tuple[list, list]:
-    """The meet and join tables of elements with distinct keys: the meet of i
-    and j is the element whose meet key is meet_keys[i] & meet_keys[j], the
-    join the one whose join key is join_keys[i] & join_keys[j], and a missing
-    key means no meet or join (None)."""
-    n = len(meet_keys)
-    meet_at = {k: i for i, k in enumerate(meet_keys)}.get
-    join_at = {k: i for i, k in enumerate(join_keys)}.get
-    meet: list[list[int | None]] = [[None] * n for _ in range(n)]
-    join: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        mk, jk, meet_i, join_i = meet_keys[i], join_keys[i], meet[i], join[i]
-        for j in range(i, n):
-            meet_i[j] = meet[j][i] = meet_at(mk & meet_keys[j])
-            join_i[j] = join[j][i] = join_at(jk & join_keys[j])
-    return meet, join
-
-
 def _closed(rows) -> bool:
     """Whether the rows are closed under pairwise intersection: for down-rows,
     whether every pair has a meet; for up-rows, a join. Keeps nothing."""
@@ -507,8 +501,7 @@ def join_irreducible_mask(p: Poset) -> int:
 
 def classify(p: Poset) -> Structure:
     """The strongest kind p supports, decided from its order rows (p is a
-    distributive lattice iff the Birkhoff map is an isomorphism); only the
-    dd-lattice test, reached when p is not distributive, reads the tables."""
+    distributive lattice iff the Birkhoff map is an isomorphism)."""
     top, bottom = _bounds(p)
     if top is not None and bottom is not None and p.birkhoff.is_distributive():
         c = p.birkhoff.basics
@@ -519,7 +512,7 @@ def classify(p: Poset) -> Structure:
         element = {r: x for x, r in enumerate(c)}
         complement = tuple(element[c[top] ^ r] for r in c)
         return Structure(p, "boolean-algebra", top, bottom, complement)
-    if top is None or not _closed(p.dn):
+    if top is None or not p.has_meets():
         return Structure(p, "poset", top, bottom, None)
     s = Structure(p, "meet-semilattice", top, bottom, None)
     # a finite meet-semilattice with a top is a lattice: it has a bottom and all joins
@@ -528,18 +521,17 @@ def classify(p: Poset) -> Structure:
 
 def _is_dd(s: Structure) -> bool:
     # Meets must distribute over the joins of disjoint pairs; finite
-    # induction lifts the pair case to arbitrary finite families.
-    meet, join, bottom = s.meet, s.join, s.bottom
-    n = s.n
-    for a in range(n):
-        for b in range(a, n):
-            if meet[a][b] != bottom:
-                continue
-            j = join[a][b]
-            for c in range(n):
-                ca, cb = meet[c][a], meet[c][b]
-                if meet[c][j] != join[ca][cb]:
-                    return False
+    # induction lifts the pair case to arbitrary finite families. s is a
+    # lattice: c & (a | b) is (c & a) | (c & b) iff their up-rows agree.
+    dn, up, (meet_at, join_at) = s.base.dn, s.base.up, s._lookups()
+    zero = dn[s.bottom]
+    for a, b in itertools.combinations(range(s.n), 2):
+        if dn[a] & dn[b] != zero:
+            continue
+        da, db, dj = dn[a], dn[b], dn[join_at[up[a] & up[b]]]
+        for dc in dn:
+            if up[meet_at[dc & dj]] != up[meet_at[dc & da]] & up[meet_at[dc & db]]:
+                return False
     return True
 
 
@@ -600,12 +592,12 @@ def disjunctive_filters(s: Structure) -> SetFamily:
     joining above it as soon as this holds for every disjoint pair.
     """
     s.require("dd-lattice", "disjunctive_filters")
-    bot, meet, join, dn = s.bottom, s.meet, s.join, s.base.dn
-    bad = 1 << bot
+    dn, up, join_at = s.base.dn, s.base.up, s._lookups()[1].get
+    bad, zero = 1 << s.bottom, dn[s.bottom]
     for a, b in itertools.combinations(range(s.n), 2):
-        if meet[a][b] == bot:
-            bad |= dn[join[a][b]] & ~(dn[a] | dn[b])
-    return SetFamily(s.n, [s.base.up[x] for x in bits(s.base.full & ~bad)])
+        if dn[a] & dn[b] == zero:
+            bad |= dn[join_at(up[a] & up[b])] & ~(dn[a] | dn[b])
+    return SetFamily(s.n, [up[x] for x in bits(s.base.full & ~bad)])
 
 
 def indecomposable_elements(s: Structure) -> Subset:
@@ -778,30 +770,31 @@ def _monotone_maps(src: Structure, tgt: Structure) -> list[tuple[int, ...]]:
 
 def _law_test(src: Structure, tgt: Structure, kind: str):
     """The laws of kind (past _require_hom_kind) beyond monotonicity, as a test
-    of monotone map tuples src -> tgt. Each law is m[s] == op[m[a]][m[b]] for
-    a source pair a, b with s their meet or join, or a bound sent to a bound.
+    of monotone map tuples src -> tgt. Each law is rows[m[s]] == rows[m[a]] &
+    rows[m[b]], with s the meet (target down-rows) or join (up-rows) of a
+    source pair a, b, or a bound sent to a bound.
     Comparable pairs are left out: a monotone map keeps their meets and joins.
     """
     if kind == "monotone":
         return lambda m: True
     if kind == "flat":
         return lambda m: is_flat_map(StructureMorphism(src, tgt, m, "flat"))[0]
-    up, smeet, sjoin = src.base.up, src.meet, src.join
+    dn, up, (meet_at, join_at) = src.base.dn, src.base.up, src._lookups()
     pairs = [(a, b) for a, b in itertools.combinations(range(src.n), 2)
              if not (up[a] >> b & 1 or up[b] >> a & 1)]
     bounds = [(src.top, tgt.top)]
-    laws = [(smeet[a][b], a, b, tgt.meet) for a, b in pairs]
+    laws = [(meet_at.get(dn[a] & dn[b]), a, b, tgt.base.dn) for a, b in pairs]
     if kind != "meet-hom":
         bounds.append((src.bottom, tgt.bottom))
         if kind == "disjunctive-hom":
             # Meet-hom preserving joins of pairwise-disjoint families; the
             # empty family forces bottom to bottom, and pairs suffice by
             # induction.
-            pairs = [(a, b) for a, b in pairs
-                     if smeet[a][b] == src.bottom and sjoin[a][b] is not None]
-        laws += [(sjoin[a][b], a, b, tgt.join) for a, b in pairs]
+            pairs = [(a, b) for a, b in pairs if meet_at.get(dn[a] & dn[b]) == src.bottom
+                     and up[a] & up[b] in join_at]
+        laws += [(join_at.get(up[a] & up[b]), a, b, tgt.base.up) for a, b in pairs]
     return lambda m: (all(m[x] == y for x, y in bounds)
-                      and all(m[s] == op[m[a]][m[b]] for s, a, b, op in laws))
+                      and all(rows[m[s]] == rows[m[a]] & rows[m[b]] for s, a, b, rows in laws))
 
 
 def is_homomorphism(f: StructureMorphism) -> bool:

@@ -110,19 +110,19 @@ def brute_satisfies_kind(m, src: Structure, tgt: Structure, kind: str) -> bool:
         return True
     if kind == "flat":
         return is_flat_map(StructureMorphism(src, tgt, m, "flat"))[0]
-    smeet, sjoin, tmeet, tjoin = src.meet, src.join, tgt.meet, tgt.join
+    (smeet, sjoin), (tmeet, tjoin) = brute_tables(src), brute_tables(tgt)
     pairs = list(itertools.combinations(range(n), 2))
     if m[src.top] != tgt.top or any(
-            m[smeet[a][b]] != tmeet[m[a]][m[b]] for a, b in pairs):
+            m[smeet[a, b]] != tmeet[m[a], m[b]] for a, b in pairs):
         return False
     if kind == "meet-hom":
         return True
     if m[src.bottom] != tgt.bottom:
         return False
     if kind == "disjunctive-hom":
-        return all(tjoin[m[a]][m[b]] == m[sjoin[a][b]] for a, b in pairs
-                   if smeet[a][b] == src.bottom and sjoin[a][b] is not None)
-    if any(m[sjoin[a][b]] != tjoin[m[a]][m[b]] for a, b in pairs):
+        return all(tjoin[m[a], m[b]] == m[sjoin[a, b]] for a, b in pairs
+                   if smeet[a, b] == src.bottom and sjoin[a, b] is not None)
+    if any(m[sjoin[a, b]] != tjoin[m[a], m[b]] for a, b in pairs):
         return False
     return kind == "lattice-hom" or all(
         m[src.complement[a]] == tgt.complement[m[a]] for a in range(n))
@@ -133,11 +133,12 @@ def brute_flat_model(m, src: Structure, b: Structure) -> bool:
     top, and the meet of the images of any two elements is the join of the
     images of their common lower bounds."""
     n = src.n
-    if not brute_satisfies_kind(m, src, b, "monotone") or b.join_of(m) != b.top:
+    if not brute_satisfies_kind(m, src, b, "monotone") or brute_join_of(b, m) != b.top:
         return False
+    meet = brute_tables(b)[0]
     return all(
-        b.meet[m[x]][m[y]] == b.join_of(
-            [m[z] for z in range(n) if src.leq(z, x) and src.leq(z, y)])
+        meet[m[x], m[y]] == brute_join_of(
+            b, [m[z] for z in range(n) if src.leq(z, x) and src.leq(z, y)])
         for x in range(n) for y in range(x, n))
 
 
@@ -266,6 +267,21 @@ def brute_meet(s: Structure, a: int, b: int) -> int | None:
     return greatest[0] if greatest else None
 
 
+def brute_join_of(s: Structure, family) -> int | None:
+    """Join of a finite family, a pairwise fold over brute_join (read from
+    brute_tables); the empty join is the least element, the one whose
+    up-set is everything, and None stands for a join that is missing."""
+    family, join = list(family), brute_tables(s)[1]
+    if not family:
+        return next((x for x, row in enumerate(s.base.up) if row == (1 << s.n) - 1), None)
+    acc = family[0]
+    for x in family[1:]:
+        acc = join[acc, x]
+        if acc is None:
+            return None
+    return acc
+
+
 def brute_complement(s: Structure, a: int) -> int | None:
     """An element c whose only common lower bound with a is the least element
     and whose only common upper bound with a is the greatest (None if none)."""
@@ -282,10 +298,16 @@ def brute_complement(s: Structure, a: int) -> int | None:
 def brute_tables(s: Structure) -> tuple[dict, dict]:
     """Meet and join of every ordered pair by the definitions of brute_meet
     and brute_join (the common lower bound above every other one, and
-    dually), on the down- and up-sets of s taken once as Python sets."""
-    rng = range(s.n)
-    below = [{y for y in rng if s.leq(y, x)} for x in rng]
-    above = [{y for y in rng if s.leq(x, y)} for x in rng]
+    dually), on the down- and up-sets of s taken once as Python sets; kept
+    per order, since the map-scan references ask for them once per map."""
+    return _brute_tables(s.labels, s.base.up)
+
+
+@functools.lru_cache(maxsize=64)
+def _brute_tables(labels, up) -> tuple[dict, dict]:
+    rng = range(len(labels))
+    below = [{y for y in rng if up[y] >> x & 1} for x in rng]
+    above = [{y for y in rng if up[x] >> y & 1} for x in rng]
 
     def extreme(bounds, cone):
         return next((x for x in sorted(bounds) if bounds <= cone[x]), None)
@@ -459,12 +481,12 @@ def brute_canonical(p: Poset) -> tuple:
 
 
 def brute_prime_filters(s: Structure) -> list[int]:
-    full = (1 << s.n) - 1
+    full, join = (1 << s.n) - 1, brute_tables(s)[1]
     out = []
     for m in brute_filters(s):
         if m == full:
             continue
-        if all(not (m >> s.join[a][b] & 1) or (m >> a & 1) or (m >> b & 1)
+        if all(not (m >> join[a, b] & 1) or (m >> a & 1) or (m >> b & 1)
                for a in range(s.n) for b in range(s.n)):
             out.append(m)
     return out
@@ -472,12 +494,12 @@ def brute_prime_filters(s: Structure) -> list[int]:
 
 def brute_disjunctive_filters(s: Structure) -> list[int]:
     """Proper filters detecting every join of a disjoint antichain family."""
-    full = (1 << s.n) - 1
+    full, meet = (1 << s.n) - 1, brute_tables(s)[0]
     families = []
     for r in range(2, s.n + 1):
         for fam in itertools.combinations(range(s.n), r):
             if any(s.leq(a, b) or s.leq(b, a)
-                   or s.meet[a][b] != s.bottom
+                   or meet[a, b] != s.bottom
                    for a, b in itertools.combinations(fam, 2)):
                 continue
             join = fam[0]
@@ -499,19 +521,19 @@ def brute_disjunctive_filters(s: Structure) -> list[int]:
 
 def brute_join_irreducibles(s: Structure) -> list[int]:
     """The elements of the lattice s that are not the join of the elements
-    strictly below them, by join_of (the bottom is the empty join)."""
+    strictly below them, by brute_join_of (the bottom is the empty join)."""
     return [x for x in range(s.n)
-            if s.join_of([y for y in range(s.n) if y != x and s.leq(y, x)]) != x]
+            if brute_join_of(s, [y for y in range(s.n) if y != x and s.leq(y, x)]) != x]
 
 
 def brute_disjunctively_compact(s: Structure) -> int:
     """The mask of the disjunctively compact elements of the finite
-    distributive lattice s, off its meet and join tables: the
+    distributive lattice s, off brute_tables and brute_join_of: the
     join-irreducibles below d fall into classes, two in one class when their
     meet is not the bottom, and d is compact iff for every class join c the
     join of the x <= d not above c is not d. The bottom is compact via the
     empty family."""
-    irreducible = brute_join_irreducibles(s)
+    irreducible, meet = brute_join_irreducibles(s), brute_tables(s)[0]
     out = 0
     for d in range(s.n):
         unseen = [x for x in irreducible if s.leq(x, d)]
@@ -519,12 +541,12 @@ def brute_disjunctively_compact(s: Structure) -> int:
         while unseen:
             block = [unseen.pop()]
             for v in block:  # grows while it is read
-                linked = [w for w in unseen if s.meet[v][w] != s.bottom]
+                linked = [w for w in unseen if meet[v, w] != s.bottom]
                 unseen = [w for w in unseen if w not in linked]
                 block += linked
-            joins.append(s.join_of(block))
-        if all(s.join_of([x for x in range(s.n) if s.leq(x, d) and not s.leq(c, x)]) != d
-               for c in joins):
+            joins.append(brute_join_of(s, block))
+        if all(brute_join_of(s, [x for x in range(s.n) if s.leq(x, d) and not s.leq(c, x)])
+               != d for c in joins):
             out |= 1 << d
     return out
 
@@ -552,7 +574,7 @@ def brute_recognize_free_boolean(i: StructureMorphism, kind: str) -> tuple[bool,
     picked = {"msl": sum(1 << u for u in brute_join_irreducibles(sub)),
               "dlat": (1 << sub.n) - 1,
               "ddlat": brute_disjunctively_compact(sub)}[kind]
-    target = {b.join_of([atoms[k] for k in bits(ups[u])]) for u in bits(picked)}
+    target = {brute_join_of(b, [atoms[k] for k in bits(ups[u])]) for u in bits(picked)}
     image = set(i.map)
     if image == target:
         return True, None
@@ -581,7 +603,7 @@ def brute_oracle_members(d: Structure) -> list[int]:
         inside = fam & contains[e]
         return inside | inside >> (1 << e)
 
-    seeds = contains[d.bottom]
+    seeds, (meet, join) = contains[d.bottom], brute_tables(d)
     for e in range(n):
         seeds |= contains[e] & contains[n + e]
 
@@ -596,7 +618,7 @@ def brute_oracle_members(d: Structure) -> list[int]:
                 fam |= padded(fam, e) & padded(fam, n + e)
             for a in range(n):
                 for b in range(a, n):
-                    j, w = d.join[a][b], d.meet[a][b]
+                    j, w = join[a, b], meet[a, b]
                     fam |= contains[j] & padded(fam, a) & padded(fam, b)
                     fam |= contains[a] & contains[b] & padded(fam, w)
                     fam |= contains[a] & padded(fam, j)

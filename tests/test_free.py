@@ -17,7 +17,7 @@ from conftest import (
     hom_kind_supported,
     lower_set_lattice,
 )
-from ordua import free
+from ordua import free, structures
 from ordua.corpus import all_posets, all_posets_up_to
 from ordua.dualities import dual_morphism
 from ordua.errors import (
@@ -495,6 +495,18 @@ def test_recognition_accepts_the_canonical_units():
             fr.unit_morphism({"msl": "meet-hom", "dlat": "lattice-hom",
                               "ddlat": "disjunctive-hom"}[kind]), kind)
         assert ok, witness
+
+
+def test_recognition_reads_the_kept_lattice_verdicts(monkeypatch):
+    # the chain is classified distributive and its free Boolean algebra is a
+    # lattice of up-sets, so the lattice-hom gate scans no pair of rows
+    fr = free_boolean(chain(11), "dlat")
+
+    def refuse(rows):
+        raise AssertionError("scanned the down-rows for meets")
+
+    monkeypatch.setattr(structures, "_closed", refuse)
+    assert recognize_free_boolean(fr.unit_morphism("lattice-hom"), "dlat") == (True, None)
 
 
 def test_recognition_rejects_the_wrong_subalgebra():

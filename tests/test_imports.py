@@ -1,5 +1,7 @@
 """Every name a module of the package imports is used in that module, and
 every private top-level name of a module is read somewhere in the package.
+The brute-force references in tests/conftest.py read no meet or join of the
+library's structures.
 
 The package ``__init__`` is exempt from the import check: its imports are
 the public surface.
@@ -132,3 +134,30 @@ def test_no_module_exceeds_the_compile_peak_budget(path):
     before it shows as peak RSS in a benchmark."""
     source = path.read_text(encoding="utf-8")
     assert compile_peak_mb(source, str(path)) <= MAX_COMPILE_PEAK_MB
+
+
+LIBRARY_OPERATIONS = {"meet", "join", "join_of"}
+
+
+def library_operation_reads(source: str) -> list[str]:
+    """function.attribute for each read of a meet, join or join_of attribute
+    inside a top-level brute_* function of source."""
+    return [f"{node.name}.{sub.attr}" for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("brute_")
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and sub.attr in LIBRARY_OPERATIONS]
+
+
+def test_the_check_sees_a_library_meet_or_join():
+    src = ("def brute_a(s): return s.meet(0, 1), s.join[0][1]\n"
+           "def brute_b(s): return brute_join(s, 0, 1)\n"
+           "def helper(s): return s.join_of([])\n")
+    assert library_operation_reads(src) == ["brute_a.meet", "brute_a.join"]
+
+
+def test_brute_references_read_no_library_meet_or_join():
+    """The references stay independent of the rows the library reads meets
+    and joins off: they use brute_tables, brute_meet, brute_join and
+    brute_join_of, all written from the order alone."""
+    source = (Path(__file__).parent / "conftest.py").read_text(encoding="utf-8")
+    assert library_operation_reads(source) == []

@@ -37,6 +37,7 @@ from ordua.spaces import (
     FiniteSpace,
     Preorder,
     PreorderedSpace,
+    _components,
     alexandrov_space,
     check_frame_pullback,
     check_patch_characterization,
@@ -390,9 +391,6 @@ def test_priestley_layer_lists_no_upper_sets(monkeypatch):
         if hasattr(module, "upper_sets"):
             monkeypatch.setattr(module, "upper_sets", refuse)
     assert structures.upper_sets is spaces.upper_sets is refuse
-    # the opens and clopens of a discrete space are read without upper_sets,
-    # so refuse them directly too
-    monkeypatch.setattr(FiniteSpace, "clopen_masks", refuse)
     n = 40
     labels = [f"x{i}" for i in range(n)]
     points = FiniteSpace.from_rows(labels, [1 << i for i in range(n)])
@@ -411,7 +409,7 @@ def test_priestley_layer_lists_no_upper_sets(monkeypatch):
         assert coherent_of_priestley(ps).minimal == pre.up
         assert extended_image_check(ps, "coherent-poset") == (True, None)
         assert extended_image_check(ps, "msl") == msl_image[pre]
-    assert points._opens is None
+    assert points._opens is None  # read without upper_sets, so checked here
 
 
 def _extended_image_by_definition(ps, variant):
@@ -633,7 +631,9 @@ def test_row_predicates_match_open_set_definitions():
     for k, sp in enumerate(sps):
         # masks past the carrier are scanned too: none of them is open
         assert [m for m in range(2 << sp.n) if sp.is_open(m)] == sorted(opens[k])
-        assert sp.clopen_masks() == sorted(m for m in opens[k] if sp.full ^ m in opens[k])
+        # clopen sets: the unions of connected components
+        assert upper_sets(_components(sp.up)) == sorted(
+            m for m in opens[k] if sp.full ^ m in opens[k])
         # continuity with random partners, as source and as target
         for j in rng.sample(range(len(sps)), 3):
             for a, b in ((k, j), (j, k)):
@@ -748,4 +748,4 @@ def test_clopen_sets_of_a_discrete_space_are_every_subset():
         labels = [f"x{i}" for i in range(n)]
         for sp in (FiniteSpace.from_rows(labels, _singletons(n)),
                    FiniteSpace(labels, range(1 << n))):
-            assert sp.clopen_masks() == list(range(1 << n))
+            assert upper_sets(_components(sp.up)) == list(range(1 << n))

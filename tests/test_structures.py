@@ -311,9 +311,8 @@ def test_powerset_structure_matches_its_closed_family():
         got = powerset_structure(k)
         want = structure_from_closed_masks([f"p{i}" for i in range(k)], range(1 << k))
         assert (got.labels, got.base.up, got.base.dn, got.kind, got.top, got.bottom,
-                got.complement, got.meet, got.join) == (
-            want.labels, want.base.up, want.base.dn, want.kind, want.top,
-            want.bottom, want.complement, want.meet, want.join)
+                got.complement) == (want.labels, want.base.up, want.base.dn, want.kind,
+                                    want.top, want.bottom, want.complement)
 
 
 def test_chain_structure_kinds():
@@ -337,7 +336,7 @@ def test_distributivity_matches_cubic_law(p):
     if not s.is_lattice():
         return
     law = all(
-        s.meet[a][s.join[b][c]] == s.join[s.meet[a][b]][s.meet[a][c]]
+        s.meet(a, s.join(b, c)) == s.join(s.meet(a, b), s.meet(a, c))
         for a in range(s.n) for b in range(s.n) for c in range(s.n))
     assert (s.rank() >= 3) == law
 
@@ -360,17 +359,18 @@ def test_classify_tables_match_definition(seed):
     s = classify(p)
     for a in range(s.n):
         for b in range(s.n):
-            assert s.meet[a][b] == brute_meet(s, a, b)
-            assert s.join[a][b] == brute_join(s, a, b)
+            assert s.meet(a, b) == brute_meet(s, a, b)
+            assert s.join(a, b) == brute_join(s, a, b)
 
 
 def test_table_cases_include_undefined_cells():
     a2 = mk("A2")
-    assert a2.meet == [[0, None], [None, 1]]
-    assert a2.join == [[0, None], [None, 1]]
+    assert [[a2.meet(a, b) for b in range(2)] for a in range(2)] == [[0, None], [None, 1]]
+    assert [[a2.join(a, b) for b in range(2)] for a in range(2)] == [[0, None], [None, 1]]
     assert not a2.is_lattice()
-    assert any(None in row for seed in range(1, 20, 3)
-               for row in classify(_shuffled_tables_case(seed)).meet)
+    assert any(s.meet(a, b) is None for seed in range(1, 20, 3)
+               for s in [classify(_shuffled_tables_case(seed))]
+               for a in range(s.n) for b in range(s.n))
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -379,8 +379,8 @@ def test_closed_family_tables_match_definition(seed):
     s = lower_set_lattice(random_poset(rng, rng.randint(1, 5), rng.random()))
     for a in range(s.n):
         for b in range(s.n):
-            assert s.meet[a][b] == brute_meet(s, a, b)
-            assert s.join[a][b] == brute_join(s, a, b)
+            assert s.meet(a, b) == brute_meet(s, a, b)
+            assert s.join(a, b) == brute_join(s, a, b)
 
 
 @pytest.mark.parametrize("labels, masks, message", [
@@ -436,8 +436,10 @@ def test_classify_matches_brute_force_up_to_6_points(n):
             for t in group:
                 assert (t.kind, t.top, t.bottom, t.complement) == (
                     kind, top, bottom, complements)
-                assert t.meet == [[meet[a, b] for b in rng] for a in rng]
-                assert t.join == [[join[a, b] for b in rng] for a in rng]
+                assert [[t.meet(a, b) for b in rng] for a in rng] == [
+                    [meet[a, b] for b in rng] for a in rng]
+                assert [[t.join(a, b) for b in rng] for a in rng] == [
+                    [join[a, b] for b in rng] for a in rng]
 
 
 def _assert_classify_matches_brute(p):
@@ -762,6 +764,32 @@ def test_is_lattice_matches_the_brute_force_tables_at_every_lower_kind():
             assert s.with_kind(kind).is_lattice() == expected, (p, kind)
         outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+def test_meets_are_scanned_at_most_once_per_poset(monkeypatch):
+    """classify, two lattice tests and the lattice-hom gate read the one
+    verdict kept on the poset: a bounded poset that is not distributive is
+    scanned once, and a distributive one or one with no top never."""
+    real, scans = structures._closed, []
+
+    def counted(rows):
+        scans.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(structures, "_closed", counted)
+    per_poset = []
+    for q in all_posets_up_to(5):
+        before = len(scans)
+        s = classify(Poset(q.labels, q.up))  # a fresh poset keeps no verdict
+        lattice = s.is_lattice()
+        assert s.is_lattice() == lattice
+        if lattice:
+            assert enumerate_homomorphisms(s, s, "lattice-hom")
+        else:
+            with pytest.raises(KindMismatch):
+                enumerate_homomorphisms(s, s, "lattice-hom")
+        per_poset.append(len(scans) - before)
+    assert len(per_poset) == 87 and set(per_poset) == {0, 1}
 
 
 def test_enumerate_boolean_homs_counts_atom_maps():
