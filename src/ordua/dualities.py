@@ -206,15 +206,19 @@ def upper_elements(fr: FreeResult) -> Subset:
 def roundtrip_check(d: Structure, bound: int | None = None
                     ) -> tuple[bool, Structure, tuple | None]:
     """Dualize d, rebuild the lattice of clopen upper sets, and check that
-    x -> {P : x in P} is an order isomorphism onto it: Birkhoff's map, which
-    is one iff d is distributive, as classify decides and keeps.
+    x -> c[x] = {P : x in P} is an order isomorphism onto it: Birkhoff's
+    map, which is one iff d is distributive, as classify decides and keeps.
+    It is then onto, so the clopen uppers are the basic sets c[x] ascending,
+    and x goes to the rank of c[x]; otherwise they are listed.
 
     Returns (ok, rebuilt lattice, element map as a tuple of target indices).
     """
     res = _patch_spectrum(d, "dlat", bound)
-    uppers = _require_priestley(res.space).clopen_uppers.masks
-    result = _lattice_of_upsets(res.space.labels, uppers)
+    report = _require_priestley(res.space)
     if not res.spectrum.is_distributive():
-        return False, result, None
-    index = {m: i for i, m in enumerate(uppers)}
-    return True, result, tuple([index[m] for m in res.spectrum.basics])
+        return False, _lattice_of_upsets(res.space.labels, report.clopen_uppers.masks), None
+    c = res.spectrum.basics
+    ranked, iso = sorted(range(len(c)), key=c.__getitem__), [0] * len(c)
+    for r, x in enumerate(ranked):
+        iso[x] = r
+    return True, _lattice_of_upsets(res.space.labels, [c[x] for x in ranked]), tuple(iso)

@@ -345,11 +345,11 @@ def _label_index(labels: tuple[str, ...]) -> dict[str, int]:
 def validate_poset(labels, pairs) -> Poset:
     """Close a raw relation reflexively-transitively and certify it is a poset.
 
-    Each point lists its successors once (dict.fromkeys drops repeats, if
-    any). One pass in a topological order of the pairs' graph (Kahn) ORs
-    each point's successors' up-rows into its own, and one pushes each
-    point's down-row into its successors'. Raises DuplicateLabel /
-    UnknownLabel / AntisymmetryViolation (with a cycle witness).
+    Self-pairs are dropped as read; a repeated pair counts in and out alike
+    and ORs a row again, so needs no dedupe. The Kahn pass (a topological
+    order) pushes each point's down-row into its successors', and a reverse
+    pass ORs each point's successors' up-rows into its own. Raises
+    DuplicateLabel / UnknownLabel / AntisymmetryViolation (with a cycle witness).
     """
     labels = tuple(map(str, labels))
     index, n = _label_index(labels), len(labels)
@@ -364,34 +364,30 @@ def validate_poset(labels, pairs) -> Poset:
             i, j = get(str(a)), get(str(b))
             if i is None or j is None:
                 raise UnknownLabel(f"unknown label {str(a if i is None else b)!r} in order pair")
-        nexts[i].append(j)
-    for i, row in enumerate(nexts):
-        if i in row or len(set(row)) < len(row):
-            nexts[i] = row = [j for j in dict.fromkeys(row) if j != i]
-        for j in row:
+        if i != j:
+            nexts[i].append(j)
             indegree[j] += 1
     order = [i for i in range(n) if not indegree[i]]
+    dn = [1 << i for i in range(n)]
     for i in order:  # grows while it is read
+        row = dn[i]
         for j in nexts[i]:
+            dn[j] |= row
             indegree[j] -= 1
             if not indegree[j]:
                 order.append(j)
     if len(order) < n:
-        up = transitive_closure((1 << i) | sum(1 << j for j in r) for i, r in enumerate(nexts))
+        up = transitive_closure((1 << i) | sum({1 << j for j in r}) for i, r in enumerate(nexts))
         for i, row in enumerate(up):
             cycle = [x for x in bits(row) if up[x] >> i & 1]
             if len(cycle) > 1:
                 raise AntisymmetryViolation(sorted(labels[x] for x in cycle))
-    up, dn = [1 << i for i in range(n)], [1 << i for i in range(n)]
+    up = [1 << i for i in range(n)]
     for i in reversed(order):
         row = up[i]
         for j in nexts[i]:
             row |= up[j]
         up[i] = row
-    for i in order:
-        row = dn[i]
-        for j in nexts[i]:
-            dn[j] |= row
     return Poset._of_order(labels, up, dn, index)
 
 

@@ -11,7 +11,7 @@ from conftest import (
     lower_set_lattice,
     shuffled,
 )
-from ordua import dualities, setlattices, spectra, structures
+from ordua import dualities, setlattices, spaces, spectra, structures
 from ordua.cli import builtin_structure
 from ordua.corpus import all_posets, all_posets_up_to, random_poset
 from ordua.errors import CarrierTooLarge, KindMismatch, NotPriestley
@@ -54,6 +54,7 @@ from ordua.structures import (
     disjunctively_compact_elements,
     inclusion_rows,
     prime_filters,
+    upper_sets,
     validate_poset,
 )
 from ordua.structures import bits
@@ -377,6 +378,34 @@ def test_roundtrip_of_claimed_distributive_lattices_is_pinned():
         d = classify(builtin_structure(name).base).with_kind("distributive-lattice")
         ok, rebuilt, iso = roundtrip_check(d)
         assert (ok, rebuilt.n, iso) == (False, size, None)
+
+
+def test_roundtrip_reads_the_clopen_uppers_off_the_basic_sets(monkeypatch):
+    """On a distributive lattice the round trip lists no clopen uppers: it
+    gives the verdict, rebuilt masks and element map of the dual space's
+    listed clopen uppers (the up-sets of the spectrum order), indexed by
+    mask, with that listing refused."""
+    lattices = [classify(p) for p in all_posets_up_to(7)]
+    lattices = [d for d in lattices if KIND_RANK[d.kind] >= KIND_RANK["distributive-lattice"]]
+    lattices += [powerset_structure(k) for k in range(7)]
+    lattices += [lower_set_lattice(p) for p in all_posets(4)]
+
+    def listed(d):
+        res = priestley_of_dlat(d)
+        uppers = dualities._require_priestley(res.space).clopen_uppers.masks
+        assert list(uppers) == upper_sets(res.spectrum.order)
+        index = {m: i for i, m in enumerate(uppers)}
+        return True, tuple(uppers), tuple([index[m] for m in res.spectrum.basics])
+
+    want = [listed(d) for d in lattices]
+
+    def refuse(self):
+        raise AssertionError("listed the clopen uppers")
+
+    monkeypatch.setattr(spaces.PriestleyReport, "clopen_uppers", property(refuse))
+    for d, expected in zip(lattices, want):
+        ok, rebuilt, iso = roundtrip_check(d)
+        assert (ok, rebuilt.base.masks, iso) == expected
 
 
 def test_roundtrip_reads_no_rebuilt_rows_or_labels(monkeypatch):

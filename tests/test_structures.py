@@ -71,6 +71,7 @@ from ordua.structures import (
     classify,
     compose,
     count_upper_sets,
+    cover_pairs,
     disjunctive_filters,
     disjunctively_compact_elements,
     enumerate_homomorphisms,
@@ -225,6 +226,40 @@ def test_validate_poset_closes_like_transitive_closure(block):
         else:
             assert str(err.value) == f"unknown label {want[1]!r} in order pair"
     assert outcomes["poset"] and outcomes[AntisymmetryViolation]
+
+
+def _wide_down_set_lattice(rng, k):
+    """The down-set lattice of a random k-point poset with 30 to 140 elements."""
+    while True:
+        p = random_poset(rng, k, rng.uniform(0.3, 0.6))
+        if 30 <= count_upper_sets(p.dn) <= 140:
+            return lower_set_lattice(p).base
+
+
+@pytest.mark.parametrize("block", range(3))
+def test_validate_poset_closes_wide_carriers_like_transitive_closure(block):
+    """The cover pairs of 2^5 to 2^7 and of down-set lattices of 8 to 10
+    points, so rows past the 8-bit bits table, relabelled so that index
+    order is not topological, shuffled, some repeated, with self-pairs; then
+    one more pair y <= x for some x < y, which closes a cycle through every
+    point between them."""
+    rng = random.Random(900 + block)
+    for p in (powerset_structure(5 + block).base, _wide_down_set_lattice(rng, 8 + block)):
+        q = shuffled(p, rng)
+        assert 30 <= q.n <= 140 and any(j < i for i in range(q.n) for j in bits(q.up[i]))
+        pairs = [(q.labels[i], q.labels[j]) for i, j in cover_pairs(q.up)]
+        pairs += rng.sample(pairs, len(pairs) // 4) + [(x, x) for x in rng.sample(q.labels, 3)]
+        rng.shuffle(pairs)
+        got = validate_poset(q.labels, pairs)
+        assert closure_reference(q.labels, pairs) == ("poset", list(got.up), list(got.dn))
+        assert got.up == q.up
+        x, y = rng.choice([(i, j) for i in range(q.n) for j in bits(q.up[i]) if i != j])
+        pairs.insert(rng.randrange(len(pairs) + 1), (q.labels[y], q.labels[x]))
+        want = closure_reference(q.labels, pairs)
+        assert want[0] is AntisymmetryViolation and len(want[1]) > 1
+        with pytest.raises(AntisymmetryViolation) as err:
+            validate_poset(q.labels, pairs)
+        assert err.value.cycle == want[1]
 
 
 def test_validate_poset_reads_int_labels_and_repeated_pairs_as_strings():
