@@ -16,45 +16,14 @@ import os
 import random
 import sys
 
-from ordua.corpus import all_preorders, random_poset
-from ordua.dualities import (
-    DUALITY_KINDS,
-    DualityResult,
-    dlat_of_priestley,
-    duality_class,
-    extended_image_check,
-    priestley_of_dlat,
-    roundtrip_check,
-    spectrum_for,
-)
+# dualities, free, spaces and corpus are imported in the commands that use
+# them: a process compiles every module it imports, and classify needs none
 from ordua.errors import (
     CarrierTooLarge,
     InputFormatError,
     KindHintMismatch,
     KindMismatch,
     OrduaError,
-)
-from ordua.free import (
-    _ALGEBRA_KINDS,
-    FreeResult,
-    free_boolean,
-    free_dlat_on_ddlat,
-    free_dlat_on_msl,
-    free_frame_on_poset,
-    frame_supercompacts,
-    recognize_free_boolean,
-    thm22_oracle,
-    universal_property_check,
-)
-from ordua.spaces import (
-    FiniteSpace,
-    Preorder,
-    PreorderedSpace,
-    _discrete,
-    alexandrov_space,
-    check_frame_pullback,
-    check_patch_characterization,
-    priestley_check,
 )
 from ordua.setlattices import _lattice_of_upsets
 from ordua.spectra import MODEL_CLASSES
@@ -182,6 +151,9 @@ def _dot_quote(s: str) -> str:
 def export_dot(obj) -> str:
     """Render a poset, structure, free algebra or space as a DOT digraph
     (edges are the cover relation, drawn bottom-up)."""
+    from ordua.free import FreeResult
+    from ordua.spaces import FiniteSpace, PreorderedSpace
+
     if isinstance(obj, FreeResult):
         obj = obj.structure
     if isinstance(obj, Structure):
@@ -211,7 +183,8 @@ def _filters_as_labels(s_labels, masks) -> list[list[str]]:
     return [[s_labels[i] for i in bits(m)] for m in masks]
 
 
-def _spectrum_report(s: Structure, res: DualityResult, duality: str) -> dict:
+def _spectrum_report(s: Structure, res, duality: str) -> dict:
+    """The report of a dualities.DualityResult res of s."""
     sp = res.spectrum
     report = {
         "duality": duality,
@@ -240,7 +213,8 @@ def _strongest(s: Structure, kinds, class_of=lambda kind: kind) -> str | None:
     return max([k for k in kinds if rank[k] <= s.rank()], key=rank.get, default=None)
 
 
-def _free_report(fr: FreeResult) -> dict:
+def _free_report(fr) -> dict:
+    """The report of a free.FreeResult fr."""
     # a size above the interpreter's int-to-str digit limit (0: none) cannot print
     limit = sys.get_int_max_str_digits()
     npts = len(fr.spectrum.points)
@@ -260,8 +234,10 @@ def _free_report(fr: FreeResult) -> dict:
     return report
 
 
-def _discrete_priestley(s: Structure, bound: int) -> PreorderedSpace:
+def _discrete_priestley(s: Structure, bound: int):
     """The order of s with the discrete topology: always a Priestley space."""
+    from ordua.spaces import Preorder, PreorderedSpace, _discrete
+
     if s.n > bound:
         raise CarrierTooLarge(f"carrier {s.n} exceeds bound {bound}")
     return PreorderedSpace(_discrete(s.labels, bound), Preorder.from_poset(s.base))
@@ -269,6 +245,13 @@ def _discrete_priestley(s: Structure, bound: int) -> PreorderedSpace:
 
 def selftest(seed: int, bound: int) -> dict:
     """Deterministic miniature of the verification suite."""
+    from ordua.corpus import all_preorders, random_poset
+    from ordua.dualities import priestley_of_dlat, roundtrip_check
+    from ordua.free import (free_boolean, recognize_free_boolean, thm22_oracle,
+                            universal_property_check)
+    from ordua.spaces import (Preorder, alexandrov_space, check_frame_pullback,
+                              check_patch_characterization)
+
     checks: list[dict] = []
 
     def record(name: str, ok: bool) -> None:
@@ -336,6 +319,7 @@ def run_command(command: str, files: list[str], bound: int, oracle_bound: int,
     if len(files) != 1:
         raise InputFormatError(f"{command} expects exactly one input file")
     if command == "recognize":
+        from ordua.free import _ALGEBRA_KINDS, recognize_free_boolean
         f = load_morphism(files[0])
         duality = next((k for k in _ALGEBRA_KINDS
                         if MODEL_CLASSES[k].hom_kind == f.kind), None)
@@ -361,28 +345,34 @@ def run_command(command: str, files: list[str], bound: int, oracle_bound: int,
                   "is-lattice": s.is_lattice()}
         return 0, report, s
     if command == "spectrum":
+        from ordua.dualities import DUALITY_KINDS, duality_class, spectrum_for
         duality = _strongest(s, DUALITY_KINDS, duality_class)
         res = spectrum_for(s, duality, bound)
         report = {"command": command, **_spectrum_report(s, res, duality)}
         return 0, report, res.space
     if command == "priestley":
+        from ordua.dualities import priestley_of_dlat
+        from ordua.spaces import priestley_check
         res = priestley_of_dlat(s, bound)
         pr = priestley_check(res.space)
         report = {"command": command, **_spectrum_report(s, res, "dlat"),
                   "priestley": pr.to_dict()}
         return 0, report, res.space
     if command == "dualize-back":
+        from ordua.dualities import dlat_of_priestley
         ps = _discrete_priestley(s, bound)
         d = dlat_of_priestley(ps)
         report = {"command": command, "size": d.n, "kind": d.kind,
                   "elements": list(d.labels)}
         return 0, report, d
     if command == "free-bool":
+        from ordua.free import free_boolean
         kind = _strongest(s, ("poset-monotone", "msl", "dlat", "ddlat"))
         fr = free_boolean(s, kind, bound)
         report = {"command": command, **_free_report(fr)}
         return 0, report, fr if fr.size <= 64 else None
     if command == "free-dlat":
+        from ordua.free import free_dlat_on_ddlat, free_dlat_on_msl
         kind = _strongest(s, ("msl", "ddlat"))
         if kind is None:
             raise KindMismatch("free-dlat needs a meet-semilattice or stronger")
@@ -393,6 +383,7 @@ def run_command(command: str, files: list[str], bound: int, oracle_bound: int,
                                for m in fr.element_masks]}
         return 0, report, fr
     if command == "free-frame":
+        from ordua.free import frame_supercompacts, free_frame_on_poset
         fr = free_frame_on_poset(s.base, bound)
         sup = frame_supercompacts(fr)
         report = {"command": command, "size": fr.size,
@@ -402,6 +393,7 @@ def run_command(command: str, files: list[str], bound: int, oracle_bound: int,
                            for i in range(s.n)}}
         return 0, report, fr
     if command == "oracle":
+        from ordua.free import free_boolean, thm22_oracle
         orc = thm22_oracle(s, oracle_bound)
         fr = free_boolean(s, "dlat", bound)
         pins = {orc.unit[i]: fr.unit[i] for i in range(s.n)}
@@ -413,11 +405,13 @@ def run_command(command: str, files: list[str], bound: int, oracle_bound: int,
                   "matches-free": match}
         return (0 if match else 1), report, orc.structure
     if command == "roundtrip":
+        from ordua.dualities import roundtrip_check
         ok, result, iso = roundtrip_check(s, bound)
         report = {"command": command, "ok": ok, "size": s.n,
                   "clopen-uppers": result.n}
         return (0 if ok else 1), report, result
     if command == "extimage":
+        from ordua.dualities import extended_image_check
         ps = _discrete_priestley(s, bound)
         report = {"command": command}
         for variant in ("coherent-poset", "msl"):
@@ -425,6 +419,7 @@ def run_command(command: str, files: list[str], bound: int, oracle_bound: int,
             report[variant] = {"ok": ok, "witness": witness}
         return (0 if report["coherent-poset"]["ok"] else 1), report, ps
     if command == "check-pullback":
+        from ordua.spaces import Preorder, alexandrov_space, check_frame_pullback
         space = alexandrov_space(Preorder.from_poset(s.base), bound)
         ok = check_frame_pullback(space, bound)
         report = {"command": command, "ok": ok, "opens": count_upper_sets(space.up)}

@@ -12,7 +12,6 @@ topology they generate alone is the Alexandrov topology of inclusion.
 from __future__ import annotations
 
 from ordua.errors import InputFormatError
-from ordua.free import FreeResult
 from ordua.spaces import (
     FiniteSpace,
     Preorder,
@@ -192,9 +191,9 @@ def extended_image_check(ps: PreorderedSpace, variant: str
     return True, None
 
 
-def upper_elements(fr: FreeResult) -> Subset:
-    """Elements b of a free Boolean algebra with: b in P and P <= P' imply
-    b in P', for primes ordered by their traces.
+def upper_elements(fr) -> Subset:
+    """Elements b of the free Boolean algebra fr (a free.FreeResult) with:
+    b in P and P <= P' imply b in P', for primes ordered by their traces.
 
     The trace of the prime at point k is the point, and b is in it iff bit k
     of b's powerset mask, its element index in the materialized algebra, is

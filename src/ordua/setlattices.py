@@ -155,11 +155,11 @@ def _lattice_of_upsets(point_labels, masks) -> Structure:
     on the points, ascending (as upper_sets lists them): nothing is checked.
     The empty and full sets are its bottom and top. Complement reverses mask
     order, so the family is closed under it iff it maps the list onto itself
-    reversed."""
+    reversed; a Boolean algebra has 2^k elements, so no other size is tried."""
     masks = tuple(masks)
     n, full = len(masks), masks[-1]
     base = _SetOrder(tuple(point_labels), masks)
-    if tuple([full ^ m for m in reversed(masks)]) != masks:
+    if n & (n - 1) or tuple([full ^ m for m in reversed(masks)]) != masks:
         return Structure(base, "distributive-lattice", n - 1, 0, None)
     return Structure(base, "boolean-algebra", n - 1, 0, tuple(range(n - 1, -1, -1)))
 

@@ -87,6 +87,8 @@ class Preorder:
     def antisymmetry_failure(self) -> tuple[int, int] | None:
         """The first two indices of the repeated up-row whose first index is
         least, or None: i <= j <= i exactly when i and j have the same row."""
+        if self.is_antisymmetric():
+            return None
         classes: dict[int, list[int]] = {}
         for i, row in enumerate(self.up):
             classes.setdefault(row, []).append(i)

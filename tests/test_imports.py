@@ -3,16 +3,22 @@ every private top-level name of a module is read somewhere in the package.
 The brute-force references in tests/conftest.py read no meet or join of the
 library's structures.
 
-The package ``__init__`` is exempt from the import check: its imports are
-the public surface.
+The package ``__init__`` is exempt from the import check. Its public
+surface is pinned below: the names it serves lazily, and which layers each
+CLI command loads.
 """
 
 import ast
+import importlib
+import json
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from conftest import package_env
 import ordua
 
 PACKAGE = sorted(Path(ordua.__file__).parent.glob("*.py"))
@@ -85,8 +91,8 @@ MAX_MODULE_LINES = 989
 
 
 def test_no_module_exceeds_the_line_budget():
-    """Every fresh interpreter compiles the whole package (bytecode is not
-    cached where PYTHONDONTWRITEBYTECODE is set), and compiling a long module
+    """Every fresh interpreter compiles each module it imports (bytecode is
+    not cached where PYTHONDONTWRITEBYTECODE is set), and compiling a long module
     raises the peak RSS: structures.py costs about 3 MB. That peak follows
     the code (tokens and syntax nodes), not its comments or docstrings, and
     it jumps at certain sizes: 15 more lines of code in structures.py raise
@@ -161,3 +167,103 @@ def test_brute_references_read_no_library_meet_or_join():
     brute_join_of, all written from the order alone."""
     source = (Path(__file__).parent / "conftest.py").read_text(encoding="utf-8")
     assert library_operation_reads(source) == []
+
+
+# submodule -> the public names ordua serves from it
+PUBLIC_SURFACE = {
+    "errors": [
+        "AntisymmetryViolation", "CarrierMismatch", "CarrierTooLarge",
+        "DuplicateLabel", "InputFormatError", "KindHintMismatch", "KindMismatch",
+        "NotAFilterImage", "NotInjective", "NotPriestley", "NotT0",
+        "OracleBoundExceeded", "OrduaError", "UnknownLabel"],
+    "structures": [
+        "DEFAULT_ENUMERATION_BOUND", "KINDS", "KIND_RANK", "MORPHISM_KINDS",
+        "Poset", "SetFamily", "Structure", "StructureMorphism", "Subset",
+        "canonical_form", "chain_structure", "classify", "compose",
+        "disjunctive_filters", "disjunctively_compact_elements",
+        "enumerate_homomorphisms", "filters", "inclusion_rows",
+        "indecomposable_elements", "is_coherent_poset", "is_flat_map",
+        "is_homomorphism", "order_isomorphism", "prime_filters",
+        "structure_isomorphism", "validate_poset"],
+    "setlattices": ["powerset_structure", "structure_from_closed_masks"],
+    "spaces": [
+        "FiniteSpace", "Preorder", "PreorderedSpace", "PriestleyReport",
+        "alexandrov_space", "check_frame_pullback", "check_patch_characterization",
+        "generate_topology", "patch_space", "preorder_coreflection",
+        "priestley_boolean_algebra", "priestley_check", "specialization_preorder",
+        "upper_open_reduct", "weakly_indecomposable_clopen_uppers"],
+    "spectra": ["Spectrum", "inverse_image_map", "spectrum"],
+    "dualities": [
+        "DUALITY_KINDS", "DualityResult", "SpaceMap", "coherent_of_priestley",
+        "ddlat_spectrum", "dlat_of_priestley", "dual_morphism",
+        "extended_image_check", "msl_spectrum", "poset_spectrum",
+        "priestley_of_coherent", "priestley_of_dlat", "roundtrip_check",
+        "spectrum_for", "stone_spectrum", "upper_elements"],
+    "free": [
+        "FREE_KINDS", "FreeResult", "OracleResult", "free_boolean",
+        "free_dlat_on_ddlat", "free_dlat_on_msl", "free_frame_on_poset",
+        "frame_supercompacts", "induced_boolean_hom", "is_class_morphism",
+        "recognize_free_boolean", "supercompact_elements", "thm22_oracle",
+        "universal_property_check"],
+}
+
+
+def test_the_namespace_serves_every_public_name_from_its_module():
+    names = sorted([*PUBLIC_SURFACE, *(n for ns in PUBLIC_SURFACE.values() for n in ns)])
+    assert len(names) == len(set(names)) == 97
+    assert sorted(ordua.__all__) == names
+    for module, exported in PUBLIC_SURFACE.items():
+        source = importlib.import_module(f"ordua.{module}")
+        assert getattr(ordua, module) is source
+        for name in exported:
+            assert getattr(ordua, name) is getattr(source, name), name
+    star: dict = {}
+    exec("from ordua import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == names
+    assert set(names) <= set(dir(ordua))
+    assert ordua.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match=r"^module 'ordua' has no attribute 'nope'$"):
+        ordua.nope
+    with pytest.raises(ImportError):
+        exec("from ordua import nope", {})
+
+
+def loaded_after(code: str, *argv: str) -> dict:
+    """What a fresh interpreter reports on stderr's last line after running
+    code, which must print a JSON object there. -S keeps out the modules that
+    site's .pth hooks may import (typing among them)."""
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv],
+                          capture_output=True, text=True, env=package_env())
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+def test_importing_the_package_runs_no_submodule():
+    code = ("import json, sys; import ordua; print(json.dumps(sorted("
+            "m for m in sys.modules if m.startswith('ordua'))), file=sys.stderr)")
+    assert loaded_after(code) == ["ordua"]
+
+
+RUN_CLI = """
+import json, runpy, sys
+typing_at_start = "typing" in sys.modules
+sys.argv, code = ["ordua", *sys.argv[1:]], None
+try:
+    runpy.run_module("ordua.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+print(json.dumps({"code": code, "typing": "typing" in sys.modules and not typing_at_start,
+                  "layers": sorted(m[6:] for m in sys.modules if m.startswith("ordua."))}),
+      file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["classify", "C3"], {"dualities", "free", "spaces", "corpus"}),
+    (["spectrum", "D4"], {"free", "corpus"}),
+    (["free-bool", "A2"], {"dualities", "spaces", "corpus"}),
+], ids=["classify", "spectrum", "free-bool"])
+def test_a_command_loads_only_the_layers_it_runs(argv, unused):
+    got = loaded_after(RUN_CLI, *argv)
+    assert got["code"] == 0 and got["typing"] is False
+    assert {"errors", "structures"} <= set(got["layers"])
+    assert unused.isdisjoint(got["layers"]), got["layers"]

@@ -94,6 +94,22 @@ def test_lattice_of_upsets_builds_labels_and_rows_on_first_read(monkeypatch):
     assert s.base.index(want["labels"][3]) == 3
 
 
+def test_only_a_family_of_2_to_the_k_members_is_tried_for_complements(monkeypatch):
+    """The 5 up-sets of a 4-chain are never reversed, the 4 of a 3-chain
+    are. The pairwise test above checks the kinds and complements this
+    decides: on the powersets of up to 6 points, and on the up-sets of every
+    preorder on up to 4 points, the 3-chain among them."""
+    def refuse(*args):
+        raise AssertionError("reversed the mask list")
+
+    monkeypatch.setattr(setlattices, "reversed", refuse, raising=False)
+    chain4 = upper_sets((0b1111, 0b1110, 0b1100, 0b1000))
+    s = _lattice_of_upsets(["a", "b", "c", "d"], chain4)
+    assert (s.n, s.kind, s.complement) == (5, "distributive-lattice", None)
+    with pytest.raises(AssertionError, match="reversed"):
+        _lattice_of_upsets(["a", "b", "c"], upper_sets((0b111, 0b110, 0b100)))
+
+
 @pytest.mark.parametrize("count", [0, 1, 8, 9, 16])
 def test_and_fold_matches_a_plain_fold(count):
     rng = random.Random(count)

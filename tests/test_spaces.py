@@ -529,9 +529,12 @@ def test_frame_pullback_holds_by_definition_on_every_small_t0_space():
 
 
 def test_antisymmetry_failure_matches_the_pairwise_walk():
+    """Every preorder on up to 4 points, every poset on up to 5 (no row
+    repeats) and random preorders on 6 to 9 points."""
     rng = random.Random(22)
     cases = [rows for n in range(5) for rows in all_preorders(n)]
     assert sum(len(rows) == 4 for rows in cases) == 355
+    cases += [p.up for p in all_posets_up_to(5)]
     cases += [transitive_closure(1 << i | rng.getrandbits(n) & rng.getrandbits(n)
                                  for i in range(n))
               for n in range(6, 10) for _ in range(50)]
