@@ -151,11 +151,12 @@ def _dot_quote(s: str) -> str:
 def export_dot(obj) -> str:
     """Render a poset, structure, free algebra or space as a DOT digraph
     (edges are the cover relation, drawn bottom-up)."""
-    from ordua.free import FreeResult
-    from ordua.spaces import FiniteSpace, PreorderedSpace
+    if not isinstance(obj, (Structure, Poset)):  # only the other cases need free and spaces
+        from ordua.free import FreeResult
+        from ordua.spaces import FiniteSpace, PreorderedSpace
 
-    if isinstance(obj, FreeResult):
-        obj = obj.structure
+        if isinstance(obj, FreeResult):
+            obj = obj.structure
     if isinstance(obj, Structure):
         labels, up = obj.base.labels, obj.base.up
         note = f"kind: {obj.kind}"

@@ -7,6 +7,7 @@ import random
 from ordua.structures import (
     Poset,
     _label_index,
+    _twin_groups,
     bits,
     canonical_form,
     transitive_closure,
@@ -23,7 +24,10 @@ def all_posets(n: int) -> list[Poset]:
     labellings listed by their prefix on 0..n-2, then by the down-set of
     n-1 in ascending mask order. A prefix isomorphic by s to an earlier one
     Q extends by D to a copy of Q extended by s(D), which comes earlier; so
-    only the representatives on n-1 points are extended."""
+    only the representatives on n-1 points are extended. Swapping a twin
+    with the twin before it in its group is an automorphism of the prefix
+    that maps a down-set holding the later twin alone to a smaller mask;
+    so down-sets that hold a twin but not the twin before it are skipped."""
     if n not in _POSET_CACHE:
         labels = tuple(f"x{i}" for i in range(n))
         index = _label_index(labels)  # shared by every poset of this size
@@ -31,7 +35,10 @@ def all_posets(n: int) -> list[Poset]:
         seen = {}
         for up, dn in prefixes:
             point = 1 << len(up)
+            pairs = [(1 << a, 1 << b) for g in _twin_groups(up, dn) for a, b in zip(g, g[1:])]
             for d in upper_sets(dn):  # the down-sets of the prefix
+                if any(d & b and not d & a for a, b in pairs):
+                    continue
                 ext = tuple(r | point if d >> i & 1 else r for i, r in enumerate(up))
                 p = Poset._of_order(labels, ext + (point,), dn + (d | point,), index)
                 seen.setdefault(canonical_form(p), p)

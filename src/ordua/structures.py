@@ -912,14 +912,15 @@ def structure_isomorphism(s: Structure, t: Structure,
     return order_isomorphism(s.base, t.base, pins)
 
 
-def _class_orders(classes):
-    """Yield each concatenation of one ordering per class, one at a time."""
-    if not classes:
-        yield ()
-        return
-    for head in itertools.permutations(classes[0]):
-        for rest in _class_orders(classes[1:]):
-            yield head + rest
+def _twin_groups(up, dn) -> list[list[int]]:
+    """The points of the order with these rows, grouped by their strict
+    up-row and strict down-row, each group ascending. Twins are
+    incomparable, swapping two of them is an automorphism, and colour
+    refinement gives them one colour."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (u, d) in enumerate(zip(up, dn)):
+        groups.setdefault((u ^ 1 << i, d ^ 1 << i), []).append(i)
+    return list(groups.values())
 
 
 def canonical_form(p: Poset) -> tuple:
@@ -927,18 +928,24 @@ def canonical_form(p: Poset) -> tuple:
 
     The refined colors are invariant and canonically numbered, so the least
     relabelled up-rows need only be sought among the relabellings listing
-    the color classes in color order (the orderings within each class, not
-    all n! permutations). Refinement stops once those number at most 2n,
-    where a round costs more than the orderings it would save. Equal keys
-    mean isomorphic posets.
+    the color classes in color order. Refinement stops once the orderings
+    within the classes number at most 2n, where a round costs more than the
+    orderings it would save. Reordering twins leaves the relabelled rows as
+    they are, and an isomorphism maps twin groups to twin groups of the
+    same size and color, so within each class only the orders of its twin
+    groups are tried, each group kept together in ascending order. Equal
+    keys mean isomorphic posets.
     """
     n = p.n
     colors = _refine_colors(p, 2 * n)
-    classes = [[i for i in range(n) if colors[i] == c] for c in range(max(colors) + 1)]
+    classes: list[list[list[int]]] = [[] for _ in range(max(colors) + 1)]
+    for group in _twin_groups(p.up, p.dn):
+        classes[colors[group[0]]].append(group)
     ups = [tuple(bits(row)) for row in p.up]
     pos = [0] * n
     best = None
-    for perm in _class_orders(classes):
+    for orders in itertools.product(*map(itertools.permutations, classes)):
+        perm = [i for order in orders for group in order for i in group]
         for k, i in enumerate(perm):
             pos[i] = 1 << k
         key = tuple([sum([pos[j] for j in ups[i]]) for i in perm])

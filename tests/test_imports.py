@@ -261,7 +261,8 @@ print(json.dumps({"code": code, "typing": "typing" in sys.modules and not typing
     (["classify", "C3"], {"dualities", "free", "spaces", "corpus"}),
     (["spectrum", "D4"], {"free", "corpus"}),
     (["free-bool", "A2"], {"dualities", "spaces", "corpus"}),
-], ids=["classify", "spectrum", "free-bool"])
+    (["classify", "C3", "--format", "dot"], {"dualities", "free", "spaces", "corpus"}),
+], ids=["classify", "spectrum", "free-bool", "classify-dot"])
 def test_a_command_loads_only_the_layers_it_runs(argv, unused):
     got = loaded_after(RUN_CLI, *argv)
     assert got["code"] == 0 and got["typing"] is False

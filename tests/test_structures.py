@@ -985,6 +985,29 @@ def crowns(*sizes: int) -> Poset:
     return validate_poset(labels, pairs)
 
 
+def numbered(n: int, covers) -> Poset:
+    return validate_poset([f"x{i}" for i in range(n)], [(f"x{a}", f"x{b}") for a, b in covers])
+
+
+def ordinal_sum(*sizes: int) -> Poset:
+    """Antichains of these sizes stacked, each point below every point of
+    the next: two sizes give a complete bipartite order."""
+    starts = list(itertools.accumulate(sizes, initial=0))
+    return numbered(starts[-1], [(a, b) for t in range(len(sizes) - 1)
+                                 for a in range(starts[t], starts[t + 1])
+                                 for b in range(starts[t + 1], starts[t + 2])])
+
+
+def with_pendant_twins(p: Poset, at: int, above: int = 0, below: int = 0) -> Poset:
+    """p with `above` new points covering point `at` and `below` new points
+    covered by it: each batch is one group of twins."""
+    labels = [*p.labels, *(f"u{k}" for k in range(above)), *(f"d{k}" for k in range(below))]
+    pairs = [(p.labels[i], p.labels[j]) for i, j in cover_pairs(p.up)]
+    pairs += [(p.labels[at], f"u{k}") for k in range(above)]
+    pairs += [(f"d{k}", p.labels[at]) for k in range(below)]
+    return validate_poset(labels, pairs)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_canonical_form_partitions_like_brute_force(n):
     # the pairs form a bijection between the two sets of keys
@@ -1029,13 +1052,20 @@ def test_canonical_form_separates_posets_colors_cannot():
     Poset([f"x{i}" for i in range(7)], [1 << i for i in range(7)]),  # one color class
     crowns(2, 2).dual(),
     *(random_poset(random.Random(seed), 7, 0.3) for seed in range(3)),
-], ids=["antichain", "crowns", "random0", "random1", "random2"])
+    # twin-rich posets on 10 to 12 points
+    numbered(12, []), ordinal_sum(6, 6), ordinal_sum(3, 4, 3), ordinal_sum(2, 2, 2, 2, 2),
+    ordinal_sum(5, 1, 5), with_pendant_twins(crowns(3), 3, above=3, below=2),
+    with_pendant_twins(with_pendant_twins(crowns(4), 4, above=2), 0, below=2),
+], ids=["antichain", "crowns", "random0", "random1", "random2", "antichain12", "K66",
+        "sum343", "sum22222", "sum515", "crown3-twins", "crown4-twins"])
 def test_canonical_form_is_invariant_under_relabelling(p):
     rng = random.Random(0)
     key = canonical_form(p)
     assert key[0] == p.n
     for _ in range(2):
         assert canonical_form(shuffled(p, rng)) == key
+    # the least relabelled up-rows are those of a copy of p
+    assert order_isomorphism(p, Poset(p.labels, key[2])) is not None
 
 
 def orderings(colors) -> int:
@@ -1047,10 +1077,6 @@ def degree_colors(p: Poset) -> list[int]:
     """The colors before any refinement round: (down-degree, up-degree), ranked."""
     degrees = [(p.dn[i].bit_count(), p.up[i].bit_count()) for i in range(p.n)]
     return [sorted(set(degrees)).index(d) for d in degrees]
-
-
-def numbered(n: int, covers) -> Poset:
-    return validate_poset([f"x{i}" for i in range(n)], [(f"x{a}", f"x{b}") for a, b in covers])
 
 
 def refinement_exit_cases(exit: str) -> list[Poset]:
@@ -1098,6 +1124,37 @@ def test_canonical_form_is_complete_at_each_refinement_exit(exit):
     assert all((a == b) == (c == d) for (a, c), (b, d) in pairs)
 
 
+def twin_rich_posets() -> list[Poset]:
+    """Antichains, complete bipartite orders, ordinal sums of antichains
+    and crowns with pendant twins, on at most 7 points."""
+    return [numbered(n, []) for n in range(1, 8)] + [
+        ordinal_sum(*sizes) for sizes in [(1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (2, 5), (1, 6),
+                                          (1, 2, 1), (2, 1, 2), (2, 2, 2), (3, 1, 3), (1, 3, 1),
+                                          (1, 1, 2, 1), (2, 1, 1, 2)]
+    ] + [with_pendant_twins(crowns(2), 2, above=2), with_pendant_twins(crowns(2), 2, above=3),
+         with_pendant_twins(crowns(2), 0, below=2),
+         with_pendant_twins(with_pendant_twins(crowns(2), 2, above=2), 0, below=1),
+         with_pendant_twins(numbered(3, [(0, 1), (1, 2)]), 1, above=2, below=2)]
+
+
+def test_canonical_form_separates_twin_rich_posets_like_brute_force():
+    rng = random.Random(3)
+    cases = twin_rich_posets()
+    cases += [shuffled(p.dual(), rng) for p in cases]
+    for p in cases:
+        assert canonical_form(shuffled(p, rng)) == canonical_form(p)
+    pairs = itertools.combinations(zip(map(canonical_form, cases), map(brute_canonical, cases)), 2)
+    assert all((a == b) == (c == d) for (a, c), (b, d) in pairs)
+
+
+def test_canonical_form_keys_of_the_12_antichain_and_k66_are_pinned():
+    # one twin group each class: 1 ordering, where the points would give 12! or 6! 6!
+    assert canonical_form(numbered(12, [])) == (12, (0,) * 12, tuple(1 << k for k in range(12)))
+    assert canonical_form(ordinal_sum(6, 6)) == (
+        12, (0,) * 6 + (1,) * 6,
+        tuple(1 << k | 0xFC0 for k in range(6)) + tuple(1 << k for k in range(6, 12)))
+
+
 def test_all_posets_output_is_pinned():
     # the SHA-256 of every poset of all_posets(1..7), fed in order: the
     # output must not depend on how canonical_form colors or searches
@@ -1112,6 +1169,17 @@ def test_all_posets_output_is_pinned():
 def test_poset_counts():
     # OEIS A000112
     assert [len(all_posets(n)) for n in range(1, 8)] == [1, 2, 5, 16, 63, 318, 2045]
+
+
+def test_all_posets_on_eight_points_is_pinned(monkeypatch):
+    # the 16,999 posets on 8 points leave the cache with the test
+    monkeypatch.setattr(corpus, "_POSET_CACHE", dict(corpus._POSET_CACHE))
+    assert len(all_posets(8)) == 16999  # OEIS A000112
+    digest = hashlib.sha256()
+    for p in all_posets(8):
+        digest.update(repr((p.labels, p.up, p.dn)).encode())
+    assert digest.hexdigest() == (
+        "2540836f091821d5485ee495b8b4212f1d123404fae3beb6e626d099acc75e75")
 
 
 def test_all_preorders_match_the_relation_scan():
@@ -1145,6 +1213,12 @@ def test_all_posets_extends_only_the_class_representatives(monkeypatch):
 
     def counted(p):
         calls[p.n] += 1
+        # the prefix's twins: points below n - 1 with equal strict rows on 0..n-2
+        last = p.n - 1
+        rows = [((p.up[i] & ~(1 << last)) ^ 1 << i, p.dn[i] ^ 1 << i) for i in range(last)]
+        down = p.dn[last]
+        assert not any(rows[i] == rows[j] and down >> j & 1 and not down >> i & 1
+                       for i, j in itertools.combinations(range(last), 2))
         return canonical_form(p)
 
     def validate(self, labels, up):
@@ -1155,8 +1229,9 @@ def test_all_posets_extends_only_the_class_representatives(monkeypatch):
     monkeypatch.setattr(Poset, "__init__", validate)
     assert len(all_posets(6)) == 318
     # each representative on k - 1 points, extended by each of its down-sets
-    assert [calls[k] for k in range(1, 7)] == [1, 2, 7, 28, 135, 766]
-    assert sum(calls.values()) == 939
+    # that holds no twin without the twins before it
+    assert [calls[k] for k in range(1, 7)] == [1, 2, 6, 22, 104, 596]
+    assert sum(calls.values()) == 731
 
 
 # ------------------------------------------------------ recovery ingredients
