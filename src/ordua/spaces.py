@@ -10,7 +10,8 @@ equality are decided on the rows.
 A space is discrete when every point is its own minimal open
 (``_is_discrete``). There every subset is open and every point is its own
 component, so the opens and the least clopen upper sets are read in closed
-form, not listed.
+form, not listed: the opens are the SetFamily of every subset, which keeps
+range(1 << n) and lists its masks only if they are read.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class FiniteSpace(Preorder):
         family = opens if isinstance(opens, SetFamily) else SetFamily(n, opens)
         if family.n != n:
             raise CarrierMismatch("opens do not live on the point carrier")
-        if len(family.masks) == 1 << n:
+        if len(family) == 1 << n:
             # 2^n distinct masks below 2^n are every subset: the discrete space
             minimal = [1 << k for k in range(n)]
         else:
@@ -161,8 +162,8 @@ class FiniteSpace(Preorder):
 
     @property
     def opens(self) -> SetFamily:
-        """The up-sets of the rows, listed on first read: every subset, in
-        order, when the space is discrete."""
+        """The up-sets of the rows, listed on first read; when the space is
+        discrete, the family of every subset, which lists nothing."""
         if self._opens is None:
             # len(up), not the n and full properties: every Alexandrov space
             # the preorder checks build reads its opens once

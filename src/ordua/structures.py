@@ -134,6 +134,8 @@ def count_upper_sets(up) -> int:
     holds p, and is then the points above p joined with an up-set of rest
     without them. Counts are kept per rest, p has the most comparables in
     rest (leaving the least), and rests wait on a stack: no recursion limit.
+    The least point of rest is taken with no scan when it is comparable to
+    all of rest, as max would take it: a chain costs linear work.
     """
     dn, full = transpose(len(up), up), (1 << len(up)) - 1
     memo, stack = {0: 1}, [(full, None)]
@@ -142,7 +144,9 @@ def count_upper_sets(up) -> int:
         if parts is not None:
             memo[rest] = memo[parts[0]] + memo[parts[1]]
         elif rest not in memo:
-            p = max(bits(rest), key=lambda x: ((up[x] | dn[x]) & rest).bit_count())
+            p = (rest & -rest).bit_length() - 1
+            if (up[p] | dn[p]) & rest != rest:
+                p = max(bits(rest), key=lambda x: ((up[x] | dn[x]) & rest).bit_count())
             parts = rest & ~dn[p], rest & ~up[p]
             stack += [(rest, parts)] + [(r, None) for r in parts if r not in memo]
     return memo[full]
@@ -188,44 +192,68 @@ class Subset:
 
 
 class SetFamily:
-    """A family of subsets of a common carrier, canonically sorted by bitmask."""
+    """A family of subsets of a common carrier, canonically sorted by bitmask.
 
-    __slots__ = ("n", "masks")
+    Given range(1 << n), the family of every subset keeps that range and
+    masks lists it as a tuple only on first read. Any 2^n masks are every
+    subset, so such a family answers membership, equality and hash from n
+    alone, listed or not."""
+
+    __slots__ = ("n", "_masks")
 
     def __init__(self, n: int, masks) -> None:
+        self.n = n
+        if masks.__class__ is range and masks == range(1 << n):
+            self._masks = masks
+            return
         seen = sorted(set(map(int, masks)))
         if seen and not (0 <= seen[0] and seen[-1] < 1 << n):
             m = next(m for m in seen if not 0 <= m < 1 << n)
             raise InputFormatError(f"mask {m} out of range for carrier of size {n}")
-        self.n = n
-        self.masks = tuple(seen)
+        self._masks = tuple(seen)
 
     @classmethod
     def _of_sorted(cls, n: int, masks) -> "SetFamily":
         """The family of masks, which must already be ascending, distinct and
-        below 2^n (as upper_sets lists them): nothing is checked."""
+        below 2^n (as upper_sets lists them, or range(1 << n)): nothing is
+        checked."""
         family = object.__new__(cls)
-        family.n, family.masks = n, tuple(masks)
+        family.n = n
+        family._masks = masks if masks.__class__ is range else tuple(masks)
         return family
 
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """The masks as an ascending tuple, listed on first read and kept."""
+        masks = self._masks
+        if masks.__class__ is range:
+            masks = self._masks = tuple(masks)
+        return masks
+
+    def _is_every(self) -> bool:
+        # 2^n distinct masks below 2^n are every subset
+        return len(self._masks) == 1 << self.n
+
     def __iter__(self):
-        return iter(self.masks)
+        return iter(self._masks)
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return len(self._masks)
 
     def __contains__(self, item) -> bool:
         mask = item.mask if isinstance(item, Subset) else int(item)
-        return mask in self.masks
+        return 0 <= mask < 1 << self.n if self._is_every() else mask in self._masks
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SetFamily) and (self.n, self.masks) == (other.n, other.masks)
+        return (isinstance(other, SetFamily) and self.n == other.n
+                and len(self._masks) == len(other._masks)
+                and (self._is_every() or self.masks == other.masks))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.masks))
+        return hash((self.n, range(1 << self.n) if self._is_every() else self.masks))
 
     def __repr__(self) -> str:
-        return f"SetFamily(n={self.n}, {len(self.masks)} sets)"
+        return f"SetFamily(n={self.n}, {len(self._masks)} sets)"
 
 
 class Poset:

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import pkgutil
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -704,6 +705,40 @@ def test_every_family_of_all_subsets_but_one_is_decided_as_before():
     assert {got for n, _, got in outcomes if n > 2} == {
         ends, "family is not closed under intersections",
         "family is not closed under unions"}
+
+
+def _traced_peak_mb(build):
+    """What build returns, and the peak of memory traced while it runs above
+    what was traced before, in MB of 2^20 bytes. Tracing already on (``-X
+    tracemalloc``) is kept on; only tracing started here is stopped."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = build()
+        return out, (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_the_opens_of_a_discrete_space_are_counted_without_listing():
+    # listing the 2^20 masks would take more than 8 MB
+    n = 20
+    labels, rows = [f"x{i}" for i in range(n)], _singletons(n)
+    for build in (lambda: len(FiniteSpace.from_rows(labels, rows).opens),
+                  lambda: len(FiniteSpace(labels, range(1 << n)).opens),
+                  lambda: len(SetFamily(n, range(1 << n)))):
+        size, peak = _traced_peak_mb(build)
+        assert size == 1 << n and peak < 1.0, peak
+
+
+def test_the_point_free_space_has_the_empty_set_open():
+    for sp in (FiniteSpace.from_rows([], []), FiniteSpace([], range(1)),
+               FiniteSpace([], [0])):
+        assert list(sp.opens) == [0] and sp.opens.masks == (0,) and sp.up == ()
 
 
 def _discrete_spaces_over_small_orders():

@@ -1474,9 +1474,41 @@ def test_count_upper_sets_counts_wide_orders_without_listing():
     assert count_upper_sets(chain) == 41
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_the_family_of_every_subset_answers_as_the_listed_one(n):
+    lazy = SetFamily(n, range(1 << n))
+    listed = SetFamily._of_sorted(n, list(range(1 << n)))
+    assert lazy == listed and listed == lazy and hash(lazy) == hash(listed)
+    assert SetFamily._of_sorted(n, range(1 << n)) == lazy == SetFamily(n, reversed(range(1 << n)))
+    assert repr(lazy) == repr(listed) == f"SetFamily(n={n}, {1 << n} sets)"
+    assert len(lazy) == 1 << n and list(lazy) == list(range(1 << n))
+    for family in (lazy, listed):
+        assert 0 in family and (1 << n) - 1 in family
+        assert Subset(n, 0) in family and Subset(n, (1 << n) - 1) in family
+        assert -1 not in family and 1 << n not in family
+    # 2^n - 1 masks are not every subset, whichever one is missing
+    for gone in range(1 << n):
+        fewer = SetFamily(n, [m for m in range(1 << n) if m != gone])
+        assert lazy != fewer and fewer != lazy and gone not in fewer
+    assert lazy != SetFamily(n + 1, range(1 << n))
+    # listed on first read and kept, answering as before
+    masks = lazy.masks
+    assert type(masks) is tuple and masks == tuple(range(1 << n)) and lazy.masks is masks
+    assert lazy == listed and hash(lazy) == hash(listed) and 1 << n not in lazy
+
+
 def test_count_upper_sets_counts_chains_past_the_recursion_limit():
     # each rest of a chain drops one point, so a count by recursion would
     # nest once per point
     n = sys.getrecursionlimit() + 10
     chain = [((1 << n) - 1) ^ ((1 << i) - 1) for i in range(n)]
     assert count_upper_sets(chain) == n + 1
+
+
+def test_count_upper_sets_counts_a_long_chain():
+    # every rest of a chain is a chain, so its least point is taken with no
+    # scan for the point with the most comparables
+    n = 2000
+    chain = [((1 << n) - 1) ^ ((1 << i) - 1) for i in range(n)]
+    assert count_upper_sets(chain) == 2001
+    assert count_upper_sets([(1 << i + 1) - 1 for i in range(n)]) == 2001
